@@ -44,9 +44,6 @@ from .numerics import (
     bisect,
     fit_quadratic_leading,
     integrate,
-    log_add,
-    neglog_add,
-    neglog_sum,
 )
 from .oracle import (
     ColoringRecord,

@@ -8,7 +8,8 @@ the file alone.  Outputs are byte-deterministic for a fixed configuration.
 
 Exit codes: 0 on success, 2 for validation problems (bad arguments,
 out-of-range queries, refused sizes), 3 for numeric failures (singular
-fields, lost brackets, degenerate fits, blown budgets of the solvers).
+fields, lost brackets, degenerate fits, blown budgets of the solvers,
+values beyond float range).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ _NUMERIC_ERRORS = (
     Degenerate,
     analytic.Overflow,
     recurrence.WindowTooSmall,
+    OverflowError,
 )
 
 
@@ -175,12 +177,12 @@ def _cmd_ramsey(cfg: RunConfig) -> tuple[list, list, dict, str]:
     size = max(cfg.k, cfg.l)
     thr = _threshold_table(cfg.thresholds, size, cfg.epsilon, cfg.w, cfg.tol)
     table = lattice.ramsey_table(cfg.k, cfg.l, thr)
-    corner = table.value(cfg.k, cfg.l)
+    rows = [(k, l, table.value(k, l)) for k, l, _ in table.entries()]
     return (
         ["k", "l", "value"],
-        list(table.entries()),
+        rows,
         {},
-        f"max-form bound ({cfg.thresholds} thresholds); R[{cfg.k},{cfg.l}] = {corner!r}",
+        f"max-form bound ({cfg.thresholds} thresholds); R[{cfg.k},{cfg.l}] = {rows[-1][2]!r}",
     )
 
 

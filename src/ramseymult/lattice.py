@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import LogValue
+from .numerics import LogValue, wavefront_fill
 
 EXPONENT_MODES = ("a", "b", "max")
 
@@ -201,6 +201,22 @@ class ThresholdSequence:
     def has_column_one(self) -> bool:
         return not math.isnan(float(self.lower[2, 1]))
 
+    def dense(self, k: int, l: int) -> np.ndarray:
+        """t_{i,j} for all 2 <= i <= k, 2 <= j <= l as one (k+1, l+1) array,
+        the upper wedge reflected as in :meth:`lookup`; rows and columns
+        0 and 1 are NaN."""
+        if k < 1 or l < 1:
+            raise ValueError("table corner must have k >= 1 and l >= 1")
+        if k > self.size or l > self.size:
+            raise OutOfRange(f"({k}, {l}) needs thresholds beyond size {self.size}")
+        n = max(k, l)
+        low = self.lower[: n + 1, : n + 1]
+        t = np.where(np.tri(n + 1, dtype=bool), low, 1.0 - low.T)[: k + 1, : l + 1]
+        t[:2] = t[:, :2] = np.nan
+        if np.isnan(t[2:, 2:]).any():
+            raise OutOfRange(f"the {self.provenance} table leaves cells undefined")
+        return t
+
     def lookup(self, i: int, j: int) -> float:
         """t_{i,j}, reflecting through 1 - t_{j,i} for the upper wedge."""
         if i < 1 or j < 1 or i > self.size or j > self.size:
@@ -221,9 +237,10 @@ class ThresholdSequence:
 class BoundTable:
     """A filled DP table, indexed 1 <= k <= rows, 1 <= l <= cols.
 
-    For the minimising modes ("a", "b", "max") the storage holds negLog
-    weights; for mode "ramsey" it holds the max-form values directly,
-    which stay within float range for every size used here.
+    Every mode stores a log-domain path sum.  The minimising modes ("a",
+    "b", "max") hold negLog weights in nats; mode "ramsey" holds log2 of
+    the max-form value R, the negLog in bits of the weight 1/R, so values
+    far beyond float range stay finite.
     """
 
     mode: str
@@ -245,33 +262,38 @@ class BoundTable:
     def neglog(self, k: int, l: int) -> float:
         self._check(k, l)
         v = float(self.table[k, l])
-        return -math.log(v) if self.mode == "ramsey" else v
+        return -v * math.log(2.0) if self.mode == "ramsey" else v
 
     def logvalue(self, k: int, l: int) -> LogValue:
         return LogValue(self.neglog(k, l))
 
     def value(self, k: int, l: int) -> float:
+        """Decoded value; OverflowError, naming the cell, when a "ramsey"
+        entry exceeds float range."""
         self._check(k, l)
         v = float(self.table[k, l])
-        return v if self.mode == "ramsey" else math.exp(-v)
+        if self.mode != "ramsey":
+            return math.exp(-v)
+        try:
+            return 2.0 ** v
+        except OverflowError:
+            msg = f"R[{k},{l}] = 2**{v!r} is beyond float range"
+            raise OverflowError(msg) from None
 
     def entries(self) -> Iterator[tuple[int, int, float]]:
         """Yield (k, l, stored entry) in row-major order.
 
-        Minimising modes yield negLog weights, mode "ramsey" yields the
-        bound values themselves.
+        Minimising modes yield negLog weights, mode "ramsey" yields log2 of
+        the bound values.
         """
         for k in range(1, self.rows + 1):
             for l in range(1, self.cols + 1):
                 yield k, l, float(self.table[k, l])
 
 
-def _step_exponent(mode: str, a: int, b: int) -> int:
-    if mode == "a":
-        return a
-    if mode == "b":
-        return b
-    return a if a >= b else b
+def _step_exponent(mode: str, a, b):
+    """Exponent of a step through cell (a, b); takes index arrays too."""
+    return {"a": a, "b": b, "max": np.maximum(a, b)}[mode]
 
 
 def path_weight(
@@ -288,8 +310,22 @@ def path_weight(
     for a, b, b_inc in path.steps():
         t = thresholds.lookup(a, b)
         s = t if b_inc else 1.0 - t
-        neglog += _step_exponent(exponent, a, b) * -math.log(s)
+        neglog += int(_step_exponent(exponent, a, b)) * -math.log(s)
     return LogValue(neglog)
+
+
+def _max_plus_fill(t: np.ndarray, e, log) -> np.ndarray:
+    """negLog, in the base of ``log``, of the minimum path weight to every
+    cell under the dense thresholds ``t`` and per-cell exponents ``e``:
+    the larger of the b-step from (i, j-1), factor t^e, and the a-step
+    from (i-1, j), factor (1-t)^e, with boundary cells at 0 (weight 1)."""
+    cost_b = e * -log(t)
+    cost_a = e * -log(1.0 - t)
+
+    def cell(idx, below):
+        return np.maximum(cost_b[idx] + below[1], cost_a[idx] + below[0])
+
+    return wavefront_fill(np.zeros(t.shape), cell)
 
 
 def dp_min_weight(
@@ -299,56 +335,33 @@ def dp_min_weight(
 
     Recursion on negLogs: the cheaper (larger-weight) of extending from
     (i, j-1) with factor t^e or from (i-1, j) with factor (1-t)^e, with
-    boundary cells fixed at weight 1.  Equal branches prefer the
-    b-increment, which matters only for witness reconstruction, never for
-    the value.
+    boundary cells fixed at weight 1.
     """
     if exponent not in EXPONENT_MODES:
         raise ValueError(f"unknown exponent mode {exponent!r}")
-    if k < 1 or l < 1:
-        raise ValueError("table corner must have k >= 1 and l >= 1")
-    if k > thresholds.size or l > thresholds.size:
-        raise OutOfRange(
-            f"({k}, {l}) needs thresholds beyond size {thresholds.size}"
-        )
-    neg = np.zeros((k + 1, l + 1))
-    for i in range(2, k + 1):
-        for j in range(2, l + 1):
-            t = thresholds.lookup(i, j)
-            e = _step_exponent(exponent, i, j)
-            from_b = e * -math.log(t) + neg[i, j - 1]
-            from_a = e * -math.log(1.0 - t) + neg[i - 1, j]
-            # min weight == max negLog
-            neg[i, j] = from_b if from_b >= from_a else from_a
+    i, j = np.ogrid[: k + 1, : l + 1]
+    e = _step_exponent(exponent, i, j)
     return BoundTable(
         mode=exponent,
         rows=k,
         cols=l,
         provenance=thresholds.provenance,
-        table=neg,
+        table=_max_plus_fill(thresholds.dense(k, l), e, np.log),
     )
 
 
 def ramsey_table(k: int, l: int, thresholds: ThresholdSequence) -> BoundTable:
     """Max-form companion table: R_{i,j} = max(R_{i,j-1}/t, R_{i-1,j}/(1-t))
-    with boundary 1.  Computed in plain floats, exact for dyadic thresholds."""
-    if k < 1 or l < 1:
-        raise ValueError("table corner must have k >= 1 and l >= 1")
-    if k > thresholds.size or l > thresholds.size:
-        raise OutOfRange(
-            f"({k}, {l}) needs thresholds beyond size {thresholds.size}"
-        )
-    vals = np.ones((k + 1, l + 1))
-    for i in range(2, k + 1):
-        for j in range(2, l + 1):
-            t = thresholds.lookup(i, j)
-            vals[i, j] = max(vals[i, j - 1] / t, vals[i - 1, j] / (1.0 - t))
+    with boundary 1.  Stored as log2 R, the min-weight DP in bits with
+    exponent 1: it cannot overflow, and is exact for dyadic thresholds.
+    Otherwise each step rounds at the magnitude of log2 R, so a decoded R
+    carries a relative error of up to about (i + j) * 2^-53 * log2 R."""
     return BoundTable(
         mode="ramsey",
         rows=k,
         cols=l,
         provenance=thresholds.provenance,
-        table=vals,
+        table=_max_plus_fill(thresholds.dense(k, l), 1, np.log2),
     )
 
 

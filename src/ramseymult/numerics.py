@@ -1,17 +1,17 @@
-"""Shared numeric kernels: log-domain scalars, an adaptive ODE solver,
-bisection, and quadratic growth fits.
+"""Shared numeric kernels: log-domain scalars, the wavefront table fill,
+an adaptive ODE solver, bisection, and quadratic growth fits.
 
 Everything downstream manipulates quantities that shrink like 2^(-t^2), so
 the canonical scalar here is a negated natural log.  A plain float holding
 -ln(x) stays exact long after x itself underflows; ``LogValue`` wraps that
-float with arithmetic that never leaves the log domain.
+float with products and powers that never leave the log domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,21 +31,6 @@ class Degenerate(Exception):
 
 #: negLog encoding of the value 0 (exp(-inf) == 0).
 NEGLOG_ZERO = math.inf
-
-
-def neglog_add(x: float, y: float) -> float:
-    """negLog of exp(-x) + exp(-y), stable for arbitrary magnitudes.
-
-    Factoring out the larger addend gives min + log1p(exp(-|x-y|)); the
-    exp argument is always <= 0 so nothing overflows, and inputs near
-    1e6 lose no precision.  inf is the additive identity (the value 0).
-    """
-    if x == math.inf:
-        return y
-    if y == math.inf:
-        return x
-    m = x if x < y else y
-    return m - math.log1p(math.exp(-abs(x - y)))
 
 
 @dataclass(frozen=True)
@@ -74,9 +59,6 @@ class LogValue:
         """Decode back to a plain float; underflows to 0.0 past ~745."""
         return math.exp(-self.neglog)
 
-    def __add__(self, other: "LogValue") -> "LogValue":
-        return log_add(self, other)
-
     def __mul__(self, other: "LogValue") -> "LogValue":
         if self.neglog == math.inf or other.neglog == math.inf:
             return LogValue(NEGLOG_ZERO)
@@ -103,17 +85,41 @@ class LogValue:
         return self.neglog <= other.neglog
 
 
-def log_add(a: LogValue, b: LogValue) -> LogValue:
-    """Sum of two LogValues without leaving the log domain."""
-    return LogValue(neglog_add(a.neglog, b.neglog))
+def wavefront_fill(
+    table: np.ndarray,
+    cell: Callable[[tuple[np.ndarray, ...], list[np.ndarray]], np.ndarray],
+) -> np.ndarray:
+    """Fill, in place, every entry of ``table`` whose indices are all >= 2.
 
-
-def neglog_sum(neglogs: Iterable[float]) -> float:
-    """Left-to-right fold of :func:`neglog_add` over an iterable."""
-    acc = NEGLOG_ZERO
-    for x in neglogs:
-        acc = neglog_add(acc, x)
-    return acc
+    An entry may depend only on its q one-step-down neighbours, so each
+    index-sum hyperplane is one vectorised call ``cell(idx, below)``:
+    ``idx`` holds the q index arrays of the hyperplane's entries, and
+    ``below[d]`` their neighbours' values one step down axis d.  Entries
+    with an index below 2 are the caller's boundary and stay untouched.
+    Extra memory is O(t^(q-1)).  Returns ``table``.
+    """
+    if not table.flags.c_contiguous:
+        raise ValueError("wavefront_fill needs a C-contiguous table")
+    q, last = table.ndim, table.shape[-1]
+    flat = table.reshape(-1)
+    steps = [s // table.itemsize for s in table.strides]
+    # interior points of the first q - 1 axes sorted by index sum, so the
+    # points of each hyperplane are one contiguous run
+    head = np.indices([n - 2 for n in table.shape[:-1]]).reshape(q - 1, -1) + 2
+    sums = head.sum(axis=0)
+    order = np.argsort(sums, kind="stable")
+    head, sums = head[:, order], sums[order]
+    offsets = np.dot(steps[:-1], head)
+    planes = np.arange(2 * q, sum(table.shape) - q + 1)
+    # the last index s - sum must lie in [2, last - 1]
+    starts = np.searchsorted(sums, planes - last + 1)
+    stops = np.searchsorted(sums, planes - 1)
+    for s, a, b in zip(planes.tolist(), starts.tolist(), stops.tolist()):
+        tail = s - sums[a:b]
+        idx = (*head[:, a:b], tail)
+        pos = offsets[a:b] + tail * steps[-1]
+        flat[pos] = cell(idx, [flat[pos - step] for step in steps])
+    return table
 
 
 @dataclass(frozen=True)

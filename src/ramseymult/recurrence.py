@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .lattice import BoundTable, ThresholdSequence
-from .numerics import LogValue, fit_quadratic_leading, neglog_add
+from .numerics import LogValue, fit_quadratic_leading, wavefront_fill
 
 DEFAULT_CELL_BUDGET = 20_000_000
 
@@ -37,31 +37,27 @@ class BudgetExceeded(Exception):
     """A multicolour table would allocate more cells than allowed."""
 
 
-def _combine(mu: float, neighbor_neglogs: Sequence[float]) -> float:
-    """negLog of (sum_i exp(nb_i / mu))^(-mu): one recurrence cell.
-
-    Shared by the two-colour and q-colour fills so that the former is a
-    true slice of the latter, bit for bit.
-    """
-    acc = -neighbor_neglogs[0] / mu
-    for nb in neighbor_neglogs[1:]:
-        acc = neglog_add(acc, -nb / mu)
-    return -mu * acc
+def _recurrence_cell(idx, below):
+    """negLog of (sum_d M_{x-e_d}^(-1/mu))^(-mu), mu the largest index, on
+    one wavefront hyperplane.  The q neighbours are folded left to right,
+    the same arithmetic for every q, so the two-colour table is a true
+    slice of the q-colour one, bit for bit."""
+    mu = np.max(idx, axis=0)
+    acc = below[0] / mu
+    for nb in below[1:]:
+        acc = np.logaddexp(acc, nb / mu)
+    return mu * acc
 
 
 def build_table(t_max: int) -> BoundTable:
     """Fill the optimal-threshold recurrence up to (t_max, t_max).
 
     Returns a mode-"max" table of negLog values; boundary rows are 0
-    (value 1).  O(t_max^2) scalar work, well under a second at 400.
+    (value 1).  One vectorised step per anti-diagonal.
     """
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
-    neg = np.zeros((t_max + 1, t_max + 1))
-    for k in range(2, t_max + 1):
-        for l in range(2, t_max + 1):
-            mu = float(k if k >= l else l)
-            neg[k, l] = _combine(mu, (neg[k - 1, l], neg[k, l - 1]))
+    neg = wavefront_fill(np.zeros((t_max + 1, t_max + 1)), _recurrence_cell)
     return BoundTable(
         mode="max",
         rows=t_max,
@@ -71,32 +67,25 @@ def build_table(t_max: int) -> BoundTable:
     )
 
 
-def _sigmoid_neg(z: float) -> float:
-    """1 / (1 + exp(z)) without overflow for large |z|."""
-    if z >= 0.0:
-        u = math.exp(-z)
-        return u / (1.0 + u)
-    return 1.0 / (1.0 + math.exp(z))
-
-
 def optimal_thresholds(table: BoundTable) -> ThresholdSequence:
     """Thresholds at which the min-DP branches balance.
 
     For j <= i the minimiser of max(t^mu * M_{i,j-1}, (1-t)^mu * M_{i-1,j})
-    is t = 1 / (1 + exp(z)) with z = (L_{i-1,j} - L_{i,j-1}) / mu on the
-    negLog table L.  Column 1 is left undefined: boundary cells carry no
-    branch to balance.
+    is t = 1 / (1 + exp(z)) = exp(-logaddexp(0, z)), which cannot overflow,
+    with z = (L_{i-1,j} - L_{i,j-1}) / mu on the negLog table L.  Column 1
+    is left undefined: boundary cells carry no branch to balance.
     """
     if table.mode != "max" or table.rows != table.cols:
         raise ValueError("optimal thresholds need a square mode-'max' table")
     size = table.rows
     neg = table.table
-
-    def t_of(i: int, j: int) -> float:
-        z = (neg[i - 1, j] - neg[i, j - 1]) / i  # mu == i on the lower wedge
-        return _sigmoid_neg(z)
-
-    return ThresholdSequence.from_function(size, t_of, provenance="optimal")
+    mu = np.arange(2, size + 1)[:, None]  # mu == i on the lower wedge
+    z = (neg[1:-1, 2:] - neg[2:, 1:-1]) / mu
+    wedge = np.tri(size - 1, k=-1, dtype=bool)  # 2 <= j < i
+    lower = np.full(neg.shape, np.nan)
+    lower[2:, 2:] = np.where(wedge, np.exp(-np.logaddexp(0.0, z)), np.nan)
+    np.fill_diagonal(lower[2:, 2:], 0.5)
+    return ThresholdSequence(size=size, provenance="optimal", lower=lower)
 
 
 @dataclass(frozen=True)
@@ -175,17 +164,12 @@ class MultiIndexTable:
         for idx in product(range(1, self.t_max + 1), repeat=self.q):
             yield idx, float(self.neglog_array[idx])
 
-    def two_colour_slice(self) -> np.ndarray:
-        if self.q != 2:
-            raise ValueError("slice view only defined for q == 2")
-        return self.neglog_array
-
 
 def multicolor_table(
     q: int, t_max: int, max_cells: int = DEFAULT_CELL_BUDGET
 ) -> MultiIndexTable:
     """The q-colour recurrence: each cell folds its q decremented
-    neighbours through the shared combiner, mu = max of the indices.
+    neighbours through the shared cell, mu = max of the indices.
 
     Cells with any index equal to 1 are boundary (negLog 0).  Raises
     :class:`BudgetExceeded` before allocating more than ``max_cells``.
@@ -199,13 +183,7 @@ def multicolor_table(
         raise BudgetExceeded(
             f"(t_max + 1)^q = {cells} cells exceeds the budget of {max_cells}"
         )
-    neg = np.zeros((t_max + 1,) * q)
-    for idx in product(range(2, t_max + 1), repeat=q):
-        mu = float(max(idx))
-        neighbors = [
-            neg[idx[:d] + (idx[d] - 1,) + idx[d + 1 :]] for d in range(q)
-        ]
-        neg[idx] = _combine(mu, neighbors)
+    neg = wavefront_fill(np.zeros((t_max + 1,) * q), _recurrence_cell)
     return MultiIndexTable(q=q, t_max=t_max, neglog_array=neg)
 
 

@@ -169,6 +169,12 @@ class TestExitCodes:
                            "--eps-min", "1e-3", "--tol", "1e-9")
         assert code == 3 and "numeric failure" in err
 
+    def test_ramsey_beyond_float_range_exits_three(self, capsys, in_tmp):
+        # R[k,l] = 2**(k+l-3) first leaves float range at (427, 600)
+        code, _, err = run(capsys, "ramsey", "--k", "600", "--l", "600")
+        assert code == 3 and "numeric failure" in err and "R[427,600]" in err
+        assert not any(in_tmp.iterdir())  # no artifact, so no "inf" in one
+
     def test_crosscheck_disagreement_exits_three(self, capsys):
         code, out, err = run(
             capsys, "crosscheck", "--t-max", "80", "--eps-min", "1e-4",

@@ -5,9 +5,11 @@ import math
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from ramseymult.lattice import (
+    EXPONENT_MODES,
     BoundTable,
     LatticePath,
     OutOfRange,
@@ -248,6 +250,29 @@ class TestMinWeightDP:
         with pytest.raises(OutOfRange):
             dp_min_weight(9, 4, random_thresholds(8, seed=13))
 
+    def test_undefined_thresholds_rejected(self):
+        lower = ThresholdSequence.uniform(5).lower.copy()
+        lower[4, 3] = np.nan
+        holey = ThresholdSequence(size=5, provenance="holey", lower=lower)
+        dp_min_weight(3, 3, holey)
+        with pytest.raises(OutOfRange):
+            dp_min_weight(3, 4, holey)  # t_{3,4} reflects the hole at t_{4,3}
+
+
+class TestRectangularTables:
+    @pytest.mark.parametrize("k, l", [(9, 4), (4, 9), (2, 7)])
+    @pytest.mark.parametrize("mode", EXPONENT_MODES + ("ramsey",))
+    def test_top_left_block_of_square(self, k, l, mode):
+        thr = random_thresholds(9, seed=21)
+
+        def fill(a, b):
+            if mode == "ramsey":
+                return ramsey_table(a, b, thr)
+            return dp_min_weight(a, b, thr, exponent=mode)
+
+        n = max(k, l)
+        assert np.array_equal(fill(k, l).table, fill(n, n).table[: k + 1, : l + 1])
+
 
 class TestRamseyDP:
     def test_uniform_power_of_two(self):
@@ -261,6 +286,12 @@ class TestRamseyDP:
         for k in range(2, 13):
             for l in range(2, 13):
                 assert ramsey_bound(k, l, es) <= math.comb(k + l, k) * (1 + 1e-12)
+
+    def test_beyond_float_range_stays_finite(self):
+        rt = ramsey_table(600, 600, ThresholdSequence.uniform(600))
+        assert rt.neglog(600, 600) == -1197 * math.log(2.0)
+        with pytest.raises(OverflowError):
+            rt.value(600, 600)
 
     def test_erdos_szekeres_hand_value(self):
         es = ThresholdSequence.erdos_szekeres(6)

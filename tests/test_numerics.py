@@ -1,9 +1,7 @@
 """Log-domain arithmetic, the adaptive integrator, bisection, fits."""
 
 import math
-import random
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -17,9 +15,7 @@ from ramseymult.numerics import (
     bisect,
     fit_quadratic_leading,
     integrate,
-    log_add,
-    neglog_add,
-    neglog_sum,
+    wavefront_fill,
 )
 
 
@@ -56,50 +52,37 @@ class TestLogValue:
         assert (a * LogValue.from_value(0.0)).neglog == NEGLOG_ZERO
 
 
-class TestLogAdd:
-    def test_quarter_plus_quarter(self):
-        q = LogValue.from_value(0.25)
-        assert math.isclose(log_add(q, q).value, 0.5, rel_tol=1e-14)
+def _index_weighted_paths(idx, below):
+    """Sum of the neighbours plus the product of the indices: exact in
+    floats, and wrong wherever an index or a neighbour is misplaced."""
+    return sum(below) + np.prod(idx, axis=0)
 
-    def test_zero_is_identity(self):
-        x = LogValue(123.456)
-        z = LogValue(NEGLOG_ZERO)
-        assert log_add(x, z).neglog == x.neglog
-        assert log_add(z, x).neglog == x.neglog
-        assert log_add(z, z).neglog == NEGLOG_ZERO
 
-    def test_extreme_magnitudes_against_mpmath(self):
-        # values around exp(-1e5) are far below float range; the log-domain
-        # sum must still match 50-digit arithmetic
-        x, y = 1e5, 1e5 + 50.0
-        got = neglog_add(x, y)
-        with mpmath.workdps(50):
-            ref = -mpmath.log(mpmath.exp(-x) + mpmath.exp(-y))
-            assert abs(got - float(ref)) <= 1e-12 * x
-        # the far addend is beneath the ulp of 1e5
-        assert got == x
+class TestWavefrontFill:
+    @pytest.mark.parametrize(
+        "shape", [(7, 4), (4, 7), (3, 9), (5, 7, 4), (3, 3, 3, 6)]
+    )
+    def test_matches_lexicographic_loop(self, shape):
+        # lexicographic order visits every neighbour x - e_d before x
+        ref = np.ones(shape)
+        for x in np.ndindex(*shape):
+            if min(x) >= 2:
+                below = [ref[x[:d] + (x[d] - 1,) + x[d + 1 :]] for d in range(len(x))]
+                ref[x] = sum(below) + math.prod(x)
+        got = wavefront_fill(np.ones(shape), _index_weighted_paths)
+        assert np.array_equal(got, ref)
 
-    def test_commutative_associative(self):
-        rng = random.Random(0)
-        for _ in range(200):
-            a, b, c = (rng.uniform(0.0, 1e5) for _ in range(3))
-            assert neglog_add(a, b) == neglog_add(b, a)
-            left = neglog_add(neglog_add(a, b), c)
-            right = neglog_add(a, neglog_add(b, c))
-            assert math.isclose(left, right, rel_tol=1e-10, abs_tol=1e-10)
+    def test_boundary_untouched(self):
+        got = wavefront_fill(np.full((5, 6), 7.0), _index_weighted_paths)
+        assert np.all(got[:2] == 7.0) and np.all(got[:, :2] == 7.0)
+        assert got[2, 2] == 7.0 + 7.0 + 4.0
+        thin = np.full((2, 6), 7.0)
+        got = wavefront_fill(thin, _index_weighted_paths)
+        assert np.array_equal(got, np.full((2, 6), 7.0))
 
-    def test_sum_is_monotone(self):
-        # adding mass can only grow the value, i.e. shrink the negLog
-        rng = random.Random(1)
-        for _ in range(100):
-            a, b = rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)
-            assert neglog_add(a, b) <= min(a, b)
-
-    def test_neglog_sum_fold(self):
-        # four copies of 1/8 sum to 1/2
-        got = neglog_sum([3 * math.log(2.0)] * 4)
-        assert math.isclose(got, math.log(2.0), rel_tol=1e-14)
-        assert neglog_sum([]) == NEGLOG_ZERO
+    def test_rejects_non_contiguous(self):
+        with pytest.raises(ValueError):
+            wavefront_fill(np.zeros((5, 6)).T, _index_weighted_paths)
 
 
 class TestIntegrate:

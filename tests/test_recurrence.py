@@ -1,7 +1,9 @@
 """Recurrence tables, optimal thresholds, growth fits, multicolour."""
 
 import math
+from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -50,6 +52,50 @@ class TestBuildTable:
     def test_size_validated(self):
         with pytest.raises(ValueError):
             build_table(1)
+
+
+def scalar_recurrence(q, t_max):
+    """Reference fill: one cell at a time in lexicographic order, folding
+    the q neighbours with scalar libm log1p and exp."""
+
+    def neglog_add(x, y):
+        return min(x, y) - math.log1p(math.exp(-abs(x - y)))
+
+    neg = np.zeros((t_max + 1,) * q)
+    for idx in product(range(2, t_max + 1), repeat=q):
+        mu = float(max(idx))
+        below = [neg[idx[:d] + (idx[d] - 1,) + idx[d + 1 :]] for d in range(q)]
+        acc = -below[0] / mu
+        for nb in below[1:]:
+            acc = neglog_add(acc, -nb / mu)
+        neg[idx] = -mu * acc
+    return neg
+
+
+class TestScalarReference:
+    def test_two_colour(self):
+        np.testing.assert_allclose(
+            build_table(60).table, scalar_recurrence(2, 60), rtol=1e-13, atol=0
+        )
+
+    def test_three_colour(self):
+        np.testing.assert_allclose(
+            multicolor_table(3, 12).neglog_array,
+            scalar_recurrence(3, 12),
+            rtol=1e-13,
+            atol=0,
+        )
+
+    def test_last_antidiagonals_against_mpmath(self):
+        # entries near exp(-1.2e5), far below float range
+        neg = build_table(400).table
+        cells = [(k, s - k) for s in (799, 800) for k in range(s - 400, 401)]
+        with mpmath.workdps(50):
+            for k, l in cells:
+                mu = max(k, l)
+                a, b = mpmath.mpf(neg[k - 1, l]), mpmath.mpf(neg[k, l - 1])
+                ref = mu * mpmath.log(mpmath.exp(a / mu) + mpmath.exp(b / mu))
+                assert abs(neg[k, l] - float(ref)) <= 1e-12 * neg[k, l]
 
 
 class TestOptimalThresholds:
