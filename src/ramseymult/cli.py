@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from argparse import ArgumentParser, Namespace
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,37 +42,6 @@ _NUMERIC_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation; None marks options a subcommand lacks."""
-
-    subcommand: str
-    out: str
-    format: str
-    t_max: int | None = None
-    k: int | None = None
-    l: int | None = None
-    mode: str | None = None
-    thresholds: str | None = None
-    q: int | None = None
-    t: int | None = None
-    n: int | None = None
-    n_max: int | None = None
-    w: int | None = None
-    epsilon: float | None = None
-    eps_min: float | None = None
-    tol: float | None = None
-    max_diff: float | None = None
-    max_cells: int | None = None
-    samples: int | None = None
-    seed: int | None = None
-    complement: bool | None = None
-    large: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-
 def _fmt(v) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
@@ -85,11 +54,11 @@ def _json_cell(v):
     return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
 
 
-def _emit(cfg: RunConfig, columns: list[str], rows: list[tuple], extras: dict) -> str:
+def _emit(cfg: Namespace, columns: list[str], rows: list[tuple], extras: dict) -> str:
     """Write the artefact in the configured format; returns the path."""
-    path = cfg.out
+    config = {k: v for k, v in vars(cfg).items() if v is not None}
     if cfg.format == "csv":
-        lines = [f"# config = {json.dumps(cfg.to_dict(), sort_keys=True)}"]
+        lines = [f"# config = {json.dumps(config, sort_keys=True)}"]
         for key in sorted(extras):
             lines.append(f"# {key} = {_fmt(extras[key])}")
         lines.append(",".join(columns))
@@ -97,17 +66,19 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[tuple], extras: dict) -
         text = "\n".join(lines) + "\n"
     else:
         payload = {
-            "config": cfg.to_dict(),
+            "config": config,
             "columns": columns,
             "rows": [[_json_cell(v) for v in row] for row in rows],
         }
         payload.update(extras)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text)
-    return path
+    Path(cfg.out).write_text(text)
+    return cfg.out
 
 
-def _threshold_table(kind: str, size: int, epsilon: float, w: int | None, tol: float):
+def _threshold_table(cfg: Namespace, size: int):
+    """The --thresholds table; only ``patched`` reads --epsilon, --w, --tol."""
+    kind = cfg.thresholds
     if kind == "uniform":
         return lattice.ThresholdSequence.uniform(size)
     if kind == "erdos-szekeres":
@@ -115,7 +86,7 @@ def _threshold_table(kind: str, size: int, epsilon: float, w: int | None, tol: f
     if kind == "optimal":
         return recurrence.optimal_thresholds(recurrence.build_table(size))
     if kind == "patched":
-        return analytic.assemble_patched_thresholds(epsilon, size, w=w, tol=tol)
+        return analytic.assemble_patched_thresholds(cfg.epsilon, size, cfg.w, cfg.tol)
     raise ValueError(f"unknown threshold kind {kind!r}")
 
 
@@ -132,7 +103,7 @@ def _epsilon_ladder(eps_min: float) -> list[float]:
     return ladder
 
 
-def _cmd_recurrence(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_recurrence(cfg: Namespace) -> tuple[list, list, dict, str]:
     table = recurrence.build_table(cfg.t_max)
     rows = list(table.entries())
     corner = table.neglog(cfg.t_max, cfg.t_max)
@@ -144,7 +115,7 @@ def _cmd_recurrence(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_thresholds(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_thresholds(cfg: Namespace) -> tuple[list, list, dict, str]:
     thr = recurrence.optimal_thresholds(recurrence.build_table(cfg.t_max))
     rows = [
         (i, j, thr.lookup(i, j))
@@ -159,9 +130,9 @@ def _cmd_thresholds(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_dp(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_dp(cfg: Namespace) -> tuple[list, list, dict, str]:
     size = max(cfg.k, cfg.l)
-    thr = _threshold_table(cfg.thresholds, size, cfg.epsilon, cfg.w, cfg.tol)
+    thr = _threshold_table(cfg, size)
     table = lattice.dp_min_weight(cfg.k, cfg.l, thr, exponent=cfg.mode)
     corner = table.neglog(cfg.k, cfg.l)
     return (
@@ -173,9 +144,9 @@ def _cmd_dp(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_ramsey(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_ramsey(cfg: Namespace) -> tuple[list, list, dict, str]:
     size = max(cfg.k, cfg.l)
-    thr = _threshold_table(cfg.thresholds, size, cfg.epsilon, cfg.w, cfg.tol)
+    thr = _threshold_table(cfg, size)
     table = lattice.ramsey_table(cfg.k, cfg.l, thr)
     rows = [(k, l, table.value(k, l)) for k, l, _ in table.entries()]
     return (
@@ -186,7 +157,7 @@ def _cmd_ramsey(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_ode(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_ode(cfg: Namespace) -> tuple[list, list, dict, str]:
     traj = analytic.solve_threshold_ode(cfg.epsilon, cfg.tol)
     rows = [(x, y) for x, y in traj.samples]
     return (
@@ -198,7 +169,7 @@ def _cmd_ode(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_constants(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_constants(cfg: Namespace) -> tuple[list, list, dict, str]:
     est = analytic.estimate_limit_constants(_epsilon_ladder(cfg.eps_min), cfg.tol)
     rows = [(e, t1) for e, t1 in est.epsilon_series]
     extras = {
@@ -215,7 +186,7 @@ def _cmd_constants(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_patch(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_patch(cfg: Namespace) -> tuple[list, list, dict, str]:
     thr = analytic.assemble_patched_thresholds(
         cfg.epsilon, cfg.t_max, w=cfg.w, tol=cfg.tol
     )
@@ -235,7 +206,7 @@ def _cmd_patch(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_multicolor(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_multicolor(cfg: Namespace) -> tuple[list, list, dict, str]:
     table = recurrence.multicolor_table(cfg.q, cfg.t_max, cfg.max_cells)
     columns = [f"i{d + 1}" for d in range(cfg.q)] + ["neglog_value"]
     rows = [idx + (v,) for idx, v in table.entries()]
@@ -249,7 +220,7 @@ def _cmd_multicolor(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_alpha(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_alpha(cfg: Namespace) -> tuple[list, list, dict, str]:
     value = recurrence.alpha_estimate(cfg.q, cfg.t)
     return (
         ["q", "t", "alpha"],
@@ -259,7 +230,7 @@ def _cmd_alpha(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_bruteforce(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_bruteforce(cfg: Namespace) -> tuple[list, list, dict, str]:
     rep = oracle.exact_min(cfg.n, cfg.t, large=cfg.large)
     rows = [
         (
@@ -279,7 +250,7 @@ def _cmd_bruteforce(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_ratios(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_ratios(cfg: Namespace) -> tuple[list, list, dict, str]:
     series = oracle.ratio_series(cfg.t, cfg.n_max, large=cfg.large)
     rows = [(n, kmin, ratio) for n, kmin, ratio in series]
     last = rows[-1]
@@ -292,7 +263,7 @@ def _cmd_ratios(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_sample(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
     rep = oracle.sample_against_bounds(
         cfg.n,
         cfg.t,
@@ -321,7 +292,7 @@ def _cmd_sample(cfg: RunConfig) -> tuple[list, list, dict, str]:
     )
 
 
-def _cmd_crosscheck(cfg: RunConfig) -> tuple[list, list, dict, str]:
+def _cmd_crosscheck(cfg: Namespace) -> tuple[list, list, dict, str]:
     rec_est = recurrence.estimate_growth_constant(recurrence.build_table(cfg.t_max))
     ode_est = analytic.estimate_limit_constants(_epsilon_ladder(cfg.eps_min), cfg.tol)
     diff = abs(rec_est.c - ode_est.c)
@@ -355,9 +326,7 @@ _HANDLERS = {
 
 
 def build_parser():
-    import argparse
-
-    p = argparse.ArgumentParser(
+    p = ArgumentParser(
         prog="ramseymult",
         description="Lower bounds for Ramsey multiplicity via threshold "
         "dynamic programs, recurrences, and an ODE limit.",
@@ -446,17 +415,10 @@ def build_parser():
     return p
 
 
-def _resolve(args) -> RunConfig:
-    d = vars(args).copy()
-    sub = d.pop("subcommand")
-    out = d.pop("out") or f"{sub}.{d['format']}"
-    return RunConfig(subcommand=sub, out=out, **d)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _resolve(args)
+    cfg = parser.parse_args(argv)
+    cfg.out = cfg.out or f"{cfg.subcommand}.{cfg.format}"
     try:
         columns, rows, extras, summary = _HANDLERS[cfg.subcommand](cfg)
         path = _emit(cfg, columns, rows, extras)

@@ -28,6 +28,7 @@ class TooLarge(Exception):
 
 
 _CHUNK_BITS = 12  # the n = 8 scan splits into 2^12 ranges
+_SAMPLE_BYTES = 2**28  # cap on the samples x C(n, 2) draw, one byte per edge
 
 
 def edge_list(n: int) -> list[tuple[int, int]]:
@@ -337,6 +338,11 @@ def sample_against_bounds(
     if samples < 2:
         raise ValueError("need at least two samples for a spread")
     m = math.comb(n, 2)
+    if samples * m > _SAMPLE_BYTES:
+        raise ValueError(
+            f"{samples} samples x {m} edges = {samples * m} bytes exceeds "
+            f"the {_SAMPLE_BYTES}-byte sampling budget"
+        )
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, m), dtype=np.uint8)
     full = (1 << m) - 1

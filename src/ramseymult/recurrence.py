@@ -157,9 +157,6 @@ class MultiIndexTable:
     def value_at(self, indices: tuple[int, ...]) -> float:
         return math.exp(-self.neglog_at(indices))
 
-    def logvalue_at(self, indices: tuple[int, ...]) -> LogValue:
-        return LogValue(self.neglog_at(indices))
-
     def entries(self) -> Iterator[tuple[tuple[int, ...], float]]:
         for idx in product(range(1, self.t_max + 1), repeat=self.q):
             yield idx, float(self.neglog_array[idx])

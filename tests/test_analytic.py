@@ -2,6 +2,9 @@
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from ramseymult.analytic import (
     AnalyticConstants,
     InvalidEpsilon,
     Overflow,
+    _edge_slope,
+    _pchip,
     assemble_patched_thresholds,
     build_patch_sequence,
     constant_from_limit,
@@ -289,3 +294,56 @@ class TestAssembledTable:
             assemble_patched_thresholds(1e-3, 10, w=0)
         with pytest.raises(InvalidEpsilon):
             assemble_patched_thresholds(0.0, 10)
+
+
+class TestPchip:
+    """The numpy interpolant against scipy's PchipInterpolator, bit for bit."""
+
+    @staticmethod
+    def assert_matches_scipy(xs, ys, q):
+        q = np.concatenate((q, xs))
+        assert np.array_equal(_pchip(xs, ys, q), PchipInterpolator(xs, ys)(q))
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6])
+    def test_ode_profiles_on_every_wedge_point(self, eps):
+        traj = solve_threshold_ode(eps, 1e-10)
+        k, j = np.tril_indices(501)
+        wedge = j >= 1
+        q = np.concatenate((j[wedge] / k[wedge], [1.0]))
+        self.assert_matches_scipy(traj.xs, traj.ys, q)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([0.0, 1.0, 2.5, 3.0, 4.0], [0.0, 1.0, 1.0, 2.0, 3.0]),  # flat secant
+            ([0.0, 0.5, 2.0, 2.2, 4.0], [0.0, 2.0, 1.0, 3.0, 2.5]),  # sign changes
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 6.0, 7.0]),  # both ends clip to 0
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -5.0, -4.0]),  # both ends clip to 3 m0
+            ([0.0, 0.3, 1.0], [0.2, 0.9, 0.95]),  # three knots
+        ],
+    )
+    def test_synthetic_branches(self, xs, ys):
+        xs, ys = np.array(xs), np.array(ys)
+        q = np.linspace(xs[0], xs[-1], 997)
+        self.assert_matches_scipy(xs, ys, q)
+
+    def test_end_slope_clips(self):
+        # equal spacing: d = (3 m0 - m1) / 2
+        assert _edge_slope(1.0, 1.0, 1.0, 5.0) == 0.0  # sign flips against m0
+        assert _edge_slope(1.0, 1.0, 1.0, -6.0) == 3.0  # overshoot past a turn
+        assert _edge_slope(1.0, 1.0, 1.0, 2.0) == 0.5  # kept
+
+    def test_package_import_loads_no_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys, ramseymult.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"

@@ -130,6 +130,14 @@ class TestArtifacts:
         assert "|diff|" in out
 
 
+class TestConfig:
+    def test_namespace_leaks_no_key(self, capsys):
+        assert run(capsys, "ramsey", "--k", "10", "--l", "10")[0] == 0
+        cfg = read_config_line("ramsey.csv")
+        assert set(cfg) == {"subcommand", "out", "format", "k", "l", "thresholds"}
+        assert cfg["out"] == "ramsey.csv"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -182,6 +190,13 @@ class TestExitCodes:
         )
         assert code == 3
         assert "disagree" in err
+
+    def test_sample_budget_exits_two_before_drawing(self, capsys, in_tmp):
+        # 200000 x C(64, 2) = 403 MB, beyond the 2**28-byte budget
+        code, _, err = run(capsys, "sample", "--n", "64", "--t", "3",
+                           "--samples", "200000")
+        assert code == 2 and "403200000 bytes" in err
+        assert not any(in_tmp.iterdir())
 
     def test_argparse_rejects_unknown(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -229,3 +229,5 @@ class TestSampling:
             sample_against_bounds(65, 3)
         with pytest.raises(ValueError):
             sample_against_bounds(10, 3, samples=1)
+        with pytest.raises(ValueError, match="sampling budget"):
+            sample_against_bounds(64, 3, samples=200_000)
