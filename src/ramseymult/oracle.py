@@ -8,17 +8,16 @@ are scanned, and the reported witness is the lexicographically smallest
 mask among the achievers and their complements.
 
 Counting is done twice by unrelated methods (per-subset mask tests and
-adjacency-bitset clique recursion) so each can vouch for the other.
+adjacency-bitset clique recursion) so each can vouch for the other.  The
+exhaustive scan is a third: one float32 matrix product over mask halves.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -27,8 +26,12 @@ class TooLarge(Exception):
     """Exhaustive search beyond n = 8, or n = 8 without the opt-in flag."""
 
 
-_CHUNK_BITS = 12  # the n = 8 scan splits into 2^12 ranges
+_LOW_BITS = 13  # the scan's product has one column per low part of a mask
+_BLOCK_BITS = 5  # log2 of the high parts per product block (1 MB float32)
+# Read by perfbench/tracecall.py: log2 of the product blocks at n = 8.
+_CHUNK_BITS = math.comb(8, 2) - 1 - _LOW_BITS - _BLOCK_BITS
 _SAMPLE_BYTES = 2**28  # cap on the samples x C(n, 2) draw, one byte per edge
+_SAMPLE_BLOCK = 4096  # samples counted per batch
 
 
 def edge_list(n: int) -> list[tuple[int, int]]:
@@ -109,32 +112,43 @@ def count_mono_cliques(coloring: ColoringRecord, t: int) -> tuple[int, int]:
     return red, blue
 
 
-def _adjacency(coloring: ColoringRecord) -> list[int]:
-    adj = [0] * coloring.n
-    for u, v in coloring.red_edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+def _clique_counts(forward: np.ndarray, t: int) -> np.ndarray:
+    """t-clique count of each of B graphs given as (n, B) forward bitsets:
+    branch on each vertex that is a candidate in some graph while enough
+    remain, zero the graphs in which it is not, popcount the last level."""
+    n, batch = forward.shape
 
-
-def _clique_count(adj: list[int], n: int, t: int) -> int:
-    """Number of t-cliques in the graph given by adjacency bitsets."""
-    if t == 1:
-        return n
-
-    def grow(candidates: int, depth: int) -> int:
+    def grow(candidates: np.ndarray, depth: int) -> np.ndarray:
         if depth == 1:
-            return candidates.bit_count()
-        total = 0
-        rest = candidates
-        while rest:
+            return np.bitwise_count(candidates)
+        total = np.zeros(batch, dtype=np.int64)
+        rest = int(np.bitwise_or.reduce(candidates))
+        while rest.bit_count() >= depth:  # else too few vertices remain
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            above = ~((1 << (v + 1)) - 1)
-            total += grow(candidates & adj[v] & above, depth - 1)
+            picked = (candidates & np.uint64(1 << v)) != 0
+            total += grow(np.where(picked, candidates & forward[v], 0), depth - 1)
         return total
 
-    return grow((1 << n) - 1, t)
+    return grow(np.full(batch, (1 << n) - 1, dtype=np.uint64), t)
+
+
+def _mono_counts(bits: np.ndarray, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (red, blue) K_t counts of (B, C(n, 2)) 0/1 edge bits."""
+    u, v = np.triu_indices(n, 1)
+    cols = np.zeros((n, 64), dtype=np.intp)
+    cols[u, v] = np.arange(len(u))
+    # (n, B) bitsets: bit v of row u is set when v > u and edge (u, v) is red;
+    # the other slots read edge 0 and are masked off
+    adj = np.empty((n, len(bits)), dtype="<u8")
+    for row, c in zip(adj, cols):
+        packed = np.packbits(np.take(bits, c, axis=1), 1, bitorder="little")
+        row[:] = packed.view("<u8")[:, 0]
+    above = np.array([[-(2 << v) & ((1 << n) - 1)] for v in range(n)], np.uint64)
+    adj &= above
+    red = _clique_counts(adj, t)
+    adj ^= above  # now the blue bitsets
+    return red, _clique_counts(adj, t)
 
 
 def count_mono_cliques_fast(coloring: ColoringRecord, t: int) -> tuple[int, int]:
@@ -142,45 +156,57 @@ def count_mono_cliques_fast(coloring: ColoringRecord, t: int) -> tuple[int, int]
     adjacency bitsets; independent arithmetic, used to cross-check."""
     if not 2 <= t <= coloring.n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={coloring.n}")
-    red_adj = _adjacency(coloring)
-    full = (1 << coloring.n) - 1
-    blue_adj = [
-        (full ^ row) & ~(1 << v) for v, row in enumerate(red_adj)
-    ]
-    return (
-        _clique_count(red_adj, coloring.n, t),
-        _clique_count(blue_adj, coloring.n, t),
-    )
+    if coloring.n > 64:
+        raise ValueError("bitset counting supports n <= 64")
+    m = coloring.edge_count
+    raw = np.frombuffer(coloring.red_mask.to_bytes(m // 8 + 1, "little"), np.uint8)
+    bits = np.unpackbits(raw, count=m, bitorder="little")
+    red, blue = _mono_counts(bits[None], coloring.n, t)
+    return int(red[0]), int(blue[0])
 
 
-def _scan_range(args: tuple[int, int, tuple[int, ...], int]) -> tuple[int, int]:
-    """Scan reduced masks in [lo, hi): returns (kmin, witness candidate).
+def _scan(n: int, t: int) -> tuple[int, int]:
+    """(kmin, witness mask) over every colouring of K_n with edge (0,1) red.
 
-    Reduced mask r encodes colouring (r << 1) | 1, i.e. edge (0,1) is
-    pinned red.  The witness candidate is the smallest of the chunk's
-    first achiever and the complement of its last achiever, which is
-    exactly the chunk's lexicographic minimum over achievers union
-    complements since masks ascend within the chunk.
+    Reduced mask r = h * 2^L + x encodes colouring (r << 1) | 1.  A subset
+    whose edges, shifted down one, have high part q and low part p is red
+    when h covers q and x covers p, and blue when it avoids edge (0,1) and
+    h, x miss q, p.  Grouping subsets by p, every count is W @ T: W[h]
+    counts each group's q that h covers or misses, T[:, x] holds x's
+    [covers p] and [misses p].  Partial sums are integers <= C(n, t), so
+    float32 is exact in any summation order and any BLAS thread count.
+    The witness is min(first achiever, complement of last achiever), the
+    lexicographic minimum since r ascends through the row-major blocks.
     """
-    lo, hi, subset_masks, m = args
-    masks = (np.arange(lo, hi, dtype=np.int64) << 1) | 1
-    counts = np.zeros(len(masks), dtype=np.int16)
-    for smask in subset_masks:
-        inner = masks & smask
-        counts += inner == smask
-        counts += inner == 0
-    kmin = int(counts.min())
-    achievers = np.flatnonzero(counts == kmin)
-    full = (1 << m) - 1
-    first = int(masks[achievers[0]])
-    last = int(masks[achievers[-1]])
-    return kmin, min(first, full ^ last)
+    m = math.comb(n, 2)
+    low = min(m - 1, _LOW_BITS)
+    subsets = np.array(_subset_masks(n, t), dtype=np.int64)
+    pats, group = np.unique((subsets >> 1) & ((1 << low) - 1), return_inverse=True)
+    groups = len(pats)
+    hs = np.arange(1 << (m - 1 - low))
+    w = np.zeros((len(hs), 2 * groups), dtype=np.float32)
+    for smask, g in zip(subsets.tolist(), group.tolist()):
+        q = smask >> (low + 1)
+        w[:, g] += (hs & q) == q
+        if not smask & 1:
+            w[:, groups + g] += (hs & q) == 0
+    xs = np.arange(1 << low)
+    tmat = np.empty((2 * groups, len(xs)), dtype=np.float32)
+    for g, p in enumerate(pats.tolist()):
+        tmat[g] = (xs & p) == p
+        tmat[groups + g] = (xs & p) == 0
 
-
-def _merge_scans(results: list[tuple[int, int]]) -> tuple[int, int]:
-    """Combine per-chunk (kmin, witness) pairs; order independent."""
-    kmin = min(r[0] for r in results)
-    return kmin, min(w for k, w in results if k == kmin)
+    kmin, first, last = math.inf, 0, 0
+    for lo in range(0, len(hs), 1 << _BLOCK_BITS):
+        counts = (w[lo : lo + (1 << _BLOCK_BITS)] @ tmat).ravel()
+        k = counts.min()
+        if k > kmin:
+            continue
+        hits = np.flatnonzero(counts == k) + (lo << low)
+        if k < kmin:
+            kmin, first = k, int(hits[0])
+        last = int(hits[-1])
+    return int(kmin), min((first << 1) | 1, ((1 << m) - 1) ^ ((last << 1) | 1))
 
 
 @dataclass(frozen=True)
@@ -206,11 +232,8 @@ class MinimumReport:
 
 
 def _worker_count(requested: int | None, chunks: int) -> int:
-    cap = os.environ.get("RML_THREADS")
-    w = requested if requested is not None else (os.cpu_count() or 1)
-    if cap is not None:
-        w = min(w, max(1, int(cap)))
-    return max(1, min(w, chunks))
+    """Always 1 (BLAS threads share the product); perfbench/tracecall.py reads it."""
+    return 1
 
 
 def exact_min(
@@ -218,9 +241,10 @@ def exact_min(
 ) -> MinimumReport:
     """Exhaustively minimise red + blue K_t counts over colourings of K_n.
 
-    n <= 7 runs in one vectorised pass; n = 8 (2^27 reduced colourings)
-    requires ``large=True`` and fans the scan out over a process pool,
-    merged deterministically.  n > 8 always raises :class:`TooLarge`.
+    One blocked matrix product scans every n <= 8; n = 8 (2^27 reduced
+    colourings) requires ``large=True`` and n > 8 always raises
+    :class:`TooLarge`.  Both clique counters recount the witness.
+    ``workers`` is ignored; perfbench/run.py passes it.
     """
     if not 2 <= t <= n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
@@ -229,28 +253,10 @@ def exact_min(
     if n == 8 and not large:
         raise TooLarge("n=8 scans 2^27 colourings; opt in with large=True")
 
-    m = math.comb(n, 2)
-    subset_masks = tuple(_subset_masks(n, t))
-    space = 1 << (m - 1)
-
-    if n <= 7:
-        kmin, witness_mask = _scan_range((0, space, subset_masks, m))
-    else:
-        chunks = 1 << _CHUNK_BITS
-        step = space >> _CHUNK_BITS
-        tasks = [
-            (lo, lo + step, subset_masks, m) for lo in range(0, space, step)
-        ]
-        nworkers = _worker_count(workers, chunks)
-        if nworkers == 1:
-            results = [_scan_range(task) for task in tasks]
-        else:
-            with Pool(nworkers) as pool:
-                results = pool.map(_scan_range, tasks, chunksize=16)
-        kmin, witness_mask = _merge_scans(results)
-
+    kmin, witness_mask = _scan(n, t)
     witness = ColoringRecord(n=n, red_mask=witness_mask).with_counts(t)
-    if witness.red_count + witness.blue_count != kmin:
+    fast = sum(count_mono_cliques_fast(witness, t))
+    if witness.red_count + witness.blue_count != kmin or fast != kmin:
         raise RuntimeError("witness recount disagrees with scan minimum")
     return MinimumReport(
         n=n,
@@ -345,21 +351,14 @@ def sample_against_bounds(
         )
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, m), dtype=np.uint8)
-    full = (1 << m) - 1
-    total = math.comb(n, t)
+    if complement:
+        bits ^= 1
+    counts = np.concatenate([
+        np.add(*_mono_counts(bits[lo : lo + _SAMPLE_BLOCK], n, t))
+        for lo in range(0, samples, _SAMPLE_BLOCK)
+    ])
 
-    counts = np.empty(samples, dtype=np.int64)
-    for i in range(samples):
-        mask = int.from_bytes(
-            np.packbits(bits[i], bitorder="little").tobytes(), "little"
-        )
-        if complement:
-            mask ^= full
-        rec = ColoringRecord(n=n, red_mask=mask)
-        red, blue = count_mono_cliques_fast(rec, t)
-        counts[i] = red + blue
-
-    fractions = counts / total
+    fractions = counts / math.comb(n, t)
     floor: int | None = None
     if n <= 7 or (n == 8 and large):
         floor = exact_min(n, t, large=large).kmin

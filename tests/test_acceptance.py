@@ -146,17 +146,22 @@ def test_criterion_5_ramsey_bound_corollaries():
 def test_criterion_6_exhaustive_anchors():
     with report(
         6,
-        "exhaustive minima k_3(5)=0, k_3(6)=2, k_3(7)=4 with non-decreasing "
-        "ratios, under 60 s",
+        "exhaustive minima k_3(5)=0, k_3(6)=2, k_3(7)=4, k_3(8)=8 with "
+        "non-decreasing ratios, k_3(n) equal to Goodman's closed form for "
+        "n = 3..8, under 60 s",
     ):
         t0 = time.perf_counter()
         assert exact_min(5, 3).kmin == 0
         assert exact_min(6, 3).kmin == 2
         assert exact_min(7, 3).kmin == 4
-        series = ratio_series(3, 7)
+        assert exact_min(8, 3, large=True).kmin == 8
+        series = ratio_series(3, 8, large=True)
         ratios = [r for _, _, r in series]
         assert ratios == sorted(ratios)
-        assert ratios[-1] == Fraction(4, 35)
+        assert ratios[-2:] == [Fraction(4, 35), Fraction(1, 7)]
+        # Goodman (1959): k_3(n) = C(n,3) - floor(n floor((n-1)^2/4) / 2)
+        for n, kmin, _ in series:
+            assert kmin == math.comb(n, 3) - n * ((n - 1) ** 2 // 4) // 2, n
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
 

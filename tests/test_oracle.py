@@ -5,13 +5,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from ramseymult import oracle
 from ramseymult.oracle import (
     ColoringRecord,
     TooLarge,
-    _merge_scans,
-    _scan_range,
+    _mono_counts,
     _subset_masks,
     count_mono_cliques,
     count_mono_cliques_fast,
@@ -89,6 +90,45 @@ class TestCounting:
             count_mono_cliques(rec, 1)
         with pytest.raises(ValueError):
             count_mono_cliques(rec, 5)
+        with pytest.raises(ValueError):
+            count_mono_cliques_fast(ColoringRecord(n=65, red_mask=0), 3)
+
+    @pytest.mark.parametrize(
+        "n, t",  # n = 64 uses bit 63 of the uint64 bitsets
+        [(2, 2), (5, 2), (5, 5), (9, 3), (9, 4), (12, 5), (64, 2), (64, 3), (64, 64)],
+    )
+    def test_batched_counter_matches_subset_counter(self, n, t):
+        m = math.comb(n, 2)
+        rng = np.random.default_rng(n * 100 + t)
+        bits = rng.integers(0, 2, size=(12, m), dtype=np.uint8)
+        bits[0], bits[1] = 1, 0  # all red and all blue: t = n counts 1
+        red, blue = _mono_counts(bits, n, t)
+        for row, r, b in zip(bits, red, blue):
+            rec = ColoringRecord(n=n, red_mask=mask_of(row))
+            assert count_mono_cliques(rec, t) == (r, b)
+        assert (red[0], blue[0]) == (math.comb(n, t), 0)
+        assert (red[1], blue[1]) == (0, math.comb(n, t))
+
+    def test_goodman_identity(self):
+        # Goodman (1959): mono triangles = C(n,3) - (1/2) sum_v r_v (n-1-r_v)
+        rng = random.Random(9)
+        for _ in range(200):
+            n = rng.randint(3, 12)
+            rec = ColoringRecord(n=n, red_mask=rng.getrandbits(math.comb(n, 2)))
+            degree = [0] * n
+            for u, v in rec.red_edges():
+                degree[u] += 1
+                degree[v] += 1
+            mixed = sum(r * (n - 1 - r) for r in degree)
+            assert mixed % 2 == 0
+            goodman = math.comb(n, 3) - mixed // 2
+            assert sum(count_mono_cliques(rec, 3)) == goodman
+            assert sum(count_mono_cliques_fast(rec, 3)) == goodman
+
+
+def mask_of(row):
+    """Colouring mask of one row of 0/1 edge bits."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def full_space_minimum(n, t):
@@ -112,6 +152,22 @@ def full_space_minimum(n, t):
         if best is None or c < best:
             best, witness = c, mask
     return best, witness
+
+
+def reference_scan(n, t):
+    """Vectorised subset-mask scan of every mask with edge (0,1) red:
+    (kmin, smallest of the first achiever and the last one's complement)."""
+    m = math.comb(n, 2)
+    masks = (np.arange(1 << (m - 1), dtype=np.int64) << 1) | 1
+    counts = np.zeros(len(masks), dtype=np.int16)
+    for smask in _subset_masks(n, t):
+        inner = masks & smask
+        counts += inner == smask
+        counts += inner == 0
+    kmin = int(counts.min())
+    achievers = np.flatnonzero(counts == kmin)
+    full = (1 << m) - 1
+    return kmin, min(int(masks[achievers[0]]), full ^ int(masks[achievers[-1]]))
 
 
 class TestExactMin:
@@ -161,18 +217,26 @@ class TestExactMin:
         with pytest.raises(ValueError):
             exact_min(5, 6)
 
-    def test_chunked_merge_equals_single_scan(self):
-        n, t = 6, 3
-        m = math.comb(n, 2)
-        subset_masks = tuple(_subset_masks(n, t))
-        space = 1 << (m - 1)
-        whole = _scan_range((0, space, subset_masks, m))
-        step = space // 8
-        parts = [
-            _scan_range((lo, lo + step, subset_masks, m))
-            for lo in range(0, space, step)
-        ]
-        assert _merge_scans(parts) == whole
+    def test_matches_reference_scan(self):
+        for n in range(2, 8):
+            for t in range(2, n + 1):
+                rep = exact_min(n, t)
+                assert (rep.kmin, rep.witness.red_mask) == reference_scan(n, t), (n, t)
+
+    def test_n8_pinned(self):
+        for t, kmin, witness in ((3, 8, 0xF3E78), (4, 0, 0x4D08C0)):
+            rep = exact_min(8, t, large=True)
+            assert (rep.kmin, rep.witness.red_mask) == (kmin, witness)
+
+    def test_witness_recount_guards_the_scan(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_scan", lambda n, t: (1, PENTAGON))
+            with pytest.raises(RuntimeError, match="witness recount"):
+                exact_min(5, 3)
+        # either counter alone disagreeing is enough
+        monkeypatch.setattr(oracle, "count_mono_cliques_fast", lambda rec, t: (1, 0))
+        with pytest.raises(RuntimeError, match="witness recount"):
+            exact_min(5, 3)
 
 
 class TestRatioSeries:
