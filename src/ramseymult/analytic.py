@@ -25,7 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import ThresholdSequence
-from .numerics import NoBracket, SingularField, Trajectory, bisect, integrate
+from .numerics import (
+    NoBracket,
+    SingularField,
+    Trajectory,
+    bisect,
+    check_cells,
+    integrate,
+)
 
 #: default epsilon ladder for the limit study, largest first
 DEFAULT_EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
@@ -272,7 +279,8 @@ def assemble_patched_thresholds(
     k - l <= w, and t_eps(l / k) otherwise, read off the monotone cubic
     interpolant :func:`_pchip` of the trajectory.  The patch is seeded so
     a_w equals the profile endpoint t_eps(1), making the two regions meet
-    continuously in the large-k limit.
+    continuously in the large-k limit.  Raises :class:`BudgetExceeded`
+    before solving the ODE when the table would exceed the cell budget.
     """
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
@@ -280,6 +288,7 @@ def assemble_patched_thresholds(
         w = default_patch_width(t_max)
     if not 1 <= w < t_max:
         raise ValueError(f"patch width {w} must satisfy 1 <= w < t_max")
+    check_cells((t_max + 1) ** 2, "(t_max + 1)^2")
     traj = solve_threshold_ode(epsilon, tol)
     patch = build_patch_sequence(find_seed(traj.final_value, w), w)
 

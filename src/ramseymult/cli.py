@@ -19,10 +19,11 @@ import math
 import sys
 from argparse import ArgumentParser, Namespace
 from fractions import Fraction
-from pathlib import Path
+
+import numpy as np
 
 from . import analytic, lattice, oracle, recurrence
-from .numerics import Degenerate, NoBracket, SingularField
+from .numerics import BudgetExceeded, Degenerate, NoBracket, SingularField
 
 _VALIDATION_ERRORS = (
     ValueError,
@@ -30,7 +31,7 @@ _VALIDATION_ERRORS = (
     lattice.OutOfRange,
     oracle.TooLarge,
     analytic.InvalidEpsilon,
-    recurrence.BudgetExceeded,
+    BudgetExceeded,
 )
 _NUMERIC_ERRORS = (
     SingularField,
@@ -40,6 +41,9 @@ _NUMERIC_ERRORS = (
     recurrence.WindowTooSmall,
     OverflowError,
 )
+
+_BLOCK_ROWS = 8192  # rows formatted and written at a time
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt(v) -> str:
@@ -54,25 +58,63 @@ def _json_cell(v):
     return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
 
 
-def _emit(cfg: Namespace, columns: list[str], rows: list[tuple], extras: dict) -> str:
-    """Write the artefact in the configured format; returns the path."""
+def _json_text(v) -> str:
+    return json.dumps(_json_cell(v))
+
+
+def _cells(col, fmt: str):
+    """Text of each cell of one column block.  A numeric array goes through
+    ``repr`` once per distinct value, floats told apart by bit pattern (so
+    -0.0 keeps its sign and every NaN reads "nan"); a list cell by cell."""
+    if not isinstance(col, np.ndarray):
+        return map(_fmt if fmt == "csv" else _json_text, col)
+    keys = col.view(np.int64) if col.dtype.kind == "f" else col
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = list(map(repr, distinct.view(col.dtype).tolist()))
+    if fmt == "json":
+        texts = [_JSON_FLOATS.get(s, s) for s in texts]
+    return map(texts.__getitem__, inverse.tolist())
+
+
+def _row_blocks(data: list, fmt: str):
+    """Text of each row, ``_BLOCK_ROWS`` rows at a time."""
+    for lo in range(0, len(data[0]), _BLOCK_ROWS):
+        cells = [_cells(col[lo : lo + _BLOCK_ROWS], fmt) for col in data]
+        if fmt == "csv":
+            yield map(",".join, zip(*cells))
+        else:
+            yield ("[\n      " + ",\n      ".join(row) + "\n    ]" for row in zip(*cells))
+
+
+def _emit(cfg: Namespace, columns: list[str], data: list, extras: dict) -> str:
+    """Write the artefact in the configured format; returns the path.
+
+    ``data`` holds one entry per column, all of one length: a numpy array,
+    or a list for short object columns.
+    """
     config = {k: v for k, v in vars(cfg).items() if v is not None}
     if cfg.format == "csv":
         lines = [f"# config = {json.dumps(config, sort_keys=True)}"]
         for key in sorted(extras):
             lines.append(f"# {key} = {_fmt(extras[key])}")
         lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        head, sep, tail = "\n".join(lines) + "\n", "\n", "\n"
     else:
-        payload = {
-            "config": config,
-            "columns": columns,
-            "rows": [[_json_cell(v) for v in row] for row in rows],
-        }
+        # json.dumps lays out all but the rows; no config value or extra
+        # can hold this marker of where they go
+        marker = "\0rows"
+        payload = {"config": config, "columns": columns, "rows": marker}
         payload.update(extras)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    Path(cfg.out).write_text(text)
+        head, _, tail = text.partition(json.dumps(marker))
+        head, sep, tail = head + "[\n    ", ",\n    ", "\n  ]" + tail
+    with open(cfg.out, "w") as f:
+        f.write(head)
+        for n, rows in enumerate(_row_blocks(data, cfg.format)):
+            if n:
+                f.write(sep)
+            f.write(sep.join(rows))
+        f.write(tail)
     return cfg.out
 
 
@@ -103,13 +145,19 @@ def _epsilon_ladder(eps_min: float) -> list[float]:
     return ladder
 
 
+def _table_columns(values: np.ndarray) -> list[np.ndarray]:
+    """Index columns (1-based, row-major) and the value column of the
+    cells of ``values``, which the caller has cut to drop index 0."""
+    idx = np.indices(values.shape).reshape(values.ndim, -1) + 1
+    return [*idx, values.ravel()]
+
+
 def _cmd_recurrence(cfg: Namespace) -> tuple[list, list, dict, str]:
     table = recurrence.build_table(cfg.t_max)
-    rows = list(table.entries())
     corner = table.neglog(cfg.t_max, cfg.t_max)
     return (
         ["k", "l", "neglog_value"],
-        rows,
+        _table_columns(table.table[1:, 1:]),
         {},
         f"recurrence table to t_max={cfg.t_max}; negLog M[{cfg.t_max},{cfg.t_max}] = {corner!r}",
     )
@@ -117,14 +165,9 @@ def _cmd_recurrence(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 def _cmd_thresholds(cfg: Namespace) -> tuple[list, list, dict, str]:
     thr = recurrence.optimal_thresholds(recurrence.build_table(cfg.t_max))
-    rows = [
-        (i, j, thr.lookup(i, j))
-        for i in range(2, cfg.t_max + 1)
-        for j in range(2, i + 1)
-    ]
     return (
         ["i", "j", "threshold"],
-        rows,
+        list(thr.wedge(2)),
         {},
         f"optimal thresholds to size {cfg.t_max}; t[{cfg.t_max},2] = {thr.lookup(cfg.t_max, 2)!r}",
     )
@@ -137,7 +180,7 @@ def _cmd_dp(cfg: Namespace) -> tuple[list, list, dict, str]:
     corner = table.neglog(cfg.k, cfg.l)
     return (
         ["k", "l", "neglog_value"],
-        list(table.entries()),
+        _table_columns(table.table[1:, 1:]),
         {},
         f"min-weight DP ({cfg.thresholds} thresholds, mode {cfg.mode}); "
         f"negLog S[{cfg.k},{cfg.l}] = {corner!r}",
@@ -148,30 +191,35 @@ def _cmd_ramsey(cfg: Namespace) -> tuple[list, list, dict, str]:
     size = max(cfg.k, cfg.l)
     thr = _threshold_table(cfg, size)
     table = lattice.ramsey_table(cfg.k, cfg.l, thr)
-    rows = [(k, l, table.value(k, l)) for k, l, _ in table.entries()]
+    k, l, bits = _table_columns(table.table[1:, 1:])
+    try:
+        values = np.array(list(map((2.0).__pow__, bits.tolist())))
+    except OverflowError:
+        # BoundTable.value names the first cell beyond float range
+        first = int(np.argmax(bits >= 1024.0))
+        table.value(int(k[first]), int(l[first]))
+        raise
     return (
         ["k", "l", "value"],
-        rows,
+        [k, l, values],
         {},
-        f"max-form bound ({cfg.thresholds} thresholds); R[{cfg.k},{cfg.l}] = {rows[-1][2]!r}",
+        f"max-form bound ({cfg.thresholds} thresholds); R[{cfg.k},{cfg.l}] = {values[-1].item()!r}",
     )
 
 
 def _cmd_ode(cfg: Namespace) -> tuple[list, list, dict, str]:
     traj = analytic.solve_threshold_ode(cfg.epsilon, cfg.tol)
-    rows = [(x, y) for x, y in traj.samples]
     return (
         ["x", "t"],
-        rows,
+        [traj.xs, traj.ys],
         {"t1": traj.final_value},
         f"threshold profile from epsilon={cfg.epsilon!r}: "
-        f"t(1) = {traj.final_value!r} over {len(rows)} samples",
+        f"t(1) = {traj.final_value!r} over {len(traj.xs)} samples",
     )
 
 
 def _cmd_constants(cfg: Namespace) -> tuple[list, list, dict, str]:
     est = analytic.estimate_limit_constants(_epsilon_ladder(cfg.eps_min), cfg.tol)
-    rows = [(e, t1) for e, t1 in est.epsilon_series]
     extras = {
         "t1_limit": est.t1_limit,
         "c": est.c,
@@ -179,7 +227,7 @@ def _cmd_constants(cfg: Namespace) -> tuple[list, list, dict, str]:
     }
     return (
         ["epsilon", "t1"],
-        rows,
+        [list(col) for col in zip(*est.epsilon_series)],
         extras,
         f"profile limit t1 = {est.t1_limit!r}, C = {est.c!r} "
         f"(spread {est.error_bar:.2e})",
@@ -190,16 +238,11 @@ def _cmd_patch(cfg: Namespace) -> tuple[list, list, dict, str]:
     thr = analytic.assemble_patched_thresholds(
         cfg.epsilon, cfg.t_max, w=cfg.w, tol=cfg.tol
     )
-    rows = [
-        (i, j, thr.lookup(i, j))
-        for i in range(2, cfg.t_max + 1)
-        for j in range(1, i + 1)
-    ]
     k = cfg.t_max
     w_eff = cfg.w if cfg.w is not None else analytic.default_patch_width(k)
     return (
         ["i", "j", "threshold"],
-        rows,
+        list(thr.wedge(1)),
         {"w": w_eff},
         f"patched thresholds to size {k} (w={w_eff}); "
         f"a_w = {thr.lookup(k, k - w_eff)!r}, t[{k},1] = {thr.lookup(k, 1)!r}",
@@ -209,11 +252,10 @@ def _cmd_patch(cfg: Namespace) -> tuple[list, list, dict, str]:
 def _cmd_multicolor(cfg: Namespace) -> tuple[list, list, dict, str]:
     table = recurrence.multicolor_table(cfg.q, cfg.t_max, cfg.max_cells)
     columns = [f"i{d + 1}" for d in range(cfg.q)] + ["neglog_value"]
-    rows = [idx + (v,) for idx, v in table.entries()]
     diag = table.neglog_at((cfg.t_max,) * cfg.q)
     return (
         columns,
-        rows,
+        _table_columns(table.neglog_array[(slice(1, None),) * cfg.q]),
         {},
         f"{cfg.q}-colour table to t_max={cfg.t_max}; "
         f"negLog M[diag] = {diag!r}",
@@ -224,7 +266,7 @@ def _cmd_alpha(cfg: Namespace) -> tuple[list, list, dict, str]:
     value = recurrence.alpha_estimate(cfg.q, cfg.t)
     return (
         ["q", "t", "alpha"],
-        [(cfg.q, cfg.t, value)],
+        [[cfg.q], [cfg.t], [value]],
         {},
         f"alpha(q={cfg.q}, t={cfg.t}) = {value!r}",
     )
@@ -232,31 +274,22 @@ def _cmd_alpha(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 def _cmd_bruteforce(cfg: Namespace) -> tuple[list, list, dict, str]:
     rep = oracle.exact_min(cfg.n, cfg.t, large=cfg.large)
-    rows = [
-        (
-            rep.n,
-            rep.t,
-            rep.kmin,
-            rep.ratio,
-            format(rep.witness.red_mask, "#x"),
-        )
-    ]
+    witness = format(rep.witness.red_mask, "#x")
     return (
         ["n", "t", "kmin", "ratio", "witness_mask"],
-        rows,
+        [[rep.n], [rep.t], [rep.kmin], [rep.ratio], [witness]],
         {"witness": rep.to_payload()} if cfg.format == "json" else {},
         f"exhaustive minimum k_{cfg.t}({cfg.n}) = {rep.kmin} "
-        f"(ratio {rep.ratio}, witness {format(rep.witness.red_mask, '#x')})",
+        f"(ratio {rep.ratio}, witness {witness})",
     )
 
 
 def _cmd_ratios(cfg: Namespace) -> tuple[list, list, dict, str]:
     series = oracle.ratio_series(cfg.t, cfg.n_max, large=cfg.large)
-    rows = [(n, kmin, ratio) for n, kmin, ratio in series]
-    last = rows[-1]
+    last = series[-1]
     return (
         ["n", "kmin", "ratio"],
-        rows,
+        [list(col) for col in zip(*series)],
         {},
         f"minimum ratios for t={cfg.t} up to n={cfg.n_max}; "
         f"last = {last[2]} ({float(last[2]):.6f})",
@@ -272,20 +305,18 @@ def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
         complement=cfg.complement,
         large=cfg.large,
     )
-    rows = [
-        (
-            rep.n,
-            rep.t,
-            rep.samples,
-            rep.mean_fraction,
-            rep.expected_fraction,
-            rep.stderr,
-            rep.min_count,
-        )
-    ]
+    row = (
+        rep.n,
+        rep.t,
+        rep.samples,
+        rep.mean_fraction,
+        rep.expected_fraction,
+        rep.stderr,
+        rep.min_count,
+    )
     return (
         ["n", "t", "samples", "mean_fraction", "expected_fraction", "stderr", "min_count"],
-        rows,
+        [[v] for v in row],
         {"report": rep.to_payload()} if cfg.format == "json" else {},
         f"sampled mono fraction {rep.mean_fraction:.6f} vs expected "
         f"{rep.expected_fraction:.6f} (stderr {rep.stderr:.2e})",
@@ -296,16 +327,17 @@ def _cmd_crosscheck(cfg: Namespace) -> tuple[list, list, dict, str]:
     rec_est = recurrence.estimate_growth_constant(recurrence.build_table(cfg.t_max))
     ode_est = analytic.estimate_limit_constants(_epsilon_ladder(cfg.eps_min), cfg.tol)
     diff = abs(rec_est.c - ode_est.c)
-    rows = [
-        ("recurrence", rec_est.c, rec_est.ln_c),
-        ("ode", ode_est.c, math.log(ode_est.c)),
+    data = [
+        ["recurrence", "ode"],
+        [rec_est.c, ode_est.c],
+        [rec_est.ln_c, math.log(ode_est.c)],
     ]
     extras = {"abs_diff": diff, "max_diff": cfg.max_diff}
     summary = (
         f"C(recurrence) = {rec_est.c!r}, C(ode) = {ode_est.c!r}, "
         f"|diff| = {diff:.2e} (allowed {cfg.max_diff})"
     )
-    return (["route", "c", "ln_c"], rows, extras, summary)
+    return (["route", "c", "ln_c"], data, extras, summary)
 
 
 _HANDLERS = {
@@ -420,8 +452,8 @@ def main(argv=None) -> int:
     cfg = parser.parse_args(argv)
     cfg.out = cfg.out or f"{cfg.subcommand}.{cfg.format}"
     try:
-        columns, rows, extras, summary = _HANDLERS[cfg.subcommand](cfg)
-        path = _emit(cfg, columns, rows, extras)
+        columns, data, extras, summary = _HANDLERS[cfg.subcommand](cfg)
+        path = _emit(cfg, columns, data, extras)
     except _VALIDATION_ERRORS as exc:
         print(f"ramseymult {cfg.subcommand}: invalid request: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import LogValue, wavefront_fill
+from .numerics import LogValue, check_cells, wavefront_fill
 
 EXPONENT_MODES = ("a", "b", "max")
 
@@ -152,15 +152,20 @@ class ThresholdSequence:
             raise ValueError("threshold table needs size >= 2")
         if self.lower.shape != (self.size + 1, self.size + 1):
             raise ValueError("storage array has the wrong shape")
-        for i in range(2, self.size + 1):
-            row = self.lower[i, 1 : i + 1]
-            bad = ~((row > 0.0) & (row < 1.0) | np.isnan(row))
-            if np.any(bad):
-                raise ValueError(
-                    f"thresholds in row {i} leave the open interval (0, 1)"
-                )
-            if self.lower[i, i] != 0.5:
-                raise ValueError("diagonal thresholds must equal 1/2 exactly")
+        # rows 2..size, columns 1..i; report the first bad row, its
+        # interval check before its diagonal
+        t = self.lower[2:, 1:]
+        wedge = np.tri(*t.shape, k=1, dtype=bool)
+        outside = wedge & ~((t > 0.0) & (t < 1.0) | np.isnan(t))
+        row_out = np.flatnonzero(outside.any(axis=1))
+        row_diag = np.flatnonzero(np.diagonal(self.lower)[2:] != 0.5)
+        first_out = row_out[0] if row_out.size else self.size
+        if row_diag.size and row_diag[0] < first_out:
+            raise ValueError("diagonal thresholds must equal 1/2 exactly")
+        if row_out.size:
+            raise ValueError(
+                f"thresholds in row {first_out + 2} leave the open interval (0, 1)"
+            )
 
     @classmethod
     def from_function(
@@ -173,6 +178,7 @@ class ThresholdSequence:
         """Build a table from fn(i, j), queried only on the strict lower
         wedge 2 <= j < i <= size (plus j == 1 when requested).  The
         diagonal is pinned to 1/2 regardless of fn."""
+        check_cells((size + 1) ** 2, "(size + 1)^2")
         lower = np.full((size + 1, size + 1), np.nan)
         for i in range(2, size + 1):
             start = 1 if include_column_one else 2
@@ -182,20 +188,23 @@ class ThresholdSequence:
         return cls(size=size, provenance=provenance, lower=lower)
 
     @classmethod
+    def _with_column_one(cls, size: int, provenance: str, fn) -> "ThresholdSequence":
+        """Table of fn(i, j) on 1 <= j <= i, 2 <= i, from index arrays."""
+        check_cells((size + 1) ** 2, "(size + 1)^2")
+        i, j = np.ogrid[1 : size + 1, 1 : size + 1]
+        lower = np.full((size + 1, size + 1), np.nan)
+        lower[1:, 1:] = np.where((i >= 2) & (j <= i), fn(i, j), np.nan)
+        return cls(size=size, provenance=provenance, lower=lower)
+
+    @classmethod
     def uniform(cls, size: int) -> "ThresholdSequence":
-        return cls.from_function(
-            size, lambda i, j: 0.5, provenance="uniform", include_column_one=True
-        )
+        return cls._with_column_one(size, "uniform", lambda i, j: 0.5)
 
     @classmethod
     def erdos_szekeres(cls, size: int) -> "ThresholdSequence":
-        """t_{i,j} = j / (i + j), the split behind the binomial bound."""
-        return cls.from_function(
-            size,
-            lambda i, j: j / (i + j),
-            provenance="erdos-szekeres",
-            include_column_one=True,
-        )
+        """t_{i,j} = j / (i + j), the split behind the binomial bound; on
+        the diagonal it is 1/2 exactly."""
+        return cls._with_column_one(size, "erdos-szekeres", lambda i, j: j / (i + j))
 
     @property
     def has_column_one(self) -> bool:
@@ -231,6 +240,17 @@ class ThresholdSequence:
                 )
             return v
         return 1.0 - self.lookup(j, i)
+
+    def wedge(self, j_min: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columns (i, j, t_{i,j}) over 2 <= i <= size, j_min <= j <= i in
+        row-major order: :meth:`lookup` on the whole lower wedge."""
+        i, j = np.tril_indices(self.size + 1)
+        keep = (i >= 2) & (j >= j_min)
+        i, j = i[keep], j[keep]
+        t = self.lower[i, j]
+        if np.isnan(t).any():
+            raise OutOfRange(f"the {self.provenance} table leaves cells undefined")
+        return i, j, t
 
 
 @dataclass(frozen=True)
@@ -279,16 +299,6 @@ class BoundTable:
         except OverflowError:
             msg = f"R[{k},{l}] = 2**{v!r} is beyond float range"
             raise OverflowError(msg) from None
-
-    def entries(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (k, l, stored entry) in row-major order.
-
-        Minimising modes yield negLog weights, mode "ramsey" yields log2 of
-        the bound values.
-        """
-        for k in range(1, self.rows + 1):
-            for l in range(1, self.cols + 1):
-                yield k, l, float(self.table[k, l])
 
 
 def _step_exponent(mode: str, a, b):

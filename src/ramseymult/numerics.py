@@ -29,6 +29,20 @@ class Degenerate(Exception):
     """Quadratic fit input has fewer than three distinct abscissae."""
 
 
+class BudgetExceeded(Exception):
+    """A table would allocate more cells than allowed."""
+
+
+DEFAULT_CELL_BUDGET = 20_000_000
+
+
+def check_cells(cells: int, what: str, budget: int = DEFAULT_CELL_BUDGET) -> None:
+    """Raise :class:`BudgetExceeded` before a table of ``cells`` entries
+    (``what`` says how they are counted) is allocated over ``budget``."""
+    if cells > budget:
+        raise BudgetExceeded(f"{what} = {cells} cells exceeds the budget of {budget}")
+
+
 #: negLog encoding of the value 0 (exp(-inf) == 0).
 NEGLOG_ZERO = math.inf
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -30,8 +32,8 @@ _LOW_BITS = 13  # the scan's product has one column per low part of a mask
 _BLOCK_BITS = 5  # log2 of the high parts per product block (1 MB float32)
 # Read by perfbench/tracecall.py: log2 of the product blocks at n = 8.
 _CHUNK_BITS = math.comb(8, 2) - 1 - _LOW_BITS - _BLOCK_BITS
-_SAMPLE_BYTES = 2**28  # cap on the samples x C(n, 2) draw, one byte per edge
-_SAMPLE_BLOCK = 4096  # samples counted per batch
+_SAMPLE_BYTES = 2**28  # cap on samples x C(n, 2), the edge bytes drawn in all
+_SAMPLE_BLOCK = 4096  # samples drawn and counted per batch; a multiple of 4
 
 
 def edge_list(n: int) -> list[tuple[int, int]]:
@@ -43,8 +45,10 @@ def _edge_index(n: int) -> dict[tuple[int, int], int]:
     return {e: i for i, e in enumerate(edge_list(n))}
 
 
-def _subset_masks(n: int, t: int) -> list[int]:
-    """For each t-subset of vertices, the mask of its internal edges."""
+@lru_cache(maxsize=8)
+def _subset_masks(n: int, t: int) -> tuple[int, ...]:
+    """For each t-subset of vertices, the mask of its internal edges;
+    cached, so a tuple that no caller can change."""
     idx = _edge_index(n)
     masks = []
     for subset in combinations(range(n), t):
@@ -52,7 +56,7 @@ def _subset_masks(n: int, t: int) -> list[int]:
         for e in combinations(subset, 2):
             m |= 1 << idx[e]
         masks.append(m)
-    return masks
+    return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -321,6 +325,18 @@ class SampleReport:
         }
 
 
+def _sample_blocks(seed: int, samples: int, m: int) -> Iterator[np.ndarray]:
+    """The uniform (samples, m) 0/1 uint8 draw of ``seed``, _SAMPLE_BLOCK
+    rows at a time.  The generator packs four uint8 draws into each 32-bit
+    word and drops the unused rest of a word at the end of a call, so the
+    blocks concatenate to the one-shot draw only because every block but
+    the last holds a multiple of four entries."""
+    rng = np.random.default_rng(seed)
+    for lo in range(0, samples, _SAMPLE_BLOCK):
+        rows = min(_SAMPLE_BLOCK, samples - lo)
+        yield rng.integers(0, 2, size=(rows, m), dtype=np.uint8)
+
+
 def sample_against_bounds(
     n: int,
     t: int,
@@ -349,13 +365,9 @@ def sample_against_bounds(
             f"{samples} samples x {m} edges = {samples * m} bytes exceeds "
             f"the {_SAMPLE_BYTES}-byte sampling budget"
         )
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(samples, m), dtype=np.uint8)
-    if complement:
-        bits ^= 1
     counts = np.concatenate([
-        np.add(*_mono_counts(bits[lo : lo + _SAMPLE_BLOCK], n, t))
-        for lo in range(0, samples, _SAMPLE_BLOCK)
+        np.add(*_mono_counts(bits ^ 1 if complement else bits, n, t))
+        for bits in _sample_blocks(seed, samples, m)
     ])
 
     fractions = counts / math.comb(n, t)

@@ -18,23 +18,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
 
 import numpy as np
 
 from .lattice import BoundTable, ThresholdSequence
-from .numerics import LogValue, fit_quadratic_leading, wavefront_fill
-
-DEFAULT_CELL_BUDGET = 20_000_000
+from .numerics import (
+    DEFAULT_CELL_BUDGET,
+    BudgetExceeded,
+    LogValue,
+    check_cells,
+    fit_quadratic_leading,
+    wavefront_fill,
+)
 
 
 class WindowTooSmall(Exception):
     """The table is too short to carve out a usable fit window."""
-
-
-class BudgetExceeded(Exception):
-    """A multicolour table would allocate more cells than allowed."""
 
 
 def _recurrence_cell(idx, below):
@@ -53,10 +52,13 @@ def build_table(t_max: int) -> BoundTable:
     """Fill the optimal-threshold recurrence up to (t_max, t_max).
 
     Returns a mode-"max" table of negLog values; boundary rows are 0
-    (value 1).  One vectorised step per anti-diagonal.
+    (value 1).  One vectorised step per anti-diagonal.  Raises
+    :class:`BudgetExceeded` before allocating more than
+    ``DEFAULT_CELL_BUDGET`` cells.
     """
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
+    check_cells((t_max + 1) ** 2, "(t_max + 1)^2")
     neg = wavefront_fill(np.zeros((t_max + 1, t_max + 1)), _recurrence_cell)
     return BoundTable(
         mode="max",
@@ -157,10 +159,6 @@ class MultiIndexTable:
     def value_at(self, indices: tuple[int, ...]) -> float:
         return math.exp(-self.neglog_at(indices))
 
-    def entries(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        for idx in product(range(1, self.t_max + 1), repeat=self.q):
-            yield idx, float(self.neglog_array[idx])
-
 
 def multicolor_table(
     q: int, t_max: int, max_cells: int = DEFAULT_CELL_BUDGET
@@ -175,11 +173,7 @@ def multicolor_table(
         raise ValueError("q must be at least 2")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    cells = (t_max + 1) ** q
-    if cells > max_cells:
-        raise BudgetExceeded(
-            f"(t_max + 1)^q = {cells} cells exceeds the budget of {max_cells}"
-        )
+    check_cells((t_max + 1) ** q, "(t_max + 1)^q", max_cells)
     neg = wavefront_fill(np.zeros((t_max + 1,) * q), _recurrence_cell)
     return MultiIndexTable(q=q, t_max=t_max, neglog_array=neg)
 

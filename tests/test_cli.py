@@ -1,11 +1,23 @@
 """End-to-end command-line behaviour: files, summaries, exit codes."""
 
 import json
+from argparse import Namespace
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ramseymult.cli import _epsilon_ladder, main
+from ramseymult import analytic, lattice, recurrence
+from ramseymult.cli import (
+    _BLOCK_ROWS,
+    _emit,
+    _epsilon_ladder,
+    _threshold_table,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -130,6 +142,138 @@ class TestArtifacts:
         assert "|diff|" in out
 
 
+def _fmt(v) -> str:
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def _json_cell(v):
+    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
+
+
+def reference_emit(cfg, columns, rows, extras) -> str:
+    """The row-wise writer the column writer replaced: the whole artefact
+    as one string, every cell through ``_fmt`` or ``json.dumps``."""
+    config = {k: v for k, v in vars(cfg).items() if v is not None}
+    if cfg.format == "csv":
+        lines = [f"# config = {json.dumps(config, sort_keys=True)}"]
+        for key in sorted(extras):
+            lines.append(f"# {key} = {_fmt(extras[key])}")
+        lines.append(",".join(columns))
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        return "\n".join(lines) + "\n"
+    payload = {
+        "config": config,
+        "columns": columns,
+        "rows": [[_json_cell(v) for v in row] for row in rows],
+    }
+    payload.update(extras)
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _table_rows(table):
+    """(k, l, stored entry) of a BoundTable, row-major, cell by cell."""
+    return [
+        (k, l, float(table.table[k, l]))
+        for k in range(1, table.rows + 1)
+        for l in range(1, table.cols + 1)
+    ]
+
+
+def _wedge_rows(thr, j_min):
+    return [
+        (i, j, thr.lookup(i, j))
+        for i in range(2, thr.size + 1)
+        for j in range(j_min, i + 1)
+    ]
+
+
+def reference_artifact(argv) -> str:
+    """The artefact of ``argv`` as the row-wise writer wrote it, from rows
+    built cell by cell with the library's scalar accessors."""
+    cfg = build_parser().parse_args(argv)
+    cfg.out = cfg.out or f"{cfg.subcommand}.{cfg.format}"
+    extras = {}
+    if cfg.subcommand == "recurrence":
+        columns = ["k", "l", "neglog_value"]
+        rows = _table_rows(recurrence.build_table(cfg.t_max))
+    elif cfg.subcommand == "thresholds":
+        columns = ["i", "j", "threshold"]
+        thr = recurrence.optimal_thresholds(recurrence.build_table(cfg.t_max))
+        rows = _wedge_rows(thr, 2)
+    elif cfg.subcommand == "patch":
+        columns = ["i", "j", "threshold"]
+        thr = analytic.assemble_patched_thresholds(cfg.epsilon, cfg.t_max, cfg.w, cfg.tol)
+        rows = _wedge_rows(thr, 1)
+        extras = {"w": cfg.w if cfg.w is not None else analytic.default_patch_width(cfg.t_max)}
+    elif cfg.subcommand == "dp":
+        columns = ["k", "l", "neglog_value"]
+        thr = _threshold_table(cfg, max(cfg.k, cfg.l))
+        rows = _table_rows(lattice.dp_min_weight(cfg.k, cfg.l, thr, exponent=cfg.mode))
+    elif cfg.subcommand == "ramsey":
+        columns = ["k", "l", "value"]
+        table = lattice.ramsey_table(cfg.k, cfg.l, _threshold_table(cfg, max(cfg.k, cfg.l)))
+        rows = [(k, l, table.value(k, l)) for k, l, _ in _table_rows(table)]
+    elif cfg.subcommand == "multicolor":
+        columns = [f"i{d + 1}" for d in range(cfg.q)] + ["neglog_value"]
+        neg = recurrence.multicolor_table(cfg.q, cfg.t_max).neglog_array
+        rows = [
+            idx + (float(neg[idx]),)
+            for idx in product(range(1, cfg.t_max + 1), repeat=cfg.q)
+        ]
+    else:
+        raise ValueError(cfg.subcommand)
+    return reference_emit(cfg, columns, rows, extras)
+
+
+# each table spans more than one block of rows
+_TABLE_CALLS = [
+    ("recurrence", "--t-max", "100"),
+    ("thresholds", "--t-max", "130"),
+    ("patch", "--t-max", "128", "--epsilon", "1e-2"),
+    *[
+        ("dp", "--k", "95", "--l", "90", "--mode", mode, "--thresholds", kind)
+        for mode in ("a", "b", "max")
+        for kind in ("uniform", "erdos-szekeres", "optimal", "patched")
+    ],
+    ("ramsey", "--k", "100", "--l", "90", "--thresholds", "uniform"),
+    ("ramsey", "--k", "100", "--l", "90", "--thresholds", "erdos-szekeres"),
+    ("multicolor", "--q", "3", "--t-max", "21"),
+    ("multicolor", "--q", "4", "--t-max", "10"),
+]
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", _TABLE_CALLS, ids=" ".join)
+    def test_matches_row_wise_writer(self, capsys, argv, fmt):
+        argv = [*argv, "--format", fmt]
+        assert main(argv) == 0
+        text = Path(f"{argv[0]}.{fmt}").read_text()
+        assert text.count("\n") > _BLOCK_ROWS
+        assert text == reference_artifact(argv)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_formats_like_row_wise_writer(self, tmp_path, n, fmt):
+        other_nan = np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+        floats = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e16, 1e-5, 5e-324, 2.0**1023, other_nan]
+        mixed = [Fraction(1, 3), "0x3bc", 7, 1.5, float("nan")]
+        data = [
+            np.arange(n) - 3,
+            np.resize(np.array(floats), n),
+            [mixed[r % len(mixed)] for r in range(n)],
+        ]
+        cfg = Namespace(subcommand="x", format=fmt, out=str(tmp_path / f"x.{fmt}"), w=None)
+        columns, extras = ["i", "v", "o"], {"w": 3, "c": -0.0}
+        assert _emit(cfg, columns, data, extras) == cfg.out
+        rows = [(int(i), float(v), o) for i, v, o in zip(*data)]
+        assert Path(cfg.out).read_text() == reference_emit(cfg, columns, rows, extras)
+
+
 class TestConfig:
     def test_namespace_leaks_no_key(self, capsys):
         assert run(capsys, "ramsey", "--k", "10", "--l", "10")[0] == 0
@@ -179,9 +323,37 @@ class TestExitCodes:
 
     def test_ramsey_beyond_float_range_exits_three(self, capsys, in_tmp):
         # R[k,l] = 2**(k+l-3) first leaves float range at (427, 600)
-        code, _, err = run(capsys, "ramsey", "--k", "600", "--l", "600")
-        assert code == 3 and "numeric failure" in err and "R[427,600]" in err
-        assert not any(in_tmp.iterdir())  # no artifact, so no "inf" in one
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, "ramsey", "--k", "600", "--l", "600", "--format", fmt)
+            assert code == 3 and out == ""
+            assert err == (
+                "ramseymult ramsey: numeric failure: "
+                "R[427,600] = 2**1024.0 is beyond float range\n"
+            )
+            assert not any(in_tmp.iterdir())  # no artifact, so no "inf" in one
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("recurrence", "--t-max", "100000"),
+            ("recurrence", "--t-max", "4472"),  # the smallest refused size
+            ("thresholds", "--t-max", "4472"),
+            ("dp", "--k", "4472", "--l", "2"),
+            ("dp", "--k", "2", "--l", "4472", "--thresholds", "erdos-szekeres"),
+            ("dp", "--k", "4472", "--l", "4472", "--thresholds", "optimal"),
+            ("dp", "--k", "4472", "--l", "4472", "--thresholds", "patched"),
+            ("ramsey", "--k", "100000", "--l", "100000"),
+            ("ramsey", "--k", "4472", "--l", "4472", "--thresholds", "erdos-szekeres"),
+            ("patch", "--t-max", "4472"),
+            ("crosscheck", "--t-max", "4472"),
+        ],
+        ids=" ".join,
+    )
+    def test_table_budget_exits_two(self, capsys, in_tmp, argv):
+        # (4472 + 1)^2 cells is the first size past the 20-million budget
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "cells exceeds the budget of 20000000" in err
+        assert not any(in_tmp.iterdir())
 
     def test_crosscheck_disagreement_exits_three(self, capsys):
         code, out, err = run(

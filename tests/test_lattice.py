@@ -21,6 +21,7 @@ from ramseymult.lattice import (
     ramsey_bound,
     ramsey_table,
 )
+from ramseymult.numerics import BudgetExceeded
 
 
 def is_admissible(points):
@@ -176,6 +177,65 @@ class TestThresholdSequence:
         with pytest.raises(ValueError):
             ThresholdSequence.from_function(4, lambda i, j: 0.0)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({(5, 2): 1.5, (7, 7): 0.3}, "row 5 leave"),
+            ({(7, 1): 0.0, (5, 5): 0.3}, "diagonal"),
+            ({(6, 6): 2.0, (6, 3): 0.3}, "row 6 leave"),  # interval first in a row
+            ({(6, 6): 0.25, (6, 3): -1.0}, "row 6 leave"),
+            ({(8, 8): np.nan}, "diagonal"),
+            ({(3, 4): 7.0, (0, 0): -1.0}, None),  # outside the wedge: ignored
+        ],
+    )
+    def test_validation_names_first_bad_row(self, bad, message):
+        lower = ThresholdSequence.uniform(8).lower.copy()
+        for cell, v in bad.items():
+            lower[cell] = v
+        if message is None:
+            ThresholdSequence(size=8, provenance="x", lower=lower)
+            return
+        with pytest.raises(ValueError, match=message):
+            ThresholdSequence(size=8, provenance="x", lower=lower)
+
+    @pytest.mark.parametrize("size", [2, 3, 17, 300])
+    def test_closed_forms_equal_scalar_construction(self, size):
+        # the scalar loop of from_function is the reference, bit for bit
+        for fast, fn in (
+            (ThresholdSequence.uniform(size), lambda i, j: 0.5),
+            (ThresholdSequence.erdos_szekeres(size), lambda i, j: j / (i + j)),
+        ):
+            slow = ThresholdSequence.from_function(
+                size, fn, provenance=fast.provenance, include_column_one=True
+            )
+            assert fast.provenance == slow.provenance and fast.size == slow.size
+            assert np.array_equal(fast.lower.view(np.int64), slow.lower.view(np.int64))
+
+    def test_wedge_columns_match_lookup(self):
+        for thr, j_min in (
+            (random_thresholds(9, seed=6), 2),
+            (ThresholdSequence.erdos_szekeres(9), 1),
+        ):
+            i, j, t = thr.wedge(j_min)
+            want = [
+                (a, b, thr.lookup(a, b)) for a in range(2, 10) for b in range(j_min, a + 1)
+            ]
+            assert list(zip(i.tolist(), j.tolist(), t.tolist())) == want
+        with pytest.raises(OutOfRange):
+            random_thresholds(9, seed=6).wedge(1)  # column 1 not generated
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            ThresholdSequence.uniform,
+            ThresholdSequence.erdos_szekeres,
+            lambda size: ThresholdSequence.from_function(size, lambda i, j: 0.5),
+        ],
+    )
+    def test_cell_budget(self, build):
+        with pytest.raises(BudgetExceeded, match="20016676 cells"):
+            build(4473)
+
 
 class TestPathWeight:
     def test_uniform_hand_values(self):
@@ -324,13 +384,6 @@ class TestBoundTable:
         assert dp.logvalue(4, 4).neglog == dp.neglog(4, 4)
         rt = ramsey_table(5, 5, u)
         assert math.isclose(rt.neglog(4, 4), -math.log(rt.value(4, 4)), rel_tol=1e-15)
-
-    def test_entries_cover_table(self):
-        dp = dp_min_weight(3, 4, ThresholdSequence.uniform(4))
-        rows = list(dp.entries())
-        assert len(rows) == 12
-        assert rows[0] == (1, 1, 0.0)
-        assert rows[-1][:2] == (3, 4)
 
     def test_out_of_range_queries(self):
         dp = dp_min_weight(3, 3, ThresholdSequence.uniform(3))

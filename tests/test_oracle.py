@@ -13,6 +13,7 @@ from ramseymult.oracle import (
     ColoringRecord,
     TooLarge,
     _mono_counts,
+    _sample_blocks,
     _subset_masks,
     count_mono_cliques,
     count_mono_cliques_fast,
@@ -124,6 +125,12 @@ class TestCounting:
             goodman = math.comb(n, 3) - mixed // 2
             assert sum(count_mono_cliques(rec, 3)) == goodman
             assert sum(count_mono_cliques_fast(rec, 3)) == goodman
+
+    def test_subset_masks_cached_and_immutable(self):
+        masks = _subset_masks(6, 3)
+        assert isinstance(masks, tuple) and _subset_masks(6, 3) is masks
+        assert len(masks) == math.comb(6, 3)
+        assert all(bin(s).count("1") == 3 for s in masks)
 
 
 def mask_of(row):
@@ -287,6 +294,18 @@ class TestSampling:
         rep = sample_against_bounds(6, 3, samples=500, seed=3)
         assert rep.exact_floor == 2
         assert rep.min_count >= 2
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 8, 10, 12, 20, 64])
+    def test_blocks_concatenate_to_one_draw(self, n):
+        m = math.comb(n, 2)
+        for samples in (2, 7, 4095, 4096, 4097, 10000):
+            for seed in (0, 1, 12345):
+                blocks = list(_sample_blocks(seed, samples, m))
+                assert all(len(b) == oracle._SAMPLE_BLOCK for b in blocks[:-1])
+                whole = np.random.default_rng(seed).integers(
+                    0, 2, size=(samples, m), dtype=np.uint8
+                )
+                assert np.array_equal(np.concatenate(blocks), whole)
 
     def test_validation(self):
         with pytest.raises(ValueError):
