@@ -30,7 +30,6 @@ from .numerics import (
     SingularField,
     Trajectory,
     bisect,
-    check_cells,
     integrate,
 )
 
@@ -240,8 +239,9 @@ def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _pchip(xs: np.ndarray, ys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Monotone piecewise-cubic Hermite interpolant of (xs, ys) at q.
+def _pchip(xs: np.ndarray, ys: np.ndarray):
+    """Monotone piecewise-cubic Hermite interpolant of (xs, ys), as a
+    function of the query points.
 
     An interior knot takes the Fritsch-Butland weighted harmonic mean of
     its secants, or 0 beside a flat secant or a turn; needs at least three
@@ -261,10 +261,14 @@ def _pchip(xs: np.ndarray, ys: np.ndarray, q: np.ndarray) -> np.ndarray:
     d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
     t = (d[:-1] + d[1:] - 2 * m) / h
     c2, c3 = (m - d[:-1]) / h - t, t / h  # coefficients of s^2 and s^3
-    i = np.clip(np.searchsorted(xs, q, side="right") - 1, 0, len(h) - 1)
-    s = q - xs[i]
-    s2 = s * s
-    return ys[i] + d[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
+
+    def evaluate(q):
+        i = np.clip(np.searchsorted(xs, q, side="right") - 1, 0, len(h) - 1)
+        s = q - xs[i]
+        s2 = s * s
+        return ys[i] + d[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
+
+    return evaluate
 
 
 def assemble_patched_thresholds(
@@ -279,8 +283,7 @@ def assemble_patched_thresholds(
     k - l <= w, and t_eps(l / k) otherwise, read off the monotone cubic
     interpolant :func:`_pchip` of the trajectory.  The patch is seeded so
     a_w equals the profile endpoint t_eps(1), making the two regions meet
-    continuously in the large-k limit.  Raises :class:`BudgetExceeded`
-    before solving the ODE when the table would exceed the cell budget.
+    continuously in the large-k limit.  Cells are computed when read.
     """
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
@@ -288,15 +291,12 @@ def assemble_patched_thresholds(
         w = default_patch_width(t_max)
     if not 1 <= w < t_max:
         raise ValueError(f"patch width {w} must satisfy 1 <= w < t_max")
-    check_cells((t_max + 1) ** 2, "(t_max + 1)^2")
     traj = solve_threshold_ode(epsilon, tol)
-    patch = build_patch_sequence(find_seed(traj.final_value, w), w)
+    patch = np.array(build_patch_sequence(find_seed(traj.final_value, w), w).values)
+    profile = _pchip(traj.xs, traj.ys)
 
-    lower = np.full((t_max + 1, t_max + 1), np.nan)
-    k, j = np.tril_indices(t_max + 1)
-    near, far = (k >= 2) & (j >= 1) & (k - j <= w), (j >= 1) & (k - j > w)
-    lower[k[near], j[near]] = np.array(patch.values)[(k - j)[near]]
-    lower[k[far], j[far]] = _pchip(traj.xs, traj.ys, j[far] / k[far])
-    return ThresholdSequence(
-        size=t_max, provenance="analytic-patched", lower=lower
-    )
+    def at(i, j):
+        near = patch[np.minimum(i - j, w)]
+        return np.where(i - j <= w, near, profile(j / i))
+
+    return ThresholdSequence(t_max, "analytic-patched", at)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import analytic, lattice, oracle, recurrence
-from .numerics import BudgetExceeded, Degenerate, NoBracket, SingularField
+from .numerics import BudgetExceeded, Degenerate, NoBracket, SingularField, check_cells
 
 _VALIDATION_ERRORS = (
     ValueError,
@@ -235,6 +235,7 @@ def _cmd_constants(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_patch(cfg: Namespace) -> tuple[list, list, dict, str]:
+    check_cells((cfg.t_max + 1) ** 2, "(t_max + 1)^2")  # the wedge it writes
     thr = analytic.assemble_patched_thresholds(
         cfg.epsilon, cfg.t_max, w=cfg.w, tol=cfg.tol
     )

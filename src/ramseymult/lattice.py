@@ -132,40 +132,34 @@ def enumerate_paths(k: int, l: int, cap: int = 1_000_000) -> list[LatticePath]:
     return paths
 
 
+def _check_interval(rows, t) -> None:
+    """Raise ValueError naming the first row whose thresholds leave (0, 1);
+    NaN passes."""
+    rows, bad = np.broadcast_arrays(rows, (t <= 0.0) | (t >= 1.0))
+    if bad.any():
+        row = rows[bad].min()
+        raise ValueError(f"thresholds in row {row} leave the open interval (0, 1)")
+
+
 @dataclass(frozen=True)
 class ThresholdSequence:
-    """A table of red-density thresholds t_{i,j} in (0, 1).
+    """A table of red-density thresholds t_{i,j} in (0, 1), as a function.
 
-    Entries are stored for the lower wedge j <= i; the upper wedge is
-    served by the structural reflection t_{j,i} = 1 - t_{i,j}, which also
-    pins the diagonal at exactly 1/2.  Column j == 1 is optional: some
-    constructions define it (uniform, Erdos-Szekeres, patched analytic),
-    the optimal-recurrence table does not.
+    ``at(i, j)`` gives t_{i,j} on broadcastable integer index arrays of the
+    lower wedge 2 <= i <= size, 1 <= j <= i, and NaN where the table leaves
+    a cell undefined (column 1 of the optimal-recurrence table).  Every
+    constructor yields exactly 1/2 on the diagonal; the upper wedge is
+    served by the structural reflection t_{j,i} = 1 - t_{i,j}.  Each read
+    checks the cells it returns.
     """
 
     size: int
     provenance: str
-    lower: np.ndarray = field(repr=False)
+    at: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.size < 2:
             raise ValueError("threshold table needs size >= 2")
-        if self.lower.shape != (self.size + 1, self.size + 1):
-            raise ValueError("storage array has the wrong shape")
-        # rows 2..size, columns 1..i; report the first bad row, its
-        # interval check before its diagonal
-        t = self.lower[2:, 1:]
-        wedge = np.tri(*t.shape, k=1, dtype=bool)
-        outside = wedge & ~((t > 0.0) & (t < 1.0) | np.isnan(t))
-        row_out = np.flatnonzero(outside.any(axis=1))
-        row_diag = np.flatnonzero(np.diagonal(self.lower)[2:] != 0.5)
-        first_out = row_out[0] if row_out.size else self.size
-        if row_diag.size and row_diag[0] < first_out:
-            raise ValueError("diagonal thresholds must equal 1/2 exactly")
-        if row_out.size:
-            raise ValueError(
-                f"thresholds in row {first_out + 2} leave the open interval (0, 1)"
-            )
 
     @classmethod
     def from_function(
@@ -185,30 +179,33 @@ class ThresholdSequence:
             for j in range(start, i):
                 lower[i, j] = fn(i, j)
             lower[i, i] = 0.5
-        return cls(size=size, provenance=provenance, lower=lower)
-
-    @classmethod
-    def _with_column_one(cls, size: int, provenance: str, fn) -> "ThresholdSequence":
-        """Table of fn(i, j) on 1 <= j <= i, 2 <= i, from index arrays."""
-        check_cells((size + 1) ** 2, "(size + 1)^2")
-        i, j = np.ogrid[1 : size + 1, 1 : size + 1]
-        lower = np.full((size + 1, size + 1), np.nan)
-        lower[1:, 1:] = np.where((i >= 2) & (j <= i), fn(i, j), np.nan)
-        return cls(size=size, provenance=provenance, lower=lower)
+        i, j = np.tril_indices(size + 1)
+        _check_interval(i, lower[i, j])
+        return cls(size, provenance, lambda i, j: lower[i, j])
 
     @classmethod
     def uniform(cls, size: int) -> "ThresholdSequence":
-        return cls._with_column_one(size, "uniform", lambda i, j: 0.5)
+        return cls(size, "uniform", lambda i, j: 0.5)
 
     @classmethod
     def erdos_szekeres(cls, size: int) -> "ThresholdSequence":
         """t_{i,j} = j / (i + j), the split behind the binomial bound; on
         the diagonal it is 1/2 exactly."""
-        return cls._with_column_one(size, "erdos-szekeres", lambda i, j: j / (i + j))
+        return cls(size, "erdos-szekeres", lambda i, j: j / (i + j))
 
     @property
     def has_column_one(self) -> bool:
-        return not math.isnan(float(self.lower[2, 1]))
+        return not np.isnan(self.at(2, 1))
+
+    def _evaluate(self, i, j) -> np.ndarray:
+        """t_{i,j} on index arrays inside [1, size]^2 off cell (1, 1): ``at``
+        on the lower wedge, every value checked, the upper wedge reflected."""
+        rows = np.maximum(i, j)
+        lower = self.at(rows, np.minimum(i, j))
+        if not np.all((lower > 0.0) & (lower < 1.0)):  # NaN fails both
+            _check_interval(rows, lower)
+            raise OutOfRange(f"the {self.provenance} table leaves cells undefined")
+        return np.where(j > i, 1.0 - lower, lower)
 
     def dense(self, k: int, l: int) -> np.ndarray:
         """t_{i,j} for all 2 <= i <= k, 2 <= j <= l as one (k+1, l+1) array,
@@ -218,28 +215,18 @@ class ThresholdSequence:
             raise ValueError("table corner must have k >= 1 and l >= 1")
         if k > self.size or l > self.size:
             raise OutOfRange(f"({k}, {l}) needs thresholds beyond size {self.size}")
-        n = max(k, l)
-        low = self.lower[: n + 1, : n + 1]
-        t = np.where(np.tri(n + 1, dtype=bool), low, 1.0 - low.T)[: k + 1, : l + 1]
-        t[:2] = t[:, :2] = np.nan
-        if np.isnan(t[2:, 2:]).any():
-            raise OutOfRange(f"the {self.provenance} table leaves cells undefined")
+        i, j = np.ogrid[2 : k + 1, 2 : l + 1]
+        t = np.full((k + 1, l + 1), np.nan)
+        t[2:, 2:] = self._evaluate(i, j)
         return t
 
     def lookup(self, i: int, j: int) -> float:
         """t_{i,j}, reflecting through 1 - t_{j,i} for the upper wedge."""
         if i < 1 or j < 1 or i > self.size or j > self.size:
             raise OutOfRange(f"({i}, {j}) outside table of size {self.size}")
-        if j <= i:
-            if i < 2:
-                raise OutOfRange("t_{1,1} is not defined")
-            v = float(self.lower[i, j])
-            if math.isnan(v):
-                raise OutOfRange(
-                    f"column 1 is not defined for the {self.provenance} table"
-                )
-            return v
-        return 1.0 - self.lookup(j, i)
+        if i == j == 1:
+            raise OutOfRange("t_{1,1} is not defined")
+        return float(self._evaluate(i, j))
 
     def wedge(self, j_min: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Columns (i, j, t_{i,j}) over 2 <= i <= size, j_min <= j <= i in
@@ -247,10 +234,7 @@ class ThresholdSequence:
         i, j = np.tril_indices(self.size + 1)
         keep = (i >= 2) & (j >= j_min)
         i, j = i[keep], j[keep]
-        t = self.lower[i, j]
-        if np.isnan(t).any():
-            raise OutOfRange(f"the {self.provenance} table leaves cells undefined")
-        return i, j, t
+        return i, j, self._evaluate(i, j)
 
 
 @dataclass(frozen=True)
@@ -312,16 +296,19 @@ def path_weight(
     """Product over steps of s_i raised to the per-cell exponent.
 
     s_i is t_{a_i,b_i} for a b-increment and 1 - t_{a_i,b_i} for an
-    a-increment.  A path with no steps has weight exactly 1.
+    a-increment, all read in one call.  A path with no steps has weight
+    exactly 1.
     """
     if exponent not in EXPONENT_MODES:
         raise ValueError(f"unknown exponent mode {exponent!r}")
-    neglog = 0.0
-    for a, b, b_inc in path.steps():
-        t = thresholds.lookup(a, b)
-        s = t if b_inc else 1.0 - t
-        neglog += int(_step_exponent(exponent, a, b)) * -math.log(s)
-    return LogValue(neglog)
+    if len(path.points) == 1:
+        return LogValue(0.0)
+    if max(path.endpoint) > thresholds.size:
+        raise OutOfRange(f"{path.endpoint} needs thresholds beyond size {thresholds.size}")
+    a, b, b_inc = np.array(list(path.steps())).T
+    t = thresholds._evaluate(a, b)
+    s = np.where(b_inc, t, 1.0 - t)
+    return LogValue(float(np.sum(_step_exponent(exponent, a, b) * -np.log(s))))
 
 
 def _max_plus_fill(t: np.ndarray, e, log) -> np.ndarray:
@@ -349,6 +336,7 @@ def dp_min_weight(
     """
     if exponent not in EXPONENT_MODES:
         raise ValueError(f"unknown exponent mode {exponent!r}")
+    check_cells((k + 1) * (l + 1), "(k + 1)(l + 1)")
     i, j = np.ogrid[: k + 1, : l + 1]
     e = _step_exponent(exponent, i, j)
     return BoundTable(
@@ -366,6 +354,7 @@ def ramsey_table(k: int, l: int, thresholds: ThresholdSequence) -> BoundTable:
     exponent 1: it cannot overflow, and is exact for dyadic thresholds.
     Otherwise each step rounds at the magnitude of log2 R, so a decoded R
     carries a relative error of up to about (i + j) * 2^-53 * log2 R."""
+    check_cells((k + 1) * (l + 1), "(k + 1)(l + 1)")
     return BoundTable(
         mode="ramsey",
         rows=k,

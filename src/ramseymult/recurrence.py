@@ -74,20 +74,20 @@ def optimal_thresholds(table: BoundTable) -> ThresholdSequence:
 
     For j <= i the minimiser of max(t^mu * M_{i,j-1}, (1-t)^mu * M_{i-1,j})
     is t = 1 / (1 + exp(z)) = exp(-logaddexp(0, z)), which cannot overflow,
-    with z = (L_{i-1,j} - L_{i,j-1}) / mu on the negLog table L.  Column 1
+    with z = (L_{i-1,j} - L_{i,j-1}) / mu on the negLog table L (mu = i on
+    the lower wedge), computed from L whenever a cell is read.  Column 1
     is left undefined: boundary cells carry no branch to balance.
     """
     if table.mode != "max" or table.rows != table.cols:
         raise ValueError("optimal thresholds need a square mode-'max' table")
-    size = table.rows
     neg = table.table
-    mu = np.arange(2, size + 1)[:, None]  # mu == i on the lower wedge
-    z = (neg[1:-1, 2:] - neg[2:, 1:-1]) / mu
-    wedge = np.tri(size - 1, k=-1, dtype=bool)  # 2 <= j < i
-    lower = np.full(neg.shape, np.nan)
-    lower[2:, 2:] = np.where(wedge, np.exp(-np.logaddexp(0.0, z)), np.nan)
-    np.fill_diagonal(lower[2:, 2:], 0.5)
-    return ThresholdSequence(size=size, provenance="optimal", lower=lower)
+
+    def at(i, j):
+        z = (neg[i - 1, j] - neg[i, j - 1]) / i
+        t = np.where(j == 1, np.nan, np.exp(-np.logaddexp(0.0, z)))
+        return np.where(i == j, 0.5, t)
+
+    return ThresholdSequence(table.rows, "optimal", at)
 
 
 @dataclass(frozen=True)

@@ -302,7 +302,7 @@ class TestPchip:
     @staticmethod
     def assert_matches_scipy(xs, ys, q):
         q = np.concatenate((q, xs))
-        assert np.array_equal(_pchip(xs, ys, q), PchipInterpolator(xs, ys)(q))
+        assert np.array_equal(_pchip(xs, ys)(q), PchipInterpolator(xs, ys)(q))
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6])
     def test_ode_profiles_on_every_wedge_point(self, eps):

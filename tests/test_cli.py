@@ -338,8 +338,8 @@ class TestExitCodes:
             ("recurrence", "--t-max", "100000"),
             ("recurrence", "--t-max", "4472"),  # the smallest refused size
             ("thresholds", "--t-max", "4472"),
-            ("dp", "--k", "4472", "--l", "2"),
-            ("dp", "--k", "2", "--l", "4472", "--thresholds", "erdos-szekeres"),
+            ("dp", "--k", "4472", "--l", "4472"),
+            ("ramsey", "--k", "10000000", "--l", "1"),  # (k + 1)(l + 1) = 20000002
             ("dp", "--k", "4472", "--l", "4472", "--thresholds", "optimal"),
             ("dp", "--k", "4472", "--l", "4472", "--thresholds", "patched"),
             ("ramsey", "--k", "100000", "--l", "100000"),
@@ -350,10 +350,24 @@ class TestExitCodes:
         ids=" ".join,
     )
     def test_table_budget_exits_two(self, capsys, in_tmp, argv):
-        # (4472 + 1)^2 cells is the first size past the 20-million budget
+        # (4472 + 1)^2 cells is the first square past the 20-million budget
         code, _, err = run(capsys, *argv)
         assert code == 2 and "cells exceeds the budget of 20000000" in err
         assert not any(in_tmp.iterdir())
+
+    def test_dp_budget_counts_its_own_cells(self, capsys, in_tmp):
+        # a long thin DP is small whatever its longer side
+        code, _, _ = run(capsys, "dp", "--k", "2", "--l", "4472",
+                         "--thresholds", "erdos-szekeres", "--out", "es.csv")
+        assert code == 0
+        code, _, _ = run(capsys, "dp", "--k", "4472", "--l", "2", "--out", "long.csv")
+        assert code == 0
+        code, _, _ = run(capsys, "dp", "--k", "300", "--l", "2", "--out", "short.csv")
+        assert code == 0
+        long_rows = Path("long.csv").read_text().splitlines()[2:]
+        short_rows = Path("short.csv").read_text().splitlines()[2:]
+        assert len(long_rows) == 4472 * 2
+        assert long_rows[: len(short_rows)] == short_rows
 
     def test_crosscheck_disagreement_exits_three(self, capsys):
         code, out, err = run(

@@ -3,6 +3,7 @@ brute-force enumeration and closed forms."""
 
 import math
 import random
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +22,16 @@ from ramseymult.lattice import (
     ramsey_bound,
     ramsey_table,
 )
+from ramseymult.analytic import (
+    _pchip,
+    assemble_patched_thresholds,
+    build_patch_sequence,
+    default_patch_width,
+    find_seed,
+    solve_threshold_ode,
+)
 from ramseymult.numerics import BudgetExceeded
+from ramseymult.recurrence import build_table, optimal_thresholds
 
 
 def is_admissible(points):
@@ -63,6 +73,90 @@ def random_thresholds(size, seed, include_column_one=False):
         provenance=f"random-{seed}",
         include_column_one=include_column_one,
     )
+
+
+def scalar_square(size, fn, include_column_one=True):
+    """A stored lower square filled by a scalar loop over the wedge, the
+    diagonal pinned to 1/2, as threshold tables were once built."""
+    lower = np.full((size + 1, size + 1), np.nan)
+    for i in range(2, size + 1):
+        for j in range(1 if include_column_one else 2, i):
+            lower[i, j] = fn(i, j)
+        lower[i, i] = 0.5
+    return lower
+
+
+def optimal_square(table):
+    """The optimal thresholds as a NaN-padded square, filled as the
+    recurrence module once did."""
+    size, neg = table.rows, table.table
+    mu = np.arange(2, size + 1)[:, None]
+    z = (neg[1:-1, 2:] - neg[2:, 1:-1]) / mu
+    wedge = np.tri(size - 1, k=-1, dtype=bool)
+    lower = np.full(neg.shape, np.nan)
+    lower[2:, 2:] = np.where(wedge, np.exp(-np.logaddexp(0.0, z)), np.nan)
+    np.fill_diagonal(lower[2:, 2:], 0.5)
+    return lower
+
+
+def patched_square(epsilon, t_max, w=None):
+    """The patched table as a square: patch values near the diagonal, the
+    interpolated ODE profile at l / k beyond it."""
+    w = default_patch_width(t_max) if w is None else w
+    traj = solve_threshold_ode(epsilon, 1e-10)
+    patch = build_patch_sequence(find_seed(traj.final_value, w), w)
+    lower = np.full((t_max + 1, t_max + 1), np.nan)
+    k, j = np.tril_indices(t_max + 1)
+    near, far = (k >= 2) & (j >= 1) & (k - j <= w), (j >= 1) & (k - j > w)
+    lower[k[near], j[near]] = np.array(patch.values)[(k - j)[near]]
+    lower[k[far], j[far]] = _pchip(traj.xs, traj.ys)(j[far] / k[far])
+    return lower
+
+
+def square_dense(lower, k, l):
+    """dense(k, l) of a stored square: the upper wedge reflected."""
+    n = max(k, l)
+    low = lower[: n + 1, : n + 1]
+    t = np.where(np.tri(n + 1, dtype=bool), low, 1.0 - low.T)[: k + 1, : l + 1]
+    t[:2] = t[:, :2] = np.nan
+    return t
+
+
+def assert_reads_equal(thr, lower, j_min):
+    """wedge, dense on three rectangles and lookup on a few cells of
+    ``thr`` equal the reads of the stored square, in the int64 view."""
+    size = thr.size
+    i, j = np.tril_indices(size + 1)
+    keep = (i >= 2) & (j >= j_min)
+    got = thr.wedge(j_min)
+    assert np.array_equal(got[0], i[keep]) and np.array_equal(got[1], j[keep])
+    assert np.array_equal(got[2].view(np.int64), lower[i[keep], j[keep]].view(np.int64))
+    for k, l in ((size, 2), (2, size), (size, size), (size // 2 + 1, size)):
+        want = square_dense(lower, k, l)
+        assert np.array_equal(thr.dense(k, l).view(np.int64), want.view(np.int64)), (k, l)
+    for a, b in ((size, 2), (2, size), (size, size), (size, j_min), (j_min + 1, size)):
+        if max(a, b) >= 2 and min(a, b) >= j_min:
+            want = lower[a, b] if b <= a else 1.0 - lower[b, a]
+            assert thr.lookup(a, b) == want and not math.isnan(want), (a, b)
+
+
+class TestLazyTables:
+    """Every kind read through the one evaluator equals the stored square
+    that once held it, bit for bit."""
+
+    @pytest.mark.parametrize("t", [50, 500])
+    def test_optimal(self, t):
+        table = build_table(t)
+        thr = optimal_thresholds(table)
+        assert thr.provenance == "optimal" and not thr.has_column_one
+        assert_reads_equal(thr, optimal_square(table), 2)
+        with pytest.raises(OutOfRange):
+            thr.wedge(1)
+
+    @pytest.mark.parametrize("t, w", [(40, 5), (200, None)])
+    def test_patched(self, t, w):
+        thr = assemble_patched_thresholds(1e-3, t, w)
+        assert_reads_equal(thr, patched_square(1e-3, t, w), 1)
 
 
 class TestLatticePath:
@@ -180,23 +274,17 @@ class TestThresholdSequence:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            ({(5, 2): 1.5, (7, 7): 0.3}, "row 5 leave"),
-            ({(7, 1): 0.0, (5, 5): 0.3}, "diagonal"),
-            ({(6, 6): 2.0, (6, 3): 0.3}, "row 6 leave"),  # interval first in a row
+            ({(5, 2): 1.5, (7, 7): 0.3}, "row 5 leave"),  # the diagonal is pinned
             ({(6, 6): 0.25, (6, 3): -1.0}, "row 6 leave"),
-            ({(8, 8): np.nan}, "diagonal"),
-            ({(3, 4): 7.0, (0, 0): -1.0}, None),  # outside the wedge: ignored
+            ({(8, 3): 1.0, (7, 1): 0.0}, "row 7 leave"),  # column 1 is checked
         ],
+        ids=["bad0-row 5 leave", "bad3-row 6 leave", "column-one-row 7 leave"],
     )
     def test_validation_names_first_bad_row(self, bad, message):
-        lower = ThresholdSequence.uniform(8).lower.copy()
-        for cell, v in bad.items():
-            lower[cell] = v
-        if message is None:
-            ThresholdSequence(size=8, provenance="x", lower=lower)
-            return
         with pytest.raises(ValueError, match=message):
-            ThresholdSequence(size=8, provenance="x", lower=lower)
+            ThresholdSequence.from_function(
+                8, lambda i, j: bad.get((i, j), 0.5), include_column_one=True
+            )
 
     @pytest.mark.parametrize("size", [2, 3, 17, 300])
     def test_closed_forms_equal_scalar_construction(self, size):
@@ -209,7 +297,38 @@ class TestThresholdSequence:
                 size, fn, provenance=fast.provenance, include_column_one=True
             )
             assert fast.provenance == slow.provenance and fast.size == slow.size
-            assert np.array_equal(fast.lower.view(np.int64), slow.lower.view(np.int64))
+            assert_reads_equal(fast, scalar_square(size, fn), 1)
+            assert_reads_equal(slow, scalar_square(size, fn), 1)
+
+    @pytest.mark.parametrize("fill", [1.0, 0.0, np.nan])
+    def test_every_read_checks_its_cells(self, fill):
+        # one bad cell at (6, 3): every read that covers it, directly or
+        # through the reflection, refuses; reads that miss it go through
+        thr = ThresholdSequence(
+            9, "one-bad-cell", lambda i, j: np.where((i == 6) & (j == 3), fill, 0.5)
+        )
+        error, match = (OutOfRange, "undefined") if np.isnan(fill) else (ValueError, "row 6 leave")
+        for read in (
+            lambda: thr.dense(9, 9),
+            lambda: thr.dense(3, 6),
+            lambda: thr.wedge(2),
+            lambda: thr.lookup(6, 3),
+            lambda: thr.lookup(3, 6),
+        ):
+            with pytest.raises(error, match=match):
+                read()
+        assert thr.lookup(6, 4) == 0.5
+        assert np.all(thr.dense(5, 5)[2:, 2:] == 0.5)
+        assert np.all(thr.dense(9, 2)[2:, 2:] == 0.5)
+
+    def test_diagonal_is_one_half_for_every_kind(self):
+        for thr in (
+            ThresholdSequence.uniform(60),
+            ThresholdSequence.erdos_szekeres(60),
+            optimal_thresholds(build_table(60)),
+            assemble_patched_thresholds(1e-3, 60),
+        ):
+            assert np.all(np.diagonal(thr.dense(60, 60))[2:] == 0.5), thr.provenance
 
     def test_wedge_columns_match_lookup(self):
         for thr, j_min in (
@@ -225,16 +344,32 @@ class TestThresholdSequence:
             random_thresholds(9, seed=6).wedge(1)  # column 1 not generated
 
     @pytest.mark.parametrize(
-        "build",
+        "build, cells",
         [
-            ThresholdSequence.uniform,
-            ThresholdSequence.erdos_szekeres,
-            lambda size: ThresholdSequence.from_function(size, lambda i, j: 0.5),
+            (lambda: ThresholdSequence.from_function(4473, lambda i, j: 0.5), 20016676),
+            (lambda: dp_min_weight(4472, 4472, ThresholdSequence.uniform(4472)), 20007729),
+            (lambda: ramsey_table(4472, 4472, ThresholdSequence.erdos_szekeres(4472)), 20007729),
         ],
+        ids=["from_function", "dp_min_weight", "ramsey_table"],
     )
-    def test_cell_budget(self, build):
-        with pytest.raises(BudgetExceeded, match="20016676 cells"):
-            build(4473)
+    def test_cell_budget(self, build, cells):
+        with pytest.raises(BudgetExceeded, match=f"{cells} cells"):
+            build()
+
+    def test_closed_forms_allocate_nothing(self):
+        # a closed form costs no cells until it is read
+        for thr in (ThresholdSequence.uniform(4473), ThresholdSequence.erdos_szekeres(4473)):
+            assert thr.dense(4473, 2).shape == (4474, 3)
+
+    def test_dp_allocates_its_own_cells_only(self):
+        es = ThresholdSequence.erdos_szekeres(4000)
+        tracemalloc.start()
+        try:
+            dp_min_weight(4000, 3, es)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak  # a (4001 x 4001) square alone is 128 MB
 
 
 class TestPathWeight:
@@ -311,9 +446,9 @@ class TestMinWeightDP:
             dp_min_weight(9, 4, random_thresholds(8, seed=13))
 
     def test_undefined_thresholds_rejected(self):
-        lower = ThresholdSequence.uniform(5).lower.copy()
-        lower[4, 3] = np.nan
-        holey = ThresholdSequence(size=5, provenance="holey", lower=lower)
+        holey = ThresholdSequence.from_function(
+            5, lambda i, j: np.nan if (i, j) == (4, 3) else 0.5, provenance="holey"
+        )
         dp_min_weight(3, 3, holey)
         with pytest.raises(OutOfRange):
             dp_min_weight(3, 4, holey)  # t_{3,4} reflects the hole at t_{4,3}
