@@ -36,6 +36,7 @@ from .lattice import (
     ramsey_table,
 )
 from .numerics import (
+    BudgetExceeded,
     Degenerate,
     LogValue,
     NoBracket,
@@ -57,7 +58,6 @@ from .oracle import (
     sample_against_bounds,
 )
 from .recurrence import (
-    BudgetExceeded,
     ClassicalBounds,
     ConstantEstimate,
     MultiIndexTable,

@@ -251,7 +251,7 @@ def _cmd_patch(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_multicolor(cfg: Namespace) -> tuple[list, list, dict, str]:
-    table = recurrence.multicolor_table(cfg.q, cfg.t_max, cfg.max_cells)
+    table = recurrence.multicolor_table(cfg.q, cfg.t_max)
     columns = [f"i{d + 1}" for d in range(cfg.q)] + ["neglog_value"]
     diag = table.neglog_at((cfg.t_max,) * cfg.q)
     return (
@@ -415,7 +415,6 @@ def build_parser():
     sp = add("multicolor", "q-colour recurrence table")
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--t-max", type=int, default=20)
-    sp.add_argument("--max-cells", type=int, default=recurrence.DEFAULT_CELL_BUDGET)
 
     sp = add("alpha", "normalised q-colour diagonal exponent")
     sp.add_argument("--q", type=int, default=2)

@@ -207,19 +207,6 @@ class ThresholdSequence:
             raise OutOfRange(f"the {self.provenance} table leaves cells undefined")
         return np.where(j > i, 1.0 - lower, lower)
 
-    def dense(self, k: int, l: int) -> np.ndarray:
-        """t_{i,j} for all 2 <= i <= k, 2 <= j <= l as one (k+1, l+1) array,
-        the upper wedge reflected as in :meth:`lookup`; rows and columns
-        0 and 1 are NaN."""
-        if k < 1 or l < 1:
-            raise ValueError("table corner must have k >= 1 and l >= 1")
-        if k > self.size or l > self.size:
-            raise OutOfRange(f"({k}, {l}) needs thresholds beyond size {self.size}")
-        i, j = np.ogrid[2 : k + 1, 2 : l + 1]
-        t = np.full((k + 1, l + 1), np.nan)
-        t[2:, 2:] = self._evaluate(i, j)
-        return t
-
     def lookup(self, i: int, j: int) -> float:
         """t_{i,j}, reflecting through 1 - t_{j,i} for the upper wedge."""
         if i < 1 or j < 1 or i > self.size or j > self.size:
@@ -286,8 +273,9 @@ class BoundTable:
 
 
 def _step_exponent(mode: str, a, b):
-    """Exponent of a step through cell (a, b); takes index arrays too."""
-    return {"a": a, "b": b, "max": np.maximum(a, b)}[mode]
+    """Exponent of a step through cell (a, b); takes index arrays too.  The
+    "ramsey" table steps with exponent 1."""
+    return {"a": a, "b": b, "max": np.maximum(a, b), "ramsey": 1}[mode]
 
 
 def path_weight(
@@ -311,18 +299,27 @@ def path_weight(
     return LogValue(float(np.sum(_step_exponent(exponent, a, b) * -np.log(s))))
 
 
-def _max_plus_fill(t: np.ndarray, e, log) -> np.ndarray:
-    """negLog, in the base of ``log``, of the minimum path weight to every
-    cell under the dense thresholds ``t`` and per-cell exponents ``e``:
+def _max_plus_fill(
+    k: int, l: int, thresholds: ThresholdSequence, mode: str
+) -> BoundTable:
+    """negLog of the minimum path weight to every cell (i, j) <= (k, l):
     the larger of the b-step from (i, j-1), factor t^e, and the a-step
-    from (i-1, j), factor (1-t)^e, with boundary cells at 0 (weight 1)."""
-    cost_b = e * -log(t)
-    cost_a = e * -log(1.0 - t)
+    from (i-1, j), factor (1-t)^e, with boundary cells at 0 (weight 1).
+    ``mode`` sets the exponent e; mode "ramsey" counts in bits, the
+    others in nats.  The thresholds are read one antidiagonal at a time."""
+    if k < 1 or l < 1:
+        raise ValueError("table corner must have k >= 1 and l >= 1")
+    if k > thresholds.size or l > thresholds.size:
+        raise OutOfRange(f"({k}, {l}) needs thresholds beyond size {thresholds.size}")
+    log = np.log2 if mode == "ramsey" else np.log
 
     def cell(idx, below):
-        return np.maximum(cost_b[idx] + below[1], cost_a[idx] + below[0])
+        t = thresholds._evaluate(*idx)
+        e = _step_exponent(mode, *idx)
+        return np.maximum(e * -log(t) + below[1], e * -log(1.0 - t) + below[0])
 
-    return wavefront_fill(np.zeros(t.shape), cell)
+    table = wavefront_fill((k + 1, l + 1), cell)
+    return BoundTable(mode, k, l, thresholds.provenance, table)
 
 
 def dp_min_weight(
@@ -336,16 +333,7 @@ def dp_min_weight(
     """
     if exponent not in EXPONENT_MODES:
         raise ValueError(f"unknown exponent mode {exponent!r}")
-    check_cells((k + 1) * (l + 1), "(k + 1)(l + 1)")
-    i, j = np.ogrid[: k + 1, : l + 1]
-    e = _step_exponent(exponent, i, j)
-    return BoundTable(
-        mode=exponent,
-        rows=k,
-        cols=l,
-        provenance=thresholds.provenance,
-        table=_max_plus_fill(thresholds.dense(k, l), e, np.log),
-    )
+    return _max_plus_fill(k, l, thresholds, exponent)
 
 
 def ramsey_table(k: int, l: int, thresholds: ThresholdSequence) -> BoundTable:
@@ -354,14 +342,7 @@ def ramsey_table(k: int, l: int, thresholds: ThresholdSequence) -> BoundTable:
     exponent 1: it cannot overflow, and is exact for dyadic thresholds.
     Otherwise each step rounds at the magnitude of log2 R, so a decoded R
     carries a relative error of up to about (i + j) * 2^-53 * log2 R."""
-    check_cells((k + 1) * (l + 1), "(k + 1)(l + 1)")
-    return BoundTable(
-        mode="ramsey",
-        rows=k,
-        cols=l,
-        provenance=thresholds.provenance,
-        table=_max_plus_fill(thresholds.dense(k, l), 1, np.log2),
-    )
+    return _max_plus_fill(k, l, thresholds, "ramsey")
 
 
 def ramsey_bound(k: int, l: int, thresholds: ThresholdSequence) -> float:

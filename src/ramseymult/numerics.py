@@ -33,14 +33,14 @@ class BudgetExceeded(Exception):
     """A table would allocate more cells than allowed."""
 
 
-DEFAULT_CELL_BUDGET = 20_000_000
+CELL_BUDGET = 20_000_000
 
 
-def check_cells(cells: int, what: str, budget: int = DEFAULT_CELL_BUDGET) -> None:
-    """Raise :class:`BudgetExceeded` before a table of ``cells`` entries
-    (``what`` says how they are counted) is allocated over ``budget``."""
-    if cells > budget:
-        raise BudgetExceeded(f"{what} = {cells} cells exceeds the budget of {budget}")
+def check_cells(cells: int, what: str) -> None:
+    """Raise :class:`BudgetExceeded` before a table of ``cells`` entries,
+    which ``what`` names, is allocated over ``CELL_BUDGET``."""
+    if cells > CELL_BUDGET:
+        raise BudgetExceeded(f"{what} = {cells} cells exceeds the budget of {CELL_BUDGET}")
 
 
 #: negLog encoding of the value 0 (exp(-inf) == 0).
@@ -100,20 +100,21 @@ class LogValue:
 
 
 def wavefront_fill(
-    table: np.ndarray,
+    shape: tuple[int, ...],
     cell: Callable[[tuple[np.ndarray, ...], list[np.ndarray]], np.ndarray],
 ) -> np.ndarray:
-    """Fill, in place, every entry of ``table`` whose indices are all >= 2.
+    """Allocate a table of ``shape`` and fill every entry whose indices are
+    all >= 2; entries with an index below 2 are the boundary, 0.
 
     An entry may depend only on its q one-step-down neighbours, so each
     index-sum hyperplane is one vectorised call ``cell(idx, below)``:
     ``idx`` holds the q index arrays of the hyperplane's entries, and
-    ``below[d]`` their neighbours' values one step down axis d.  Entries
-    with an index below 2 are the caller's boundary and stay untouched.
-    Extra memory is O(t^(q-1)).  Returns ``table``.
+    ``below[d]`` their neighbours' values one step down axis d.  Raises
+    :class:`BudgetExceeded`, naming the shape, before allocating more than
+    ``CELL_BUDGET`` cells.  Extra memory is O(t^(q-1)).
     """
-    if not table.flags.c_contiguous:
-        raise ValueError("wavefront_fill needs a C-contiguous table")
+    check_cells(math.prod(shape), " x ".join(map(str, shape)) + " table")
+    table = np.zeros(shape)
     q, last = table.ndim, table.shape[-1]
     flat = table.reshape(-1)
     steps = [s // table.itemsize for s in table.strides]

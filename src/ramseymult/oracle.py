@@ -240,6 +240,14 @@ def _worker_count(requested: int | None, chunks: int) -> int:
     return 1
 
 
+def _check_reach(n: int, large: bool) -> None:
+    """Raise :class:`TooLarge` for an n the exhaustive scan refuses."""
+    if n > 8:
+        raise TooLarge(f"n={n} is beyond exhaustive reach (max 8)")
+    if n == 8 and not large:
+        raise TooLarge("n=8 scans 2^27 colourings; opt in with large=True")
+
+
 def exact_min(
     n: int, t: int, large: bool = False, workers: int | None = None
 ) -> MinimumReport:
@@ -252,10 +260,7 @@ def exact_min(
     """
     if not 2 <= t <= n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
-    if n > 8:
-        raise TooLarge(f"n={n} is beyond exhaustive reach (max 8)")
-    if n == 8 and not large:
-        raise TooLarge("n=8 scans 2^27 colourings; opt in with large=True")
+    _check_reach(n, large)
 
     kmin, witness_mask = _scan(n, t)
     witness = ColoringRecord(n=n, red_mask=witness_mask).with_counts(t)
@@ -278,10 +283,12 @@ def ratio_series(
 
     The ratio is non-decreasing in n (averaging a colouring of K_n over
     its n-vertex subgraphs bounds K_{n+1} from below); a violation would
-    mean a counting bug, so it is checked here.
+    mean a counting bug, so it is checked here.  An n_max beyond
+    :func:`exact_min`'s reach raises :class:`TooLarge` before any scan.
     """
     if n_max < t:
         raise ValueError("n_max must be at least t")
+    _check_reach(n_max, large)
     rows: list[tuple[int, int, Fraction]] = []
     prev = Fraction(-1)
     for n in range(t, n_max + 1):

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import BoundTable, ThresholdSequence
-from .numerics import (
-    DEFAULT_CELL_BUDGET,
-    BudgetExceeded,
-    LogValue,
-    check_cells,
-    fit_quadratic_leading,
-    wavefront_fill,
-)
+from .numerics import LogValue, fit_quadratic_leading, wavefront_fill
 
 
 class WindowTooSmall(Exception):
@@ -52,14 +45,13 @@ def build_table(t_max: int) -> BoundTable:
     """Fill the optimal-threshold recurrence up to (t_max, t_max).
 
     Returns a mode-"max" table of negLog values; boundary rows are 0
-    (value 1).  One vectorised step per anti-diagonal.  Raises
-    :class:`BudgetExceeded` before allocating more than
-    ``DEFAULT_CELL_BUDGET`` cells.
+    (value 1).  One vectorised step per anti-diagonal.  The fill raises
+    :class:`BudgetExceeded`, naming the shape, before allocating more
+    than ``CELL_BUDGET`` cells.
     """
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
-    check_cells((t_max + 1) ** 2, "(t_max + 1)^2")
-    neg = wavefront_fill(np.zeros((t_max + 1, t_max + 1)), _recurrence_cell)
+    neg = wavefront_fill((t_max + 1, t_max + 1), _recurrence_cell)
     return BoundTable(
         mode="max",
         rows=t_max,
@@ -160,21 +152,19 @@ class MultiIndexTable:
         return math.exp(-self.neglog_at(indices))
 
 
-def multicolor_table(
-    q: int, t_max: int, max_cells: int = DEFAULT_CELL_BUDGET
-) -> MultiIndexTable:
+def multicolor_table(q: int, t_max: int) -> MultiIndexTable:
     """The q-colour recurrence: each cell folds its q decremented
     neighbours through the shared cell, mu = max of the indices.
 
-    Cells with any index equal to 1 are boundary (negLog 0).  Raises
-    :class:`BudgetExceeded` before allocating more than ``max_cells``.
+    Cells with any index equal to 1 are boundary (negLog 0).  The table
+    holds (t_max + 1)^q cells; the fill raises :class:`BudgetExceeded`,
+    naming its shape, before allocating more than ``CELL_BUDGET``.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    check_cells((t_max + 1) ** q, "(t_max + 1)^q", max_cells)
-    neg = wavefront_fill(np.zeros((t_max + 1,) * q), _recurrence_cell)
+    neg = wavefront_fill((t_max + 1,) * q, _recurrence_cell)
     return MultiIndexTable(q=q, t_max=t_max, neglog_array=neg)
 
 

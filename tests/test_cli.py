@@ -346,6 +346,7 @@ class TestExitCodes:
             ("ramsey", "--k", "4472", "--l", "4472", "--thresholds", "erdos-szekeres"),
             ("patch", "--t-max", "4472"),
             ("crosscheck", "--t-max", "4472"),
+            ("multicolor", "--q", "3", "--t-max", "271"),  # 272^3 = 20123648
         ],
         ids=" ".join,
     )

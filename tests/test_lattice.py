@@ -3,6 +3,7 @@ brute-force enumeration and closed forms."""
 
 import math
 import random
+import re
 import tracemalloc
 from functools import lru_cache
 
@@ -30,8 +31,8 @@ from ramseymult.analytic import (
     find_seed,
     solve_threshold_ode,
 )
-from ramseymult.numerics import BudgetExceeded
-from ramseymult.recurrence import build_table, optimal_thresholds
+from ramseymult.numerics import BudgetExceeded, wavefront_fill
+from ramseymult.recurrence import build_table, multicolor_table, optimal_thresholds
 
 
 def is_admissible(points):
@@ -75,6 +76,38 @@ def random_thresholds(size, seed, include_column_one=False):
     )
 
 
+KINDS = {
+    "uniform": ThresholdSequence.uniform,
+    "erdos-szekeres": ThresholdSequence.erdos_szekeres,
+    "optimal": lambda size: optimal_thresholds(build_table(size)),
+    "patched": lambda size: assemble_patched_thresholds(1e-3, size),
+    "random": lambda size: random_thresholds(size, seed=31),
+}
+
+
+def read_rect(thr, k, l):
+    """t_{i,j} over 2 <= i <= k, 2 <= j <= l in one evaluator call."""
+    return thr._evaluate(*np.ogrid[2 : k + 1, 2 : l + 1])
+
+
+def dense_reference(thr, k, l, mode):
+    """The DP tables as they were once filled: every threshold of the
+    corner read into one NaN-padded (k + 1, l + 1) array, both step costs
+    computed over it, then the kernel gathers them cell by cell."""
+    t = np.full((k + 1, l + 1), np.nan)
+    t[2:, 2:] = read_rect(thr, k, l)
+    i, j = np.ogrid[: k + 1, : l + 1]
+    e = {"a": i, "b": j, "max": np.maximum(i, j), "ramsey": 1}[mode]
+    log = np.log2 if mode == "ramsey" else np.log
+    cost_b = e * -log(t)
+    cost_a = e * -log(1.0 - t)
+
+    def cell(idx, below):
+        return np.maximum(cost_b[idx] + below[1], cost_a[idx] + below[0])
+
+    return wavefront_fill((k + 1, l + 1), cell)
+
+
 def scalar_square(size, fn, include_column_one=True):
     """A stored lower square filled by a scalar loop over the wedge, the
     diagonal pinned to 1/2, as threshold tables were once built."""
@@ -113,18 +146,16 @@ def patched_square(epsilon, t_max, w=None):
     return lower
 
 
-def square_dense(lower, k, l):
-    """dense(k, l) of a stored square: the upper wedge reflected."""
+def square_rect(lower, k, l):
+    """read_rect(k, l) of a stored square: the upper wedge reflected."""
     n = max(k, l)
     low = lower[: n + 1, : n + 1]
-    t = np.where(np.tri(n + 1, dtype=bool), low, 1.0 - low.T)[: k + 1, : l + 1]
-    t[:2] = t[:, :2] = np.nan
-    return t
+    return np.where(np.tri(n + 1, dtype=bool), low, 1.0 - low.T)[2 : k + 1, 2 : l + 1]
 
 
 def assert_reads_equal(thr, lower, j_min):
-    """wedge, dense on three rectangles and lookup on a few cells of
-    ``thr`` equal the reads of the stored square, in the int64 view."""
+    """wedge, rectangles and lookup on a few cells of ``thr`` equal the
+    reads of the stored square, in the int64 view."""
     size = thr.size
     i, j = np.tril_indices(size + 1)
     keep = (i >= 2) & (j >= j_min)
@@ -132,8 +163,8 @@ def assert_reads_equal(thr, lower, j_min):
     assert np.array_equal(got[0], i[keep]) and np.array_equal(got[1], j[keep])
     assert np.array_equal(got[2].view(np.int64), lower[i[keep], j[keep]].view(np.int64))
     for k, l in ((size, 2), (2, size), (size, size), (size // 2 + 1, size)):
-        want = square_dense(lower, k, l)
-        assert np.array_equal(thr.dense(k, l).view(np.int64), want.view(np.int64)), (k, l)
+        want = square_rect(lower, k, l)
+        assert np.array_equal(read_rect(thr, k, l).view(np.int64), want.view(np.int64)), (k, l)
     for a, b in ((size, 2), (2, size), (size, size), (size, j_min), (j_min + 1, size)):
         if max(a, b) >= 2 and min(a, b) >= j_min:
             want = lower[a, b] if b <= a else 1.0 - lower[b, a]
@@ -309,17 +340,20 @@ class TestThresholdSequence:
         )
         error, match = (OutOfRange, "undefined") if np.isnan(fill) else (ValueError, "row 6 leave")
         for read in (
-            lambda: thr.dense(9, 9),
-            lambda: thr.dense(3, 6),
+            lambda: read_rect(thr, 9, 9),
+            lambda: read_rect(thr, 3, 6),
             lambda: thr.wedge(2),
             lambda: thr.lookup(6, 3),
             lambda: thr.lookup(3, 6),
+            lambda: dp_min_weight(9, 9, thr),
+            lambda: ramsey_table(3, 6, thr),
         ):
             with pytest.raises(error, match=match):
                 read()
         assert thr.lookup(6, 4) == 0.5
-        assert np.all(thr.dense(5, 5)[2:, 2:] == 0.5)
-        assert np.all(thr.dense(9, 2)[2:, 2:] == 0.5)
+        assert np.all(read_rect(thr, 5, 5) == 0.5)
+        assert np.all(read_rect(thr, 9, 2) == 0.5)
+        assert dp_min_weight(9, 2, thr).value(9, 2) > 0.0
 
     def test_diagonal_is_one_half_for_every_kind(self):
         for thr in (
@@ -328,7 +362,7 @@ class TestThresholdSequence:
             optimal_thresholds(build_table(60)),
             assemble_patched_thresholds(1e-3, 60),
         ):
-            assert np.all(np.diagonal(thr.dense(60, 60))[2:] == 0.5), thr.provenance
+            assert np.all(np.diagonal(read_rect(thr, 60, 60)) == 0.5), thr.provenance
 
     def test_wedge_columns_match_lookup(self):
         for thr, j_min in (
@@ -344,32 +378,45 @@ class TestThresholdSequence:
             random_thresholds(9, seed=6).wedge(1)  # column 1 not generated
 
     @pytest.mark.parametrize(
-        "build, cells",
+        "build, what",
         [
-            (lambda: ThresholdSequence.from_function(4473, lambda i, j: 0.5), 20016676),
-            (lambda: dp_min_weight(4472, 4472, ThresholdSequence.uniform(4472)), 20007729),
-            (lambda: ramsey_table(4472, 4472, ThresholdSequence.erdos_szekeres(4472)), 20007729),
+            (lambda: ThresholdSequence.from_function(4473, lambda i, j: 0.5), "(size + 1)^2 = 20016676"),
+            (lambda: dp_min_weight(4472, 4472, ThresholdSequence.uniform(4472)), "4473 x 4473 table = 20007729"),
+            (lambda: ramsey_table(4472, 4472, ThresholdSequence.erdos_szekeres(4472)), "4473 x 4473 table = 20007729"),
+            (lambda: build_table(4472), "4473 x 4473 table = 20007729"),
+            (lambda: multicolor_table(3, 271), "272 x 272 x 272 table = 20123648"),
         ],
-        ids=["from_function", "dp_min_weight", "ramsey_table"],
+        ids=["from_function", "dp_min_weight", "ramsey_table", "build_table", "multicolor_table"],
     )
-    def test_cell_budget(self, build, cells):
-        with pytest.raises(BudgetExceeded, match=f"{cells} cells"):
+    def test_cell_budget(self, build, what):
+        with pytest.raises(BudgetExceeded, match=re.escape(f"{what} cells exceeds")):
             build()
 
     def test_closed_forms_allocate_nothing(self):
         # a closed form costs no cells until it is read
         for thr in (ThresholdSequence.uniform(4473), ThresholdSequence.erdos_szekeres(4473)):
-            assert thr.dense(4473, 2).shape == (4474, 3)
+            assert read_rect(thr, 4473, 2).shape == (4472, 1)
 
-    def test_dp_allocates_its_own_cells_only(self):
-        es = ThresholdSequence.erdos_szekeres(4000)
+    @pytest.mark.parametrize(
+        "fill, k, l, kind",
+        [
+            (dp_min_weight, 4000, 3, "erdos-szekeres"),
+            (dp_min_weight, 1000, 1000, "optimal"),
+            (dp_min_weight, 1000, 1000, "patched"),
+            (ramsey_table, 1000, 1000, "erdos-szekeres"),
+        ],
+    )
+    def test_dp_allocates_its_own_cells_only(self, fill, k, l, kind):
+        thr = KINDS[kind](max(k, l))  # built before tracing starts
         tracemalloc.start()
         try:
-            dp_min_weight(4000, 3, es)
+            table = fill(k, l, thr).table
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20, peak  # a (4001 x 4001) square alone is 128 MB
+        # the fill's O(k + l) index arrays set the floor of a thin table;
+        # a (4001 x 4001) square alone would be 128 MB
+        assert peak < max(1.25 * table.nbytes, 4 * 2**20), (peak, table.nbytes)
 
 
 class TestPathWeight:
@@ -452,6 +499,29 @@ class TestMinWeightDP:
         dp_min_weight(3, 3, holey)
         with pytest.raises(OutOfRange):
             dp_min_weight(3, 4, holey)  # t_{3,4} reflects the hole at t_{4,3}
+
+
+class TestDenseReference:
+    """The DPs read thresholds one antidiagonal at a time; their tables
+    equal the old dense fill's bit for bit."""
+
+    @pytest.mark.parametrize("k, l", [(90, 90), (90, 13), (13, 90), (2, 90), (90, 2)])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_tables_equal_dense_reference(self, kind, k, l):
+        thr = KINDS[kind](max(k, l))
+        for mode in EXPONENT_MODES + ("ramsey",):
+            if mode == "ramsey":
+                got = ramsey_table(k, l, thr)
+            else:
+                got = dp_min_weight(k, l, thr, exponent=mode)
+            want = dense_reference(thr, k, l, mode)
+            assert np.array_equal(got.table.view(np.int64), want.view(np.int64)), mode
+
+    @pytest.mark.parametrize("kind", ["optimal", "patched"])
+    def test_large_square(self, kind):
+        thr = KINDS[kind](500)
+        got = dp_min_weight(500, 500, thr).table
+        assert np.array_equal(got.view(np.int64), dense_reference(thr, 500, 500, "max").view(np.int64))
 
 
 class TestRectangularTables:

@@ -64,25 +64,19 @@ class TestWavefrontFill:
     )
     def test_matches_lexicographic_loop(self, shape):
         # lexicographic order visits every neighbour x - e_d before x
-        ref = np.ones(shape)
+        ref = np.zeros(shape)
         for x in np.ndindex(*shape):
             if min(x) >= 2:
                 below = [ref[x[:d] + (x[d] - 1,) + x[d + 1 :]] for d in range(len(x))]
                 ref[x] = sum(below) + math.prod(x)
-        got = wavefront_fill(np.ones(shape), _index_weighted_paths)
+        got = wavefront_fill(shape, _index_weighted_paths)
         assert np.array_equal(got, ref)
 
     def test_boundary_untouched(self):
-        got = wavefront_fill(np.full((5, 6), 7.0), _index_weighted_paths)
-        assert np.all(got[:2] == 7.0) and np.all(got[:, :2] == 7.0)
-        assert got[2, 2] == 7.0 + 7.0 + 4.0
-        thin = np.full((2, 6), 7.0)
-        got = wavefront_fill(thin, _index_weighted_paths)
-        assert np.array_equal(got, np.full((2, 6), 7.0))
-
-    def test_rejects_non_contiguous(self):
-        with pytest.raises(ValueError):
-            wavefront_fill(np.zeros((5, 6)).T, _index_weighted_paths)
+        got = wavefront_fill((5, 6), _index_weighted_paths)
+        assert np.all(got[:2] == 0.0) and np.all(got[:, :2] == 0.0)
+        assert got[2, 2] == 4.0
+        assert np.array_equal(wavefront_fill((2, 6), _index_weighted_paths), np.zeros((2, 6)))
 
 
 class TestIntegrate:

@@ -269,6 +269,15 @@ class TestRatioSeries:
         with pytest.raises(ValueError):
             ratio_series(4, 3)
 
+    @pytest.mark.parametrize("n_max, large", [(9, True), (8, False)])
+    def test_refuses_before_it_scans(self, monkeypatch, n_max, large):
+        def scan(n, t):
+            raise AssertionError(f"scanned n={n} before refusing")
+
+        monkeypatch.setattr(oracle, "_scan", scan)
+        with pytest.raises(TooLarge):
+            ratio_series(3, n_max, large=large)
+
 
 class TestSampling:
     def test_mean_near_expectation(self):

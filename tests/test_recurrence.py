@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ramseymult.lattice import OutOfRange, ThresholdSequence, dp_min_weight
+from ramseymult.numerics import BudgetExceeded
 from ramseymult.recurrence import (
-    BudgetExceeded,
     WindowTooSmall,
     _ln_binom_4t_choose_t,
     alpha_estimate,
