@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import ThresholdSequence
+from .lattice import OutOfRange, ThresholdSequence
 from .numerics import (
     NoBracket,
     SingularField,
@@ -144,9 +144,11 @@ def elementary_ratio(a: int, b: int, thresholds: ThresholdSequence) -> float:
         raise ValueError("ratio needs b >= 2")
     if a <= b:
         raise ValueError("ratio defined below the diagonal: a > b")
-    t_ab = thresholds.lookup(a, b)
-    t_up = thresholds.lookup(a - 1, b)
-    t_left = thresholds.lookup(a, b - 1)
+    if a > thresholds.size:
+        raise OutOfRange(f"({a}, {b}) outside table of size {thresholds.size}")
+    # the three cells in one checked read
+    i, j = np.array([a, a - 1, a]), np.array([b, b, b - 1])
+    t_ab, t_up, t_left = thresholds._evaluate(i, j).tolist()
     ln_r = (
         (a - 1) * math.log(t_up)
         + a * math.log1p(-t_ab)

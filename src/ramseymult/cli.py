@@ -19,6 +19,7 @@ import math
 import sys
 from argparse import ArgumentParser, Namespace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -42,8 +43,15 @@ _NUMERIC_ERRORS = (
     OverflowError,
 )
 
-_BLOCK_ROWS = 8192  # rows formatted and written at a time
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SPAN_ROWS = 1 << 18  # rows whose equal values share one repr
+_BLOCK_ROWS = 8192  # rows assembled and written at a time
+_PAD = 0xFF  # pads text matrices, masked out; UTF-8 never holds this byte
+_JSON_FLOATS = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"-inf", b"-Infinity"))
+# (row open, cell separator, row close, row separator) as bytes
+_ROW_LAYOUT = {
+    "csv": (b"", b",", b"\n", b""),
+    "json": (b"[\n      ", b",\n      ", b"\n    ]", b",\n    "),
+}
 
 
 def _fmt(v) -> str:
@@ -62,35 +70,69 @@ def _json_text(v) -> str:
     return json.dumps(_json_cell(v))
 
 
-def _cells(col, fmt: str):
-    """Text of each cell of one column block.  A numeric array goes through
-    ``repr`` once per distinct value, floats told apart by bit pattern (so
-    -0.0 keeps its sign and every NaN reads "nan"); a list cell by cell."""
+def _span_texts(col, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """(text matrix, int32 row of it for each cell) of one span of a column.
+    A numeric array goes through ``repr`` once per distinct value, floats
+    told apart by bit pattern (so -0.0 keeps its sign and every NaN reads
+    "nan"); a list cell by cell."""
     if not isinstance(col, np.ndarray):
-        return map(_fmt if fmt == "csv" else _json_text, col)
+        raw = [s.encode() for s in map(_fmt if fmt == "csv" else _json_text, col)]
+        lengths = np.fromiter(map(len, raw), np.intp, len(raw))
+        # padded by length, not by content: a NUL in a text is kept
+        mat = np.full((len(raw), lengths.max(initial=0)), _PAD, np.uint8)
+        mat[np.arange(mat.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(raw), np.uint8)
+        return mat, np.arange(len(raw), dtype=np.int32)
     keys = col.view(np.int64) if col.dtype.kind == "f" else col
     distinct, inverse = np.unique(keys, return_inverse=True)
-    texts = list(map(repr, distinct.view(col.dtype).tolist()))
+    values = distinct.view(col.dtype)
+    # Python numbers a block at a time, not a list of the whole span
+    numbers = chain.from_iterable(
+        values[lo : lo + _BLOCK_ROWS].tolist() for lo in range(0, len(values), _BLOCK_ROWS)
+    )
+    # 24 characters hold the longest float64 or int64 repr
+    texts = np.fromiter(map(repr, numbers), "S24", len(values))
     if fmt == "json":
-        texts = [_JSON_FLOATS.get(s, s) for s in texts]
-    return map(texts.__getitem__, inverse.tolist())
+        for text, json_text in _JSON_FLOATS:
+            texts[texts == text] = json_text
+    texts = texts.astype(f"S{np.strings.str_len(texts).max()}")  # contiguous for take
+    mat = texts.view(np.uint8).reshape(len(texts), -1)
+    mat[mat == 0] = _PAD
+    return mat, inverse.astype(np.int32)
 
 
-def _row_blocks(data: list, fmt: str):
-    """Text of each row, ``_BLOCK_ROWS`` rows at a time."""
-    for lo in range(0, len(data[0]), _BLOCK_ROWS):
-        cells = [_cells(col[lo : lo + _BLOCK_ROWS], fmt) for col in data]
-        if fmt == "csv":
-            yield map(",".join, zip(*cells))
-        else:
-            yield ("[\n      " + ",\n      ".join(row) + "\n    ]" for row in zip(*cells))
+def _write_rows(f, data: list, fmt: str) -> None:
+    """Write every row, ``_BLOCK_ROWS`` at a time, each block assembled as
+    one byte matrix: separator columns from a template row, cell texts
+    gathered from the span's text matrices, padding masked out."""
+    opening, cell_sep, closing, row_sep = _ROW_LAYOUT[fmt]
+    n = len(data[0])
+    for span in range(0, n, _SPAN_ROWS):
+        texts = [_span_texts(col[span : span + _SPAN_ROWS], fmt) for col in data]
+        widths = [mat.shape[1] for mat, _ in texts]
+        template, starts = bytearray(opening), []
+        for c, width in enumerate(widths):
+            template += cell_sep if c else b""
+            starts.append(len(template))
+            template += bytes([_PAD]) * width
+        template += closing + row_sep
+        rows = min(_BLOCK_ROWS, n - span)
+        block = np.tile(np.frombuffer(template, np.uint8), (rows, 1))
+        for lo in range(0, len(texts[0][1]), rows):
+            for (mat, inverse), start, width in zip(texts, starts, widths):
+                cells = inverse[lo : lo + rows]
+                block[: len(cells), start : start + width] = mat.take(cells, axis=0)
+            part = block[: len(cells)]
+            out = part[part != _PAD]
+            if span + lo + len(cells) == n:  # the last row takes no separator
+                out = out[: len(out) - len(row_sep)]
+            f.write(out)
 
 
 def _emit(cfg: Namespace, columns: list[str], data: list, extras: dict) -> str:
     """Write the artefact in the configured format; returns the path.
 
-    ``data`` holds one entry per column, all of one length: a numpy array,
-    or a list for short object columns.
+    ``data`` holds one entry per column, all of one length: a numpy array
+    of integers or floats, or a list for short object columns.
     """
     config = {k: v for k, v in vars(cfg).items() if v is not None}
     if cfg.format == "csv":
@@ -98,7 +140,7 @@ def _emit(cfg: Namespace, columns: list[str], data: list, extras: dict) -> str:
         for key in sorted(extras):
             lines.append(f"# {key} = {_fmt(extras[key])}")
         lines.append(",".join(columns))
-        head, sep, tail = "\n".join(lines) + "\n", "\n", "\n"
+        head, tail = "\n".join(lines) + "\n", ""
     else:
         # json.dumps lays out all but the rows; no config value or extra
         # can hold this marker of where they go
@@ -107,14 +149,14 @@ def _emit(cfg: Namespace, columns: list[str], data: list, extras: dict) -> str:
         payload.update(extras)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         head, _, tail = text.partition(json.dumps(marker))
-        head, sep, tail = head + "[\n    ", ",\n    ", "\n  ]" + tail
-    with open(cfg.out, "w") as f:
-        f.write(head)
-        for n, rows in enumerate(_row_blocks(data, cfg.format)):
-            if n:
-                f.write(sep)
-            f.write(sep.join(rows))
-        f.write(tail)
+        if len(data[0]):
+            head, tail = head + "[\n    ", "\n  ]" + tail
+        else:
+            head += "[]"
+    with open(cfg.out, "wb") as f:
+        f.write(head.encode())
+        _write_rows(f, data, cfg.format)
+        f.write(tail.encode())
     return cfg.out
 
 
@@ -148,7 +190,7 @@ def _epsilon_ladder(eps_min: float) -> list[float]:
 def _table_columns(values: np.ndarray) -> list[np.ndarray]:
     """Index columns (1-based, row-major) and the value column of the
     cells of ``values``, which the caller has cut to drop index 0."""
-    idx = np.indices(values.shape).reshape(values.ndim, -1) + 1
+    idx = np.indices(values.shape, dtype=np.int32).reshape(values.ndim, -1) + 1
     return [*idx, values.ravel()]
 
 
@@ -192,13 +234,17 @@ def _cmd_ramsey(cfg: Namespace) -> tuple[list, list, dict, str]:
     thr = _threshold_table(cfg, size)
     table = lattice.ramsey_table(cfg.k, cfg.l, thr)
     k, l, bits = _table_columns(table.table[1:, 1:])
+    # Python's pow once per distinct value: np.power and np.exp2 can differ
+    # from it in the last bit
+    distinct, inverse = np.unique(bits.view(np.int64), return_inverse=True)
     try:
-        values = np.array(list(map((2.0).__pow__, bits.tolist())))
+        decoded = list(map((2.0).__pow__, distinct.view(bits.dtype).tolist()))
     except OverflowError:
         # BoundTable.value names the first cell beyond float range
         first = int(np.argmax(bits >= 1024.0))
         table.value(int(k[first]), int(l[first]))
         raise
+    values = np.array(decoded)[inverse]
     return (
         ["k", "l", "value"],
         [k, l, values],

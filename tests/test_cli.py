@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: files, summaries, exit codes."""
 
 import json
+import tracemalloc
 from argparse import Namespace
 from fractions import Fraction
 from itertools import product
@@ -9,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ramseymult import analytic, lattice, recurrence
+from ramseymult import analytic, cli, lattice, recurrence
 from ramseymult.cli import (
     _BLOCK_ROWS,
     _emit,
     _epsilon_ladder,
+    _table_columns,
     _threshold_table,
     build_parser,
     main,
@@ -229,7 +231,14 @@ def reference_artifact(argv) -> str:
     return reference_emit(cfg, columns, rows, extras)
 
 
-# each table spans more than one block of rows
+@pytest.fixture
+def small_spans(monkeypatch):
+    """Spans of 1500 rows written in blocks of 400: the test tables cross
+    both boundaries several times, and no span is a whole number of blocks."""
+    monkeypatch.setattr(cli, "_SPAN_ROWS", 1500)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 400)
+
+
 _TABLE_CALLS = [
     ("recurrence", "--t-max", "100"),
     ("thresholds", "--t-max", "130"),
@@ -245,23 +254,29 @@ _TABLE_CALLS = [
     ("multicolor", "--q", "4", "--t-max", "10"),
 ]
 
-
 class TestColumnWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv", _TABLE_CALLS, ids=" ".join)
-    def test_matches_row_wise_writer(self, capsys, argv, fmt):
+    def test_matches_row_wise_writer(self, capsys, small_spans, argv, fmt):
         argv = [*argv, "--format", fmt]
         assert main(argv) == 0
         text = Path(f"{argv[0]}.{fmt}").read_text()
-        assert text.count("\n") > _BLOCK_ROWS
+        assert text.count("\n") > 5 * cli._SPAN_ROWS
         assert text == reference_artifact(argv)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
-    def test_formats_like_row_wise_writer(self, tmp_path, n, fmt):
+    @pytest.mark.parametrize("spans", ["default", "small"])
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_formats_like_row_wise_writer(self, tmp_path, monkeypatch, n, spans, fmt):
+        if spans == "small":  # every float value recurs in span after span
+            monkeypatch.setattr(cli, "_SPAN_ROWS", 7)
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
         other_nan = np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
-        floats = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e16, 1e-5, 5e-324, 2.0**1023, other_nan]
-        mixed = [Fraction(1, 3), "0x3bc", 7, 1.5, float("nan")]
+        signalling_nan = np.array([0x7FF0_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+        floats = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e16, 1e-5, 5e-324, 2.0**1023, other_nan,
+                  signalling_nan, -2.2250738585072014e-308]
+        # a NUL in a list cell is text like any other, not padding
+        mixed = [Fraction(1, 3), "0x3bc", 7, 1.5, float("nan"), "\0nul\0"]
         data = [
             np.arange(n) - 3,
             np.resize(np.array(floats), n),
@@ -272,6 +287,22 @@ class TestColumnWriter:
         assert _emit(cfg, columns, data, extras) == cfg.out
         rows = [(int(i), float(v), o) for i, v, o in zip(*data)]
         assert Path(cfg.out).read_text() == reference_emit(cfg, columns, rows, extras)
+
+    def test_memory_bounded_by_span(self, tmp_path, monkeypatch):
+        # the writer holds one span of texts, never a whole column
+        monkeypatch.setattr(cli, "_SPAN_ROWS", 4096)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
+        peaks = []
+        for t in (300, 600):
+            data = _table_columns(recurrence.build_table(t).table[1:, 1:])
+            cfg = Namespace(subcommand="x", format="csv", out=str(tmp_path / f"{t}.csv"))
+            tracemalloc.start()
+            try:
+                _emit(cfg, ["k", "l", "v"], data, {})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestConfig:

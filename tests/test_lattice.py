@@ -480,6 +480,13 @@ class TestMinWeightDP:
                     table.neglog(k, l), table.neglog(l, k), rel_tol=1e-12
                 )
 
+    def test_patched_square_symmetric_bit_for_bit(self):
+        # the artifact writer formats each distinct bit pattern of a span
+        # once, so a cell and its mirror share one repr
+        thr = assemble_patched_thresholds(1e-3, 500)
+        table = dp_min_weight(500, 500, thr).table.view(np.int64)
+        assert np.array_equal(table, table.T)
+
     def test_neglog_monotone_in_target(self):
         thr = random_thresholds(10, seed=12)
         table = dp_min_weight(10, 10, thr)
