@@ -19,12 +19,12 @@ import math
 import sys
 from argparse import ArgumentParser, Namespace
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from . import analytic, lattice, oracle, recurrence
 from .numerics import BudgetExceeded, Degenerate, NoBracket, SingularField, check_cells
+from .shortest import float_reprs
 
 _VALIDATION_ERRORS = (
     ValueError,
@@ -43,7 +43,7 @@ _NUMERIC_ERRORS = (
     OverflowError,
 )
 
-_SPAN_ROWS = 1 << 18  # rows whose equal values share one repr
+_SPAN_ROWS = 1 << 18  # rows whose equal values share one text
 _BLOCK_ROWS = 8192  # rows assembled and written at a time
 _PAD = 0xFF  # pads text matrices, masked out; UTF-8 never holds this byte
 _JSON_FLOATS = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"-inf", b"-Infinity"))
@@ -72,9 +72,9 @@ def _json_text(v) -> str:
 
 def _span_texts(col, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """(text matrix, int32 row of it for each cell) of one span of a column.
-    A numeric array goes through ``repr`` once per distinct value, floats
-    told apart by bit pattern (so -0.0 keeps its sign and every NaN reads
-    "nan"); a list cell by cell."""
+    A numeric array is formatted once per distinct value: floats, told
+    apart by bit pattern (so -0.0 keeps its sign and every NaN reads
+    "nan"), by ``float_reprs``, integers by ``repr``; a list cell by cell."""
     if not isinstance(col, np.ndarray):
         raw = [s.encode() for s in map(_fmt if fmt == "csv" else _json_text, col)]
         lengths = np.fromiter(map(len, raw), np.intp, len(raw))
@@ -82,15 +82,13 @@ def _span_texts(col, fmt: str) -> tuple[np.ndarray, np.ndarray]:
         mat = np.full((len(raw), lengths.max(initial=0)), _PAD, np.uint8)
         mat[np.arange(mat.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(raw), np.uint8)
         return mat, np.arange(len(raw), dtype=np.int32)
-    keys = col.view(np.int64) if col.dtype.kind == "f" else col
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    values = distinct.view(col.dtype)
-    # Python numbers a block at a time, not a list of the whole span
-    numbers = chain.from_iterable(
-        values[lo : lo + _BLOCK_ROWS].tolist() for lo in range(0, len(values), _BLOCK_ROWS)
-    )
-    # 24 characters hold the longest float64 or int64 repr
-    texts = np.fromiter(map(repr, numbers), "S24", len(values))
+    if col.dtype == np.float64:
+        distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        texts = float_reprs(distinct.view(np.float64))
+    else:  # index columns: a few thousand distinct values at most
+        distinct, inverse = np.unique(col, return_inverse=True)
+        # 24 characters hold any int64 repr
+        texts = np.fromiter(map(repr, distinct.tolist()), "S24", len(distinct))
     if fmt == "json":
         for text, json_text in _JSON_FLOATS:
             texts[texts == text] = json_text
@@ -160,15 +158,17 @@ def _emit(cfg: Namespace, columns: list[str], data: list, extras: dict) -> str:
     return cfg.out
 
 
-def _threshold_table(cfg: Namespace, size: int):
-    """The --thresholds table; only ``patched`` reads --epsilon, --w, --tol."""
-    kind = cfg.thresholds
+def _threshold_table(cfg: Namespace):
+    """The --thresholds table of a --k x --l DP; only ``patched`` reads
+    --epsilon, --w, --tol.  ``optimal`` fills only the recurrence's
+    max(k, l) x min(k, l) block, all the DP reads."""
+    kind, size = cfg.thresholds, max(cfg.k, cfg.l)
     if kind == "uniform":
         return lattice.ThresholdSequence.uniform(size)
     if kind == "erdos-szekeres":
         return lattice.ThresholdSequence.erdos_szekeres(size)
     if kind == "optimal":
-        return recurrence.optimal_thresholds(recurrence.build_table(size))
+        return recurrence.optimal_thresholds(recurrence.build_table(size, min(cfg.k, cfg.l)))
     if kind == "patched":
         return analytic.assemble_patched_thresholds(cfg.epsilon, size, cfg.w, cfg.tol)
     raise ValueError(f"unknown threshold kind {kind!r}")
@@ -216,8 +216,7 @@ def _cmd_thresholds(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_dp(cfg: Namespace) -> tuple[list, list, dict, str]:
-    size = max(cfg.k, cfg.l)
-    thr = _threshold_table(cfg, size)
+    thr = _threshold_table(cfg)
     table = lattice.dp_min_weight(cfg.k, cfg.l, thr, exponent=cfg.mode)
     corner = table.neglog(cfg.k, cfg.l)
     return (
@@ -230,8 +229,7 @@ def _cmd_dp(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_ramsey(cfg: Namespace) -> tuple[list, list, dict, str]:
-    size = max(cfg.k, cfg.l)
-    thr = _threshold_table(cfg, size)
+    thr = _threshold_table(cfg)
     table = lattice.ramsey_table(cfg.k, cfg.l, thr)
     k, l, bits = _table_columns(table.table[1:, 1:])
     # Python's pow once per distinct value: np.power and np.exp2 can differ

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -34,28 +35,34 @@ def _recurrence_cell(idx, below):
     one wavefront hyperplane.  The q neighbours are folded left to right,
     the same arithmetic for every q, so the two-colour table is a true
     slice of the q-colour one, bit for bit."""
-    mu = np.max(idx, axis=0)
+    mu = reduce(np.maximum, idx)
     acc = below[0] / mu
     for nb in below[1:]:
         acc = np.logaddexp(acc, nb / mu)
     return mu * acc
 
 
-def build_table(t_max: int) -> BoundTable:
-    """Fill the optimal-threshold recurrence up to (t_max, t_max).
+def build_table(t_max: int, cols: int | None = None) -> BoundTable:
+    """Fill the optimal-threshold recurrence up to (t_max, cols), ``cols``
+    defaulting to t_max.
 
     Returns a mode-"max" table of negLog values; boundary rows are 0
-    (value 1).  One vectorised step per anti-diagonal.  The fill raises
+    (value 1).  One vectorised step per anti-diagonal.  mu is the larger
+    index of each cell itself, so a thin table is the top-left block of
+    the square one, bit for bit.  The fill raises
     :class:`BudgetExceeded`, naming the shape, before allocating more
     than ``CELL_BUDGET`` cells.
     """
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
-    neg = wavefront_fill((t_max + 1, t_max + 1), _recurrence_cell)
+    cols = t_max if cols is None else cols
+    if not 1 <= cols <= t_max:
+        raise ValueError(f"cols must lie in [1, t_max], got {cols}")
+    neg = wavefront_fill((t_max + 1, cols + 1), _recurrence_cell)
     return BoundTable(
         mode="max",
         rows=t_max,
-        cols=t_max,
+        cols=cols,
         provenance="optimal-recurrence",
         table=neg,
     )
@@ -68,16 +75,22 @@ def optimal_thresholds(table: BoundTable) -> ThresholdSequence:
     is t = 1 / (1 + exp(z)) = exp(-logaddexp(0, z)), which cannot overflow,
     with z = (L_{i-1,j} - L_{i,j-1}) / mu on the negLog table L (mu = i on
     the lower wedge), computed from L whenever a cell is read.  Column 1
-    is left undefined: boundary cells carry no branch to balance.
+    is left undefined: boundary cells carry no branch to balance.  So is
+    every column past ``table.cols`` of a thin table (see
+    :func:`build_table`), which serves the DPs whose shorter side is at
+    most ``table.cols``.
     """
-    if table.mode != "max" or table.rows != table.cols:
-        raise ValueError("optimal thresholds need a square mode-'max' table")
-    neg = table.table
+    if table.mode != "max" or table.rows < table.cols:
+        raise ValueError("optimal thresholds need a mode-'max' table with rows >= cols")
+    cols = table.cols
+    flat, width = table.table.ravel(), cols + 1
 
     def at(i, j):
-        z = (neg[i - 1, j] - neg[i, j - 1]) / i
+        # flat index of L[i, j], or of L[i, cols] for an undefined j > cols
+        cell = i * width + np.minimum(j, cols)
+        z = (flat[cell - width] - flat[cell - 1]) / i
         t = np.where(j == 1, np.nan, np.exp(-np.logaddexp(0.0, z)))
-        return np.where(i == j, 0.5, t)
+        return np.where(j > cols, np.nan, np.where(i == j, 0.5, t))
 
     return ThresholdSequence(table.rows, "optimal", at)
 

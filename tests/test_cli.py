@@ -213,11 +213,14 @@ def reference_artifact(argv) -> str:
         extras = {"w": cfg.w if cfg.w is not None else analytic.default_patch_width(cfg.t_max)}
     elif cfg.subcommand == "dp":
         columns = ["k", "l", "neglog_value"]
-        thr = _threshold_table(cfg, max(cfg.k, cfg.l))
+        if cfg.thresholds == "optimal":  # from the full square recurrence
+            thr = recurrence.optimal_thresholds(recurrence.build_table(max(cfg.k, cfg.l)))
+        else:
+            thr = _threshold_table(cfg)
         rows = _table_rows(lattice.dp_min_weight(cfg.k, cfg.l, thr, exponent=cfg.mode))
     elif cfg.subcommand == "ramsey":
         columns = ["k", "l", "value"]
-        table = lattice.ramsey_table(cfg.k, cfg.l, _threshold_table(cfg, max(cfg.k, cfg.l)))
+        table = lattice.ramsey_table(cfg.k, cfg.l, _threshold_table(cfg))
         rows = [(k, l, table.value(k, l)) for k, l, _ in _table_rows(table)]
     elif cfg.subcommand == "multicolor":
         columns = [f"i{d + 1}" for d in range(cfg.q)] + ["neglog_value"]
@@ -248,6 +251,9 @@ _TABLE_CALLS = [
         for mode in ("a", "b", "max")
         for kind in ("uniform", "erdos-szekeres", "optimal", "patched")
     ],
+    # thin optimal DPs fill only the recurrence block they read
+    ("dp", "--k", "300", "--l", "37", "--thresholds", "optimal"),
+    ("dp", "--k", "37", "--l", "300", "--thresholds", "optimal"),
     ("ramsey", "--k", "100", "--l", "90", "--thresholds", "uniform"),
     ("ramsey", "--k", "100", "--l", "90", "--thresholds", "erdos-szekeres"),
     ("multicolor", "--q", "3", "--t-max", "21"),
@@ -274,7 +280,10 @@ class TestColumnWriter:
         other_nan = np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
         signalling_nan = np.array([0x7FF0_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
         floats = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e16, 1e-5, 5e-324, 2.0**1023, other_nan,
-                  signalling_nan, -2.2250738585072014e-308]
+                  signalling_nan, -2.2250738585072014e-308, 9999999999999998.0, 1e-4,
+                  123456789012345680.0, 1743829569681555.2, -np.nan, 1.7976931348623157e308]
+        random_bits = np.random.default_rng(5).integers(0, 2**64, 4000, dtype=np.uint64)
+        floats += random_bits.view(np.float64).tolist()
         # a NUL in a list cell is text like any other, not padding
         mixed = [Fraction(1, 3), "0x3bc", 7, 1.5, float("nan"), "\0nul\0"]
         data = [
@@ -400,6 +409,17 @@ class TestExitCodes:
         short_rows = Path("short.csv").read_text().splitlines()[2:]
         assert len(long_rows) == 4472 * 2
         assert long_rows[: len(short_rows)] == short_rows
+
+    @pytest.mark.parametrize("k, l", [(300, 2), (2, 300), (4472, 2), (2, 4472)])
+    def test_thin_optimal_dp_reads_a_thin_recurrence(self, capsys, k, l):
+        # (4472 + 1)^2 cells would be refused; the DP reads a 4473 x 3 block
+        argv = ["dp", "--k", str(k), "--l", str(l), "--thresholds", "optimal"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        text = Path("dp.csv").read_text()
+        assert len(text.splitlines()) == 2 + k * l
+        if max(k, l) < 1000:  # the square reference is cheap here
+            assert text == reference_artifact(argv)
 
     def test_crosscheck_disagreement_exits_three(self, capsys):
         code, out, err = run(

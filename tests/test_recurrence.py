@@ -137,6 +137,40 @@ class TestOptimalThresholds:
         with pytest.raises(OutOfRange):
             thr.lookup(5, 1)
 
+    @pytest.mark.parametrize("rows, cols", [(60, 1), (60, 2), (60, 17), (59, 59)])
+    def test_thin_table_is_top_left_block(self, rows, cols):
+        square = build_table(60).table
+        thin = build_table(rows, cols)
+        assert (thin.rows, thin.cols) == (rows, cols)
+        assert np.array_equal(
+            thin.table.view(np.int64), square[: rows + 1, : cols + 1].view(np.int64)
+        )
+
+    def test_thin_table_refuses_more_columns_than_rows(self):
+        with pytest.raises(ValueError):
+            build_table(10, 11)
+        with pytest.raises(ValueError):
+            build_table(10, 0)
+
+    def test_thin_thresholds_match_square_inside(self, table50):
+        thin, square = optimal_thresholds(build_table(50, 9)), optimal_thresholds(table50)
+        for i in range(2, 51):
+            for j in range(2, min(i, 9) + 1):
+                assert thin.lookup(i, j) == square.lookup(i, j)
+                assert thin.lookup(j, i) == square.lookup(j, i)
+        for k, l in [(50, 9), (9, 50)]:  # the DPs the block serves
+            assert np.array_equal(
+                dp_min_weight(k, l, thin).table, dp_min_weight(k, l, square).table
+            )
+
+    @pytest.mark.parametrize("i, j", [(50, 10), (10, 50), (10, 10), (50, 50), (12, 11)])
+    def test_thin_thresholds_undefined_outside(self, i, j):
+        thr = optimal_thresholds(build_table(50, 9))
+        with pytest.raises(OutOfRange):
+            thr.lookup(i, j)
+        with pytest.raises(OutOfRange):  # a DP reading past the block
+            dp_min_weight(i, j, thr)
+
     def test_requires_square_max_table(self, table50):
         from ramseymult.lattice import ramsey_table
 
