@@ -38,7 +38,6 @@ from .lattice import (
 from .numerics import (
     BudgetExceeded,
     Degenerate,
-    LogValue,
     NoBracket,
     SingularField,
     Trajectory,

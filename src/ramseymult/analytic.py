@@ -33,9 +33,6 @@ from .numerics import (
     integrate,
 )
 
-#: default epsilon ladder for the limit study, largest first
-DEFAULT_EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-
 _DENOMINATOR_FLOOR = -1e-12
 
 
@@ -45,6 +42,21 @@ class InvalidEpsilon(Exception):
 
 class Overflow(Exception):
     """A patch entry left (0, 1)."""
+
+
+def epsilon_ladder(eps_min: float) -> tuple[float, ...]:
+    """Decades from 1e-2 down to, and including, eps_min.  Each decade is
+    1 / 10**d, which rounds to the same double as the literal 1e-d."""
+    if not 0.0 < eps_min < 1.0:
+        raise ValueError(f"eps-min must lie in (0, 1), got {eps_min!r}")
+    d = 2
+    while 1 / 10**d > eps_min * (1.0 + 1e-9):
+        d += 1
+    return tuple(1 / 10**e for e in range(2, d)) + (eps_min,)
+
+
+#: default epsilon ladder for the limit study, largest first
+DEFAULT_EPSILONS = epsilon_ladder(1e-7)
 
 
 def threshold_field(x: float, y: float) -> float:

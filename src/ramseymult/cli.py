@@ -7,17 +7,19 @@ line in CSV and a top-level key in JSON, so results are reproducible from
 the file alone.  Outputs are byte-deterministic for a fixed configuration.
 
 Exit codes: 0 on success, 2 for validation problems (bad arguments,
-out-of-range queries, refused sizes), 3 for numeric failures (singular
-fields, lost brackets, degenerate fits, blown budgets of the solvers,
-values beyond float range).
+out-of-range queries, refused sizes, an unwritable ``--out``), 3 for
+numeric failures (singular fields, lost brackets, degenerate fits, blown
+budgets of the solvers, values beyond float range).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from argparse import ArgumentParser, Namespace
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +160,16 @@ def _emit(cfg: Namespace, columns: list[str], data: list, extras: dict) -> str:
     return cfg.out
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that is a directory or lies in a missing one,
+    before any work is done; the file itself is not touched."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path}: no directory {parent}")
+
+
 def _threshold_table(cfg: Namespace):
     """The --thresholds table of a --k x --l DP; only ``patched`` reads
     --epsilon, --w, --tol.  ``optimal`` fills only the recurrence's
@@ -172,19 +184,6 @@ def _threshold_table(cfg: Namespace):
     if kind == "patched":
         return analytic.assemble_patched_thresholds(cfg.epsilon, size, cfg.w, cfg.tol)
     raise ValueError(f"unknown threshold kind {kind!r}")
-
-
-def _epsilon_ladder(eps_min: float) -> list[float]:
-    """Decades from 1e-2 down to, and including, eps_min."""
-    if not 0.0 < eps_min < 1.0:
-        raise ValueError(f"eps-min must lie in (0, 1), got {eps_min!r}")
-    ladder = []
-    e = 1e-2
-    while e > eps_min * (1.0 + 1e-9):
-        ladder.append(e)
-        e /= 10.0
-    ladder.append(eps_min)
-    return ladder
 
 
 def _table_columns(values: np.ndarray) -> list[np.ndarray]:
@@ -263,7 +262,7 @@ def _cmd_ode(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_constants(cfg: Namespace) -> tuple[list, list, dict, str]:
-    est = analytic.estimate_limit_constants(_epsilon_ladder(cfg.eps_min), cfg.tol)
+    est = analytic.estimate_limit_constants(analytic.epsilon_ladder(cfg.eps_min), cfg.tol)
     extras = {
         "t1_limit": est.t1_limit,
         "c": est.c,
@@ -362,7 +361,7 @@ def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
     return (
         ["n", "t", "samples", "mean_fraction", "expected_fraction", "stderr", "min_count"],
         [[v] for v in row],
-        {"report": rep.to_payload()} if cfg.format == "json" else {},
+        {"report": asdict(rep)} if cfg.format == "json" else {},
         f"sampled mono fraction {rep.mean_fraction:.6f} vs expected "
         f"{rep.expected_fraction:.6f} (stderr {rep.stderr:.2e})",
     )
@@ -370,7 +369,7 @@ def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 def _cmd_crosscheck(cfg: Namespace) -> tuple[list, list, dict, str]:
     rec_est = recurrence.estimate_growth_constant(recurrence.build_table(cfg.t_max))
-    ode_est = analytic.estimate_limit_constants(_epsilon_ladder(cfg.eps_min), cfg.tol)
+    ode_est = analytic.estimate_limit_constants(analytic.epsilon_ladder(cfg.eps_min), cfg.tol)
     diff = abs(rec_est.c - ode_est.c)
     data = [
         ["recurrence", "ode"],
@@ -496,8 +495,13 @@ def main(argv=None) -> int:
     cfg = parser.parse_args(argv)
     cfg.out = cfg.out or f"{cfg.subcommand}.{cfg.format}"
     try:
+        _check_out(cfg.out)
         columns, data, extras, summary = _HANDLERS[cfg.subcommand](cfg)
         path = _emit(cfg, columns, data, extras)
+    except OSError as exc:  # from _emit: the handlers touch no file
+        msg = f"ramseymult {cfg.subcommand}: cannot write --out {cfg.out}: {exc}"
+        print(msg, file=sys.stderr)
+        return 2
     except _VALIDATION_ERRORS as exc:
         print(f"ramseymult {cfg.subcommand}: invalid request: {exc}", file=sys.stderr)
         return 2

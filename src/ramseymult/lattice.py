@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import LogValue, check_cells, wavefront_fill
+from .numerics import check_cells, wavefront_fill
 
 EXPONENT_MODES = ("a", "b", "max")
 
@@ -255,9 +255,6 @@ class BoundTable:
         v = float(self.table[k, l])
         return -v * math.log(2.0) if self.mode == "ramsey" else v
 
-    def logvalue(self, k: int, l: int) -> LogValue:
-        return LogValue(self.neglog(k, l))
-
     def value(self, k: int, l: int) -> float:
         """Decoded value; OverflowError, naming the cell, when a "ramsey"
         entry exceeds float range."""
@@ -280,23 +277,24 @@ def _step_exponent(mode: str, a, b):
 
 def path_weight(
     path: LatticePath, thresholds: ThresholdSequence, exponent: str = "max"
-) -> LogValue:
-    """Product over steps of s_i raised to the per-cell exponent.
+) -> float:
+    """negLog of the product over steps of s_i raised to the per-cell
+    exponent.
 
     s_i is t_{a_i,b_i} for a b-increment and 1 - t_{a_i,b_i} for an
     a-increment, all read in one call.  A path with no steps has weight
-    exactly 1.
+    exactly 1, negLog 0.0.
     """
     if exponent not in EXPONENT_MODES:
         raise ValueError(f"unknown exponent mode {exponent!r}")
     if len(path.points) == 1:
-        return LogValue(0.0)
+        return 0.0
     if max(path.endpoint) > thresholds.size:
         raise OutOfRange(f"{path.endpoint} needs thresholds beyond size {thresholds.size}")
     a, b, b_inc = np.array(list(path.steps())).T
     t = thresholds._evaluate(a, b)
     s = np.where(b_inc, t, 1.0 - t)
-    return LogValue(float(np.sum(_step_exponent(exponent, a, b) * -np.log(s))))
+    return float(np.sum(_step_exponent(exponent, a, b) * -np.log(s)))
 
 
 def _max_plus_fill(

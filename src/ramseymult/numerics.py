@@ -1,10 +1,9 @@
-"""Shared numeric kernels: log-domain scalars, the wavefront table fill,
-an adaptive ODE solver, bisection, and quadratic growth fits.
+"""Shared numeric kernels: the wavefront table fill, an adaptive ODE
+solver, bisection, and quadratic growth fits.
 
 Everything downstream manipulates quantities that shrink like 2^(-t^2), so
-the canonical scalar here is a negated natural log.  A plain float holding
--ln(x) stays exact long after x itself underflows; ``LogValue`` wraps that
-float with products and powers that never leave the log domain.
+every density is carried as a plain float negLog, -ln(x), which stays exact
+long after x itself underflows.  A larger negLog is a smaller density.
 """
 
 from __future__ import annotations
@@ -41,62 +40,6 @@ def check_cells(cells: int, what: str) -> None:
     which ``what`` names, is allocated over ``CELL_BUDGET``."""
     if cells > CELL_BUDGET:
         raise BudgetExceeded(f"{what} = {cells} cells exceeds the budget of {CELL_BUDGET}")
-
-
-#: negLog encoding of the value 0 (exp(-inf) == 0).
-NEGLOG_ZERO = math.inf
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A non-negative real stored as -ln(value).
-
-    Construct with :meth:`from_value` or directly from a negLog float.
-    Ordering follows the represented values, so a *larger* neglog means a
-    *smaller* LogValue.
-    """
-
-    neglog: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.neglog):
-            raise ValueError("negLog must not be NaN")
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogValue":
-        if value < 0:
-            raise ValueError(f"LogValue requires a non-negative value, got {value}")
-        return cls(NEGLOG_ZERO if value == 0 else -math.log(value))
-
-    @property
-    def value(self) -> float:
-        """Decode back to a plain float; underflows to 0.0 past ~745."""
-        return math.exp(-self.neglog)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.neglog == math.inf or other.neglog == math.inf:
-            return LogValue(NEGLOG_ZERO)
-        return LogValue(self.neglog + other.neglog)
-
-    def __pow__(self, exponent: float) -> "LogValue":
-        if self.neglog == math.inf:
-            if exponent <= 0:
-                raise ValueError("0 cannot be raised to a non-positive power")
-            return LogValue(NEGLOG_ZERO)
-        return LogValue(self.neglog * exponent)
-
-    # value ordering, hence reversed on the stored neglog
-    def __lt__(self, other: "LogValue") -> bool:
-        return self.neglog > other.neglog
-
-    def __le__(self, other: "LogValue") -> bool:
-        return self.neglog >= other.neglog
-
-    def __gt__(self, other: "LogValue") -> bool:
-        return self.neglog < other.neglog
-
-    def __ge__(self, other: "LogValue") -> bool:
-        return self.neglog <= other.neglog
 
 
 def wavefront_fill(

@@ -317,20 +317,6 @@ class SampleReport:
     min_count: int
     exact_floor: int | None  # exhaustive kmin when available
 
-    def to_payload(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "samples": self.samples,
-            "seed": self.seed,
-            "complemented": self.complemented,
-            "mean_fraction": self.mean_fraction,
-            "expected_fraction": self.expected_fraction,
-            "stderr": self.stderr,
-            "min_count": self.min_count,
-            "exact_floor": self.exact_floor,
-        }
-
 
 def _sample_blocks(seed: int, samples: int, m: int) -> Iterator[np.ndarray]:
     """The uniform (samples, m) 0/1 uint8 draw of ``seed``, _SAMPLE_BLOCK

@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .lattice import BoundTable, ThresholdSequence
-from .numerics import LogValue, fit_quadratic_leading, wavefront_fill
+from .numerics import fit_quadratic_leading, wavefront_fill
 
 
 class WindowTooSmall(Exception):
@@ -225,13 +225,14 @@ def _ln_binom_4t_choose_t(t: int) -> float:
 
 @dataclass(frozen=True)
 class ClassicalBounds:
-    """The four comparable densities for monochromatic t-cliques."""
+    """The four comparable densities for monochromatic t-cliques, as negLog
+    floats: a larger negLog is a smaller density."""
 
     t: int
-    upper_random: LogValue  # 2^(1 - C(t,2)), from uniformly random colourings
-    lower_ramsey: LogValue  # 1 / C(4^t, t), via Ramsey number bounds
-    lower_uniform: LogValue  # 2^-(t(t-2) + C(t+1,2)), uniform thresholds
-    lower_recurrence: LogValue  # M_{t,t}, optimal thresholds
+    upper_random: float  # 2^(1 - C(t,2)), from uniformly random colourings
+    lower_ramsey: float  # 1 / C(4^t, t), via Ramsey number bounds
+    lower_uniform: float  # 2^-(t(t-2) + C(t+1,2)), uniform thresholds
+    lower_recurrence: float  # M_{t,t}, optimal thresholds
 
 
 def classical_bounds(t: int, table: BoundTable | None = None) -> ClassicalBounds:
@@ -245,8 +246,8 @@ def classical_bounds(t: int, table: BoundTable | None = None) -> ClassicalBounds
     ln2 = math.log(2.0)
     return ClassicalBounds(
         t=t,
-        upper_random=LogValue((math.comb(t, 2) - 1) * ln2),
-        lower_ramsey=LogValue(_ln_binom_4t_choose_t(t)),
-        lower_uniform=LogValue((t * (t - 2) + math.comb(t + 1, 2)) * ln2),
-        lower_recurrence=table.logvalue(t, t),
+        upper_random=(math.comb(t, 2) - 1) * ln2,
+        lower_ramsey=_ln_binom_4t_choose_t(t),
+        lower_uniform=(t * (t - 2) + math.comb(t + 1, 2)) * ln2,
+        lower_recurrence=table.neglog(t, t),
     )

@@ -111,7 +111,7 @@ def test_criterion_4_dp_equals_path_enumeration():
             )
             dp = dp_min_weight(7, 7, thr, exponent="max")
             for (k, l), plist in paths.items():
-                brute = max(path_weight(p, thr, "max").neglog for p in plist)
+                brute = max(path_weight(p, thr, "max") for p in plist)
                 got = dp.neglog(k, l)
                 assert abs(got - brute) <= 1e-10 * max(1.0, abs(brute)), (
                     seed,

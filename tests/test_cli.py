@@ -14,7 +14,6 @@ from ramseymult import analytic, cli, lattice, recurrence
 from ramseymult.cli import (
     _BLOCK_ROWS,
     _emit,
-    _epsilon_ladder,
     _table_columns,
     _threshold_table,
     build_parser,
@@ -436,6 +435,33 @@ class TestExitCodes:
         assert code == 2 and "403200000 bytes" in err
         assert not any(in_tmp.iterdir())
 
+    @pytest.mark.parametrize(
+        "out, why", [(".", "is a directory"), ("missing/x.csv", "no directory missing")]
+    )
+    def test_unwritable_out_exits_two_before_work(self, capsys, monkeypatch, out, why):
+        def never(cfg):
+            raise AssertionError("handler ran")
+
+        monkeypatch.setitem(cli._HANDLERS, "recurrence", never)
+        code, out_text, err = run(capsys, "recurrence", "--out", out)
+        assert code == 2 and out_text == ""
+        assert err.count("\n") == 1 and why in err
+
+    def test_write_failure_exits_two(self, capsys, monkeypatch, in_tmp):
+        # the directory goes away while the handler runs
+        (in_tmp / "gone").mkdir()
+        real = cli._HANDLERS["alpha"]
+
+        def remove_then_run(cfg):
+            (in_tmp / "gone").rmdir()
+            return real(cfg)
+
+        monkeypatch.setitem(cli._HANDLERS, "alpha", remove_then_run)
+        code, out, err = run(capsys, "alpha", "--t", "5", "--out", "gone/a.csv")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "cannot write --out gone/a.csv" in err
+        assert not any(in_tmp.iterdir())
+
     def test_argparse_rejects_unknown(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dp", "--bogus", "1"])
@@ -444,11 +470,30 @@ class TestExitCodes:
 
 class TestLadder:
     def test_decades(self):
-        assert _epsilon_ladder(1e-4) == [1e-2, 1e-3, 1e-4]
-        assert _epsilon_ladder(3e-4) == [1e-2, 1e-3, 3e-4]
-        assert _epsilon_ladder(1e-2) == [1e-2]
-        assert _epsilon_ladder(0.5) == [0.5]
+        ladder = analytic.epsilon_ladder
+        assert ladder(1e-4) == (1e-2, 1e-3, 1e-4)
+        assert ladder(3e-4) == (1e-2, 1e-3, 3e-4)
+        assert ladder(1e-2) == (1e-2,)
+        assert ladder(0.5) == (0.5,)
+        # every decade is the literal: dividing by 10.0 again and again
+        # drifts, 1e-2 / 10 / 10 / 10 / 10 != 1e-6
+        assert ladder(1e-7) == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+        assert ladder(1e-7) == analytic.DEFAULT_EPSILONS
+        assert ladder(1e-9) == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
+        assert ladder(1e-11) == (
+            1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11
+        )
+        assert ladder(3e-7) == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 3e-7)
+        assert ladder(0.05) == (0.05,)
+
+    def test_constants_writes_the_literals(self, capsys):
+        code, _, _ = run(capsys, "constants", "--tol", "1e-9")
+        assert code == 0
+        rows = Path("constants.csv").read_text().splitlines()[5:]
+        assert [r.split(",")[0] for r in rows] == [
+            "0.01", "0.001", "0.0001", "1e-05", "1e-06", "1e-07"
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            _epsilon_ladder(0.0)
+            analytic.epsilon_ladder(0.0)

@@ -424,17 +424,33 @@ class TestPathWeight:
         u = ThresholdSequence.uniform(5)
         p = LatticePath(((2, 1), (2, 2), (3, 2), (3, 3)))
         # exponents 2, 3, 3 with every factor 1/2
-        assert math.isclose(path_weight(p, u).neglog, 8 * math.log(2), rel_tol=1e-14)
+        assert math.isclose(path_weight(p, u), 8 * math.log(2), rel_tol=1e-14)
         single = LatticePath(((5, 1),))
-        assert path_weight(single, u).neglog == 0.0
+        assert path_weight(single, u) == 0.0
 
     def test_modes_differ(self):
         u = ThresholdSequence.uniform(4)
         p = LatticePath(((1, 2), (2, 2), (2, 3)))
         ln2 = math.log(2)
-        assert math.isclose(path_weight(p, u, "a").neglog, 4 * ln2, rel_tol=1e-14)
-        assert math.isclose(path_weight(p, u, "b").neglog, 5 * ln2, rel_tol=1e-14)
-        assert math.isclose(path_weight(p, u, "max").neglog, 5 * ln2, rel_tol=1e-14)
+        assert math.isclose(path_weight(p, u, "a"), 4 * ln2, rel_tol=1e-14)
+        assert math.isclose(path_weight(p, u, "b"), 5 * ln2, rel_tol=1e-14)
+        assert math.isclose(path_weight(p, u, "max"), 5 * ln2, rel_tol=1e-14)
+
+    def test_prefixes_add_step_neglogs(self):
+        # a product of factors is a sum of negLogs: under uniform thresholds
+        # each step through (a, b) adds its exponent times ln 2
+        u = ThresholdSequence.uniform(6)
+        ln2 = math.log(2)
+        exps = {"a": lambda a, b: a, "b": lambda a, b: b, "max": max}
+        for mode, e in exps.items():
+            for p in enumerate_paths(6, 5):
+                weights = [
+                    path_weight(LatticePath(p.points[: i + 1]), u, mode)
+                    for i in range(len(p.points))
+                ]
+                assert weights[0] == 0.0
+                for (a, b), lo, hi in zip(p.points[1:], weights, weights[1:]):
+                    assert math.isclose(hi - lo, e(a, b) * ln2, rel_tol=1e-12)
 
     def test_unknown_mode(self):
         u = ThresholdSequence.uniform(4)
@@ -464,7 +480,7 @@ class TestMinWeightDP:
             for k in range(2, 8):
                 for l in range(2, 8):
                     brute = max(
-                        path_weight(p, thr, mode).neglog
+                        path_weight(p, thr, mode)
                         for p in enumerate_paths(k, l)
                     )
                     assert math.isclose(
@@ -593,7 +609,6 @@ class TestBoundTable:
         u = ThresholdSequence.uniform(5)
         dp = dp_min_weight(5, 5, u)
         assert math.isclose(dp.value(4, 4), math.exp(-dp.neglog(4, 4)), rel_tol=1e-15)
-        assert dp.logvalue(4, 4).neglog == dp.neglog(4, 4)
         rt = ramsey_table(5, 5, u)
         assert math.isclose(rt.neglog(4, 4), -math.log(rt.value(4, 4)), rel_tol=1e-15)
 

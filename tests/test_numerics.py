@@ -1,4 +1,4 @@
-"""Log-domain arithmetic, the adaptive integrator, bisection, fits."""
+"""The wavefront fill, the adaptive integrator, bisection, fits."""
 
 import math
 
@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from ramseymult.numerics import (
-    NEGLOG_ZERO,
     Degenerate,
-    LogValue,
     NoBracket,
     SingularField,
     Trajectory,
@@ -17,39 +15,6 @@ from ramseymult.numerics import (
     integrate,
     wavefront_fill,
 )
-
-
-class TestLogValue:
-    def test_round_trip(self):
-        for v in np.logspace(-300, 0, 40):
-            lv = LogValue.from_value(float(v))
-            assert math.isclose(lv.value, v, rel_tol=1e-12)
-
-    def test_zero_encoding(self):
-        z = LogValue.from_value(0.0)
-        assert z.neglog == NEGLOG_ZERO
-        assert z.value == 0.0
-
-    def test_rejects_negative_and_nan(self):
-        with pytest.raises(ValueError):
-            LogValue.from_value(-1.0)
-        with pytest.raises(ValueError):
-            LogValue(float("nan"))
-
-    def test_ordering_follows_values(self):
-        small = LogValue.from_value(1e-30)
-        big = LogValue.from_value(0.5)
-        assert small < big
-        assert big > small
-        assert small <= small
-        assert LogValue.from_value(0.0) < small
-
-    def test_mul_and_pow(self):
-        a = LogValue.from_value(0.25)
-        b = LogValue.from_value(0.5)
-        assert math.isclose((a * b).value, 0.125, rel_tol=1e-14)
-        assert math.isclose((b ** 3).value, 0.125, rel_tol=1e-14)
-        assert (a * LogValue.from_value(0.0)).neglog == NEGLOG_ZERO
 
 
 def _index_weighted_paths(idx, below):

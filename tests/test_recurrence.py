@@ -291,14 +291,23 @@ class TestUniformExponents:
 class TestClassicalBounds:
     def test_hand_values_t3(self, table50):
         cb = classical_bounds(3, table50)
-        assert math.isclose(cb.upper_random.value, 0.25, rel_tol=1e-14)
+        assert math.isclose(math.exp(-cb.upper_random), 0.25, rel_tol=1e-14)
         assert math.isclose(
-            cb.lower_ramsey.value, 1 / math.comb(64, 3), rel_tol=1e-12
+            math.exp(-cb.lower_ramsey), 1 / math.comb(64, 3), rel_tol=1e-12
         )
-        assert math.isclose(cb.lower_uniform.value, 2.0 ** -9, rel_tol=1e-12)
+        assert math.isclose(math.exp(-cb.lower_uniform), 2.0 ** -9, rel_tol=1e-12)
         assert math.isclose(
-            cb.lower_recurrence.value, table50.value(3, 3), rel_tol=1e-14
+            math.exp(-cb.lower_recurrence), table50.value(3, 3), rel_tol=1e-14
         )
+
+    def test_fields_are_neglog_floats(self, table50):
+        for t in (2, 3, 17, 50):
+            cb = classical_bounds(t, table50)
+            for x in (
+                cb.upper_random, cb.lower_ramsey, cb.lower_uniform, cb.lower_recurrence
+            ):
+                assert type(x) is float and 0.0 <= x < math.inf, (t, x)
+            assert cb.lower_recurrence == table50.neglog(t, t)
 
     def test_ln_binomial_against_exact(self):
         for t in range(2, 9):
@@ -314,8 +323,9 @@ class TestClassicalBounds:
     def test_sandwich_and_improvement(self, table50):
         for t in range(2, 51):
             cb = classical_bounds(t, table50)
-            assert cb.lower_uniform <= cb.lower_recurrence <= cb.upper_random
-            assert cb.lower_recurrence > cb.lower_ramsey
+            # negLogs: a larger negLog is a smaller density
+            assert cb.lower_uniform >= cb.lower_recurrence >= cb.upper_random
+            assert cb.lower_recurrence < cb.lower_ramsey
 
     def test_validation(self, table50):
         with pytest.raises(ValueError):
