@@ -118,13 +118,17 @@ def estimate_limit_constants(
 ) -> AnalyticConstants:
     """Solve the ODE along an epsilon ladder and report the limit and C.
 
-    The ladder must be strictly decreasing within (0, 1).  The error bar
-    is the spread of the last three endpoints; by 1e-5 it sits near the
+    The ladder must hold at least two rungs, strictly decreasing within
+    (0, 1): one endpoint has no spread to report.  The error bar is the
+    spread of the last three endpoints; by 1e-5 it sits near the
     integrator noise floor rather than the true epsilon sensitivity.
     """
     eps_list = list(DEFAULT_EPSILONS if epsilons is None else epsilons)
-    if not eps_list:
-        raise InvalidEpsilon("epsilon ladder is empty")
+    if len(eps_list) < 2:
+        raise InvalidEpsilon(
+            f"epsilon ladder needs at least two rungs for an error bar, "
+            f"got {len(eps_list)}"
+        )
     for e in eps_list:
         if not 0.0 < e < 1.0:
             raise InvalidEpsilon(f"ladder entry {e!r} outside (0, 1)")

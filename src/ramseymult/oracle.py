@@ -2,14 +2,19 @@
 
 A two-colouring of K_n is a bitmask over the C(n, 2) edges in
 lexicographic order ((0,1), (0,2), ..., (n-2,n-1)); bit set means red.
-For n <= 8 the full space is enumerable once two symmetries are spent:
-swapping colours complements the mask, so only masks with edge (0,1) red
+For n <= 8 the full space is enumerable once symmetries are spent.
+Swapping colours complements the mask, so only masks with edge (0,1) red
 are scanned, and the reported witness is the lexicographically smallest
-mask among the achievers and their complements.
+mask among the achievers and their complements.  Relabelling vertices
+1..n-1 fixes vertex 0's red neighbours to 1..d, and with the colour swap
+d >= n // 2, so the minimum is taken over those star-canonical masks
+alone (1/16 of them at n = 8); the witness search then reads only the
+row blocks at each end that reach it, and checks each against it.
 
 Counting is done twice by unrelated methods (per-subset mask tests and
-adjacency-bitset clique recursion) so each can vouch for the other.  The
-exhaustive scan is a third: one float32 matrix product over mask halves.
+adjacency-bitset clique recursion) so each can vouch for the other, and
+a third time for triangles by Goodman's degree identity.  The exhaustive
+scan is another: float32 matrix products over mask halves.
 """
 
 from __future__ import annotations
@@ -169,6 +174,27 @@ def count_mono_cliques_fast(coloring: ColoringRecord, t: int) -> tuple[int, int]
     return int(red[0]), int(blue[0])
 
 
+def _canonical_columns(n: int, low: int) -> np.ndarray:
+    """Low parts x of the scan whose star at vertex 0 is canonical: red
+    neighbours 1..d for some d >= n // 2.  The star edges (0,2)..(0,n-1)
+    are the reduced mask's bits 0..n-3, and edge (0,1) is always red."""
+    xs = np.arange(1 << low)
+    stars = [(1 << (d - 1)) - 1 for d in range(n // 2, n)]
+    return np.flatnonzero(np.isin(xs & ((1 << (n - 2)) - 1), stars))
+
+
+def count_mono_triangles_by_degree(coloring: ColoringRecord) -> int:
+    """Red plus blue triangles by Goodman's degree identity: C(n, 3) minus
+    half the sum over vertices of red degree times blue degree, since a
+    mixed triangle has exactly two vertices that see both colours."""
+    n = coloring.n
+    degree = [0] * n
+    for u, v in coloring.red_edges():
+        degree[u] += 1
+        degree[v] += 1
+    return math.comb(n, 3) - sum(d * (n - 1 - d) for d in degree) // 2
+
+
 def _scan(n: int, t: int) -> tuple[int, int]:
     """(kmin, witness mask) over every colouring of K_n with edge (0,1) red.
 
@@ -179,8 +205,17 @@ def _scan(n: int, t: int) -> tuple[int, int]:
     counts each group's q that h covers or misses, T[:, x] holds x's
     [covers p] and [misses p].  Partial sums are integers <= C(n, t), so
     float32 is exact in any summation order and any BLAS thread count.
-    The witness is min(first achiever, complement of last achiever), the
-    lexicographic minimum since r ascends through the row-major blocks.
+
+    Two passes read these tables.  The first takes kmin over the columns
+    of :func:`_canonical_columns` only: relabelling vertices 1..n-1 and
+    swapping colours carry every colouring to one whose star at vertex 0
+    is canonical, with the same count.  The second finds the witness,
+    min(first achiever, complement of last achiever), the lexicographic
+    minimum: it multiplies full-width row blocks in ascending r up to the
+    first block that reaches kmin, then descending down to the first
+    such block, never below where the ascent stopped.  A block below
+    kmin, or no block at kmin, would refute the symmetry argument and
+    raises RuntimeError.
     """
     m = math.comb(n, 2)
     low = min(m - 1, _LOW_BITS)
@@ -200,16 +235,30 @@ def _scan(n: int, t: int) -> tuple[int, int]:
         tmat[g] = (xs & p) == p
         tmat[groups + g] = (xs & p) == 0
 
-    kmin, first, last = math.inf, 0, 0
-    for lo in range(0, len(hs), 1 << _BLOCK_BITS):
+    canon = tmat[:, _canonical_columns(n, low)]
+    rows = max(1, (1 << (_LOW_BITS + _BLOCK_BITS)) // canon.shape[1])
+    kmin = min((w[lo : lo + rows] @ canon).min() for lo in range(0, len(hs), rows))
+
+    def hits(lo: int) -> np.ndarray:
         counts = (w[lo : lo + (1 << _BLOCK_BITS)] @ tmat).ravel()
-        k = counts.min()
-        if k > kmin:
-            continue
-        hits = np.flatnonzero(counts == k) + (lo << low)
-        if k < kmin:
-            kmin, first = k, int(hits[0])
-        last = int(hits[-1])
+        if counts.min() < kmin:
+            raise RuntimeError("scan block beats the star-canonical minimum")
+        return np.flatnonzero(counts == kmin) + (lo << low)
+
+    starts = range(0, len(hs), 1 << _BLOCK_BITS)
+    for i, lo in enumerate(starts):
+        found = hits(lo)
+        if len(found):
+            break
+    else:
+        raise RuntimeError("no scan block reaches the star-canonical minimum")
+    first = int(found[0])
+    for lo in reversed(starts[i + 1 :]):
+        tail = hits(lo)
+        if len(tail):
+            found = tail
+            break
+    last = int(found[-1])
     return int(kmin), min((first << 1) | 1, ((1 << m) - 1) ^ ((last << 1) | 1))
 
 
@@ -253,10 +302,14 @@ def exact_min(
 ) -> MinimumReport:
     """Exhaustively minimise red + blue K_t counts over colourings of K_n.
 
-    One blocked matrix product scans every n <= 8; n = 8 (2^27 reduced
-    colourings) requires ``large=True`` and n > 8 always raises
-    :class:`TooLarge`.  Both clique counters recount the witness.
-    ``workers`` is ignored; perfbench/run.py passes it.
+    Blocked matrix products over the reduced colourings find the minimum
+    and then the witness (see :func:`_scan`): the minimum from the
+    colourings whose star at vertex 0 is canonical, the witness from as
+    few row blocks at each end as reach it, every block read checked
+    against the minimum.  n = 8 (2^27 reduced colourings) requires
+    ``large=True`` and n > 8 always raises :class:`TooLarge`.  Both
+    clique counters recount the witness, and at t = 3 so does Goodman's
+    degree identity.  ``workers`` is ignored; perfbench/run.py passes it.
     """
     if not 2 <= t <= n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
@@ -264,8 +317,13 @@ def exact_min(
 
     kmin, witness_mask = _scan(n, t)
     witness = ColoringRecord(n=n, red_mask=witness_mask).with_counts(t)
-    fast = sum(count_mono_cliques_fast(witness, t))
-    if witness.red_count + witness.blue_count != kmin or fast != kmin:
+    recounts = [
+        witness.red_count + witness.blue_count,
+        sum(count_mono_cliques_fast(witness, t)),
+    ]
+    if t == 3:
+        recounts.append(count_mono_triangles_by_degree(witness))
+    if any(k != kmin for k in recounts):
         raise RuntimeError("witness recount disagrees with scan minimum")
     return MinimumReport(
         n=n,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+from ramseymult import analytic
 from ramseymult.analytic import (
     DEFAULT_EPSILONS,
     AnalyticConstants,
@@ -135,6 +136,21 @@ class TestLimitConstants:
             estimate_limit_constants([1e-3, 1e-2])
         with pytest.raises(InvalidEpsilon):
             estimate_limit_constants([1e-2, 1e-2])
+
+    def test_one_rung_ladder_refused_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a refused ladder must not be solved")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(analytic, "solve_threshold_ode", no_solve)
+            for ladder in ([1e-2], [0.05], (1e-7,)):
+                with pytest.raises(InvalidEpsilon, match="at least two rungs"):
+                    estimate_limit_constants(ladder)
+        # two rungs are a spread of two endpoints, still allowed
+        est = estimate_limit_constants([1e-2, 1e-3])
+        assert est.error_bar == abs(
+            est.epsilon_series[0][1] - est.epsilon_series[1][1]
+        ) > 0.0
 
     def test_constant_from_limit_values(self):
         assert constant_from_limit(0.5) == 2.0

@@ -360,6 +360,22 @@ class TestExitCodes:
                            "--eps-min", "1e-3", "--tol", "1e-9")
         assert code == 3 and "numeric failure" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constants", "--eps-min", "0.05"),
+            ("constants", "--eps-min", "1e-2"),
+            ("crosscheck", "--t-max", "80", "--eps-min", "1e-2"),
+        ],
+    )
+    def test_one_rung_ladder_exits_two(self, capsys, in_tmp, argv):
+        # a ladder of one epsilon has no spread, so no honest error bar
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "invalid request" in err
+        assert "at least two rungs" in err
+        assert not any(in_tmp.iterdir())
+
     def test_ramsey_beyond_float_range_exits_three(self, capsys, in_tmp):
         # R[k,l] = 2**(k+l-3) first leaves float range at (427, 600)
         for fmt in ("csv", "json"):

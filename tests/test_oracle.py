@@ -17,6 +17,7 @@ from ramseymult.oracle import (
     _subset_masks,
     count_mono_cliques,
     count_mono_cliques_fast,
+    count_mono_triangles_by_degree,
     edge_list,
     exact_min,
     ratio_series,
@@ -125,6 +126,7 @@ class TestCounting:
             goodman = math.comb(n, 3) - mixed // 2
             assert sum(count_mono_cliques(rec, 3)) == goodman
             assert sum(count_mono_cliques_fast(rec, 3)) == goodman
+            assert count_mono_triangles_by_degree(rec) == goodman
 
     def test_subset_masks_cached_and_immutable(self):
         masks = _subset_masks(6, 3)
@@ -231,9 +233,38 @@ class TestExactMin:
                 assert (rep.kmin, rep.witness.red_mask) == reference_scan(n, t), (n, t)
 
     def test_n8_pinned(self):
-        for t, kmin, witness in ((3, 8, 0xF3E78), (4, 0, 0x4D08C0)):
+        for t, kmin, witness in (
+            (3, 8, 0xF3E78),
+            (4, 0, 0x4D08C0),
+            (5, 0, 0x46390),
+            (6, 0, 0x2187),
+            (7, 0, 0x83),
+            (8, 0, 0x1),
+        ):
             rep = exact_min(8, t, large=True)
             assert (rep.kmin, rep.witness.red_mask) == (kmin, witness)
+
+    def test_goodman_closed_form(self):
+        # Goodman (1959): k_3(n) = C(n,3) - floor((n/2) floor(((n-1)/2)^2))
+        for n in range(3, 9):
+            mixed = Fraction(n, 2) * math.floor(Fraction(n - 1, 2) ** 2)
+            goodman = math.comb(n, 3) - math.floor(mixed)
+            assert exact_min(n, 3, large=n == 8).kmin == goodman, n
+
+    def test_canonical_columns(self):
+        # n = 8: four stars (d = 4..7) times 2^7 free low bits
+        cols = oracle._canonical_columns(8, 13)
+        assert len(cols) == 512
+        assert set((cols & 63).tolist()) == {7, 15, 31, 63}
+        # n = 5 (reduced masks of 9 bits): stars d = 2, 3, 4 on bits 0..2
+        assert set((oracle._canonical_columns(5, 9) & 7).tolist()) == {1, 3, 7}
+
+    def test_symmetry_pass_guards_the_witness_search(self, monkeypatch):
+        # a selection that misses every achiever reports too large a
+        # minimum, which the full-width blocks of pass 2 refute
+        monkeypatch.setattr(oracle, "_canonical_columns", lambda n, low: np.array([0]))
+        with pytest.raises(RuntimeError, match="star-canonical minimum"):
+            exact_min(6, 3)
 
     def test_witness_recount_guards_the_scan(self, monkeypatch):
         with monkeypatch.context() as patch:
@@ -241,9 +272,15 @@ class TestExactMin:
             with pytest.raises(RuntimeError, match="witness recount"):
                 exact_min(5, 3)
         # either counter alone disagreeing is enough
-        monkeypatch.setattr(oracle, "count_mono_cliques_fast", lambda rec, t: (1, 0))
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "count_mono_cliques_fast", lambda rec, t: (1, 0))
+            with pytest.raises(RuntimeError, match="witness recount"):
+                exact_min(5, 3)
+        # and at t = 3 so is Goodman's degree identity
+        monkeypatch.setattr(oracle, "count_mono_triangles_by_degree", lambda rec: 1)
         with pytest.raises(RuntimeError, match="witness recount"):
             exact_min(5, 3)
+        exact_min(5, 4)  # the degree identity counts triangles, so t = 4 skips it
 
 
 class TestRatioSeries:
