@@ -113,17 +113,11 @@ class AnalyticConstants:
     tolerance: float
 
 
-def estimate_limit_constants(
-    epsilons: Sequence[float] | None = None, tol: float = 1e-10
-) -> AnalyticConstants:
-    """Solve the ODE along an epsilon ladder and report the limit and C.
-
-    The ladder must hold at least two rungs, strictly decreasing within
-    (0, 1): one endpoint has no spread to report.  The error bar is the
-    spread of the last three endpoints; by 1e-5 it sits near the
-    integrator noise floor rather than the true epsilon sensitivity.
-    """
-    eps_list = list(DEFAULT_EPSILONS if epsilons is None else epsilons)
+def check_ladder(epsilons: Sequence[float]) -> list[float]:
+    """The ladder as a list, or :class:`InvalidEpsilon` if it cannot run:
+    fewer than two rungs, an entry outside (0, 1), or not strictly
+    decreasing.  Cheap, so callers can refuse a ladder before other work."""
+    eps_list = list(epsilons)
     if len(eps_list) < 2:
         raise InvalidEpsilon(
             f"epsilon ladder needs at least two rungs for an error bar, "
@@ -134,6 +128,20 @@ def estimate_limit_constants(
             raise InvalidEpsilon(f"ladder entry {e!r} outside (0, 1)")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidEpsilon("epsilon ladder must be strictly decreasing")
+    return eps_list
+
+
+def estimate_limit_constants(
+    epsilons: Sequence[float] | None = None, tol: float = 1e-10
+) -> AnalyticConstants:
+    """Solve the ODE along an epsilon ladder and report the limit and C.
+
+    The ladder must hold at least two rungs, strictly decreasing within
+    (0, 1): one endpoint has no spread to report.  The error bar is the
+    spread of the last three endpoints; by 1e-5 it sits near the
+    integrator noise floor rather than the true epsilon sensitivity.
+    """
+    eps_list = check_ladder(DEFAULT_EPSILONS if epsilons is None else epsilons)
     series = tuple(
         (e, solve_threshold_ode(e, tol).final_value) for e in eps_list
     )

@@ -368,8 +368,9 @@ def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_crosscheck(cfg: Namespace) -> tuple[list, list, dict, str]:
+    ladder = analytic.check_ladder(analytic.epsilon_ladder(cfg.eps_min))  # before the fill
     rec_est = recurrence.estimate_growth_constant(recurrence.build_table(cfg.t_max))
-    ode_est = analytic.estimate_limit_constants(analytic.epsilon_ladder(cfg.eps_min), cfg.tol)
+    ode_est = analytic.estimate_limit_constants(ladder, cfg.tol)
     diff = abs(rec_est.c - ode_est.c)
     data = [
         ["recurrence", "ode"],

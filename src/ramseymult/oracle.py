@@ -9,12 +9,17 @@ mask among the achievers and their complements.  Relabelling vertices
 1..n-1 fixes vertex 0's red neighbours to 1..d, and with the colour swap
 d >= n // 2, so the minimum is taken over those star-canonical masks
 alone (1/16 of them at n = 8); the witness search then reads only the
-row blocks at each end that reach it, and checks each against it.
+row blocks at each end that reach it, and checks each against it.  At
+t = 3 the minimum must also equal Goodman's closed form.
 
 Counting is done twice by unrelated methods (per-subset mask tests and
-adjacency-bitset clique recursion) so each can vouch for the other, and
-a third time for triangles by Goodman's degree identity.  The exhaustive
-scan is another: float32 matrix products over mask halves.
+bit-sliced clique recursion) so each can vouch for the other, and a
+third time for triangles by Goodman's degree identity.  The exhaustive
+scan is another: float32 matrix products over mask halves.  The
+bit-sliced counter holds colourings as C(n, 2) edge planes of uint64
+words, one colouring per bit lane, so every word operation advances 64
+colourings; the sampler packs its draw into such planes a block at a
+time and counts all samples in one recursion per colour.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator
+from itertools import accumulate, combinations
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,7 +43,8 @@ _BLOCK_BITS = 5  # log2 of the high parts per product block (1 MB float32)
 # Read by perfbench/tracecall.py: log2 of the product blocks at n = 8.
 _CHUNK_BITS = math.comb(8, 2) - 1 - _LOW_BITS - _BLOCK_BITS
 _SAMPLE_BYTES = 2**28  # cap on samples x C(n, 2), the edge bytes drawn in all
-_SAMPLE_BLOCK = 4096  # samples drawn and counted per batch; a multiple of 4
+_SAMPLE_BLOCK = 4096  # samples drawn and packed per batch; a multiple of 64
+_LEAF_WORDS = 2**14  # the clique counter's leaf buffer: 128 KB of uint64
 
 
 def edge_list(n: int) -> list[tuple[int, int]]:
@@ -121,48 +127,166 @@ def count_mono_cliques(coloring: ColoringRecord, t: int) -> tuple[int, int]:
     return red, blue
 
 
-def _clique_counts(forward: np.ndarray, t: int) -> np.ndarray:
-    """t-clique count of each of B graphs given as (n, B) forward bitsets:
-    branch on each vertex that is a candidate in some graph while enough
-    remain, zero the graphs in which it is not, popcount the last level."""
-    n, batch = forward.shape
+def _carry_save(acc: list[np.ndarray], planes: np.ndarray) -> None:
+    """Add the lane bits of (k, W) planes to ``acc``, where acc[w] holds at
+    most two planes whose bits weigh 2^w.  Full adders turn three planes of
+    one weight into their sum plane and a carry plane of the next weight
+    (the carry-save tree of Harley and Seal, as in Mula, Kurz and Lemire,
+    Comput. J. 2018)."""
+    w = 0
+    while len(planes):
+        if w == len(acc):
+            acc.append(planes[:0])
+        stack = np.concatenate((acc[w], planes))
+        carries = []
+        while len(stack) > 2:
+            k = len(stack) // 3
+            a, b, c = stack[:k], stack[k : 2 * k], stack[2 * k : 3 * k]
+            carry = a & b
+            a ^= b
+            carry |= a & c
+            a ^= c
+            carries.append(carry)
+            stack = np.concatenate((a, stack[3 * k :]))
+        acc[w] = stack
+        planes = np.concatenate(carries) if carries else stack[:0]
+        w += 1
 
-    def grow(candidates: np.ndarray, depth: int) -> np.ndarray:
-        if depth == 1:
-            return np.bitwise_count(candidates)
-        total = np.zeros(batch, dtype=np.int64)
-        rest = int(np.bitwise_or.reduce(candidates))
-        while rest.bit_count() >= depth:  # else too few vertices remain
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            picked = (candidates & np.uint64(1 << v)) != 0
-            total += grow(np.where(picked, candidates & forward[v], 0), depth - 1)
-        return total
 
-    return grow(np.full(batch, (1 << n) - 1, dtype=np.uint64), t)
+@lru_cache(maxsize=4)
+def _colex(n: int) -> tuple[np.ndarray, ...]:
+    """Pairs a < b and triples a < b < c of range(n) in colex order, so
+    those within range(k) come first: (pair_a, pair_b, tri_b, tri_c,
+    tri_ab, tri_ac), the last two being the pair numbers of (a, b) and
+    (a, c).  Cached, so read-only."""
+    v = np.arange(n)
+    pair_b = np.repeat(v, v)  # C(b, 2) pairs precede b's first
+    pair_a = np.arange(len(pair_b)) - pair_b * (pair_b - 1) // 2
+    c = np.repeat(v, v * (v - 1) // 2)  # C(c, 3) triples precede c's first
+    pair = np.arange(len(c)) - c * (c - 1) * (c - 2) // 6
+    a, b = pair_a[pair], pair_b[pair]
+    out = pair_a, pair_b, b, c, b * (b - 1) // 2 + a, c * (c - 1) // 2 + a
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+def _clique_counts(
+    planes: np.ndarray, n: int, t: int, valid: np.ndarray
+) -> np.ndarray:
+    """t-clique count of every lane of (C(n, 2), W) edge planes, 64 W lanes:
+    bit s of word w of plane e is edge e of graph 64 w + s, and ``valid``
+    masks the lanes that hold graphs.
+
+    Recurse over vertex prefixes that are cliques in some lane; a prefix's
+    row v is the plane of lanes in which adding v keeps it a clique, and a
+    vertex whose row is zero in every word is skipped.  With at most three
+    vertices left to choose, the live rows are paired (rows u, v and edge
+    (u, v) ANDed) and, for three, the pairs joined into triples; those
+    planes go through a leaf buffer into a carry-save tree of lane sums.
+    """
+    m, words = planes.shape
+    first = [0, *accumulate(range(n - 1, 0, -1))]  # u's edges: first[u]..
+    edge_at = np.zeros((n, n), dtype=np.intp)
+    edge_at[np.triu_indices(n, 1)] = np.arange(m)
+    pair_a, pair_b, tri_b, tri_c, tri_ab, tri_ac = _colex(n)
+    leaf = np.empty((max(1, _LEAF_WORDS // words), words), dtype="<u8")
+    fill = 0
+    acc: list[np.ndarray] = []
+
+    def gather(out: np.ndarray, lo: int, gathers: tuple) -> None:
+        """out[i] = AND of src[idx[lo + i]] over the (src, idx) gathers;
+        ``out`` is at most a leaf buffer, which bounds the temporaries."""
+        picks = slice(lo, lo + len(out))
+        (src, idx), *rest = gathers
+        np.take(src, idx[picks], axis=0, out=out)
+        for src, idx in rest:
+            out &= src[idx[picks]]
+
+    def emit(count: int, *gathers: tuple[np.ndarray, np.ndarray]) -> None:
+        nonlocal fill
+        for lo in range(0, count, len(leaf)):
+            size = min(count - lo, len(leaf))
+            if fill + size > len(leaf):
+                _carry_save(acc, leaf[:fill])
+                fill = 0
+            gather(leaf[fill : fill + size], lo, gathers)
+            fill += size
+
+    def grow(rows: np.ndarray, lo: int, depth: int) -> None:
+        if depth > 3:
+            live = np.flatnonzero(rows[lo : n - depth + 1].any(axis=1)) + lo
+            for u in live.tolist():
+                child = np.empty_like(rows)
+                edges = planes[first[u] : first[u + 1]]
+                np.bitwise_and(rows[u + 1 :], edges, out=child[u + 1 :])
+                child[u + 1 :] &= rows[u]
+                grow(child, u + 1, depth - 1)
+            return
+        live = np.flatnonzero(rows[lo:].any(axis=1)) + lo
+        k = len(live)
+        us, vs = live[pair_a[: k * (k - 1) // 2]], live[pair_b[: k * (k - 1) // 2]]
+        paired = (rows, us), (rows, vs), (planes, edge_at[us, vs])
+        if depth == 2:
+            emit(len(us), *paired)
+            return
+        pairs = np.empty((len(us), words), dtype="<u8")
+        for i in range(0, len(us), len(leaf)):
+            gather(pairs[i : i + len(leaf)], i, paired)
+        k3 = k * (k - 1) * (k - 2) // 6
+        ends = edge_at[live[tri_b[:k3]], live[tri_c[:k3]]]
+        emit(k3, (pairs, tri_ab[:k3]), (pairs, tri_ac[:k3]), (planes, ends))
+
+    grow(np.tile(valid, (n, 1)), 0, t)
+    _carry_save(acc, leaf[:fill])
+    lanes = np.zeros(64 * words, dtype=np.int64)
+    for w, weighed in enumerate(acc):
+        bits = np.unpackbits(weighed.view(np.uint8), axis=1, bitorder="little")
+        lanes += bits.sum(axis=0, dtype=np.int64) << w
+    return lanes
+
+
+def _edge_planes(blocks: Iterable[np.ndarray], samples: int, m: int) -> np.ndarray:
+    """(m, W) edge planes of ``samples`` colourings given as consecutive
+    (rows, m) 0/1 uint8 blocks, each but the last a multiple of 64 rows:
+    bit s of word w of plane e is edge e of colouring 64 w + s."""
+    planes = np.zeros((m, -(-samples // 64)), dtype="<u8")
+    lane_bytes = planes.view(np.uint8)
+    lo = 0
+    for bits in blocks:
+        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+        lane_bytes[:, lo // 8 : lo // 8 + packed.shape[1]] = packed
+        lo += len(bits)
+    return planes
+
+
+def _valid_lanes(samples: int) -> np.ndarray:
+    """The (W,) word mask of lanes 0 .. samples - 1."""
+    valid = np.full(-(-samples // 64), ~np.uint64(0), dtype="<u8")
+    if samples % 64:
+        valid[-1] = (1 << samples % 64) - 1
+    return valid
+
+
+def _red_blue(
+    planes: np.ndarray, n: int, t: int, samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample (red, blue) K_t counts of the edge planes of ``samples``
+    colourings; the planes are left complemented."""
+    valid = _valid_lanes(samples)
+    red = _clique_counts(planes, n, t, valid)
+    planes ^= valid
+    return red[:samples], _clique_counts(planes, n, t, valid)[:samples]
 
 
 def _mono_counts(bits: np.ndarray, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (red, blue) K_t counts of (B, C(n, 2)) 0/1 edge bits."""
-    u, v = np.triu_indices(n, 1)
-    cols = np.zeros((n, 64), dtype=np.intp)
-    cols[u, v] = np.arange(len(u))
-    # (n, B) bitsets: bit v of row u is set when v > u and edge (u, v) is red;
-    # the other slots read edge 0 and are masked off
-    adj = np.empty((n, len(bits)), dtype="<u8")
-    for row, c in zip(adj, cols):
-        packed = np.packbits(np.take(bits, c, axis=1), 1, bitorder="little")
-        row[:] = packed.view("<u8")[:, 0]
-    above = np.array([[-(2 << v) & ((1 << n) - 1)] for v in range(n)], np.uint64)
-    adj &= above
-    red = _clique_counts(adj, t)
-    adj ^= above  # now the blue bitsets
-    return red, _clique_counts(adj, t)
+    return _red_blue(_edge_planes([bits], len(bits), bits.shape[1]), n, t, len(bits))
 
 
 def count_mono_cliques_fast(coloring: ColoringRecord, t: int) -> tuple[int, int]:
-    """Same counts as :func:`count_mono_cliques` via clique recursion on
-    adjacency bitsets; independent arithmetic, used to cross-check."""
+    """Same counts as :func:`count_mono_cliques` via the bit-sliced clique
+    recursion (one lane used); independent arithmetic, used to cross-check."""
     if not 2 <= t <= coloring.n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={coloring.n}")
     if coloring.n > 64:
@@ -193,6 +317,12 @@ def count_mono_triangles_by_degree(coloring: ColoringRecord) -> int:
         degree[u] += 1
         degree[v] += 1
     return math.comb(n, 3) - sum(d * (n - 1 - d) for d in degree) // 2
+
+
+def _goodman_minimum(n: int) -> int:
+    """Goodman's (1959) minimum number of monochromatic triangles in a
+    two-colouring of K_n: C(n, 3) - floor((n / 2) floor(((n - 1) / 2)^2))."""
+    return math.comb(n, 3) - n * ((n - 1) ** 2 // 4) // 2
 
 
 def _scan(n: int, t: int) -> tuple[int, int]:
@@ -309,7 +439,9 @@ def exact_min(
     against the minimum.  n = 8 (2^27 reduced colourings) requires
     ``large=True`` and n > 8 always raises :class:`TooLarge`.  Both
     clique counters recount the witness, and at t = 3 so does Goodman's
-    degree identity.  ``workers`` is ignored; perfbench/run.py passes it.
+    degree identity, while the minimum must equal Goodman's closed form
+    (:func:`_goodman_minimum`): the witness search checks only the blocks
+    it reads, so a wrong canonical selection could otherwise pass.  ``workers`` is ignored; perfbench/run.py passes it.
     """
     if not 2 <= t <= n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
@@ -325,6 +457,8 @@ def exact_min(
         recounts.append(count_mono_triangles_by_degree(witness))
     if any(k != kmin for k in recounts):
         raise RuntimeError("witness recount disagrees with scan minimum")
+    if t == 3 and kmin != _goodman_minimum(n):
+        raise RuntimeError("scan minimum disagrees with Goodman's closed form")
     return MinimumReport(
         n=n,
         t=t,
@@ -416,10 +550,10 @@ def sample_against_bounds(
             f"{samples} samples x {m} edges = {samples * m} bytes exceeds "
             f"the {_SAMPLE_BYTES}-byte sampling budget"
         )
-    counts = np.concatenate([
-        np.add(*_mono_counts(bits ^ 1 if complement else bits, n, t))
-        for bits in _sample_blocks(seed, samples, m)
-    ])
+    planes = _edge_planes(_sample_blocks(seed, samples, m), samples, m)
+    if complement:
+        planes ^= _valid_lanes(samples)
+    counts = np.add(*_red_blue(planes, n, t, samples))
 
     fractions = counts / math.comb(n, t)
     floor: int | None = None

@@ -376,6 +376,23 @@ class TestExitCodes:
         assert "at least two rungs" in err
         assert not any(in_tmp.iterdir())
 
+    @pytest.mark.parametrize("eps_min", ["0.05", "1e-2"])
+    def test_crosscheck_refuses_its_ladder_before_the_fill(
+        self, capsys, in_tmp, monkeypatch, eps_min
+    ):
+        def build_table(*args):
+            raise AssertionError("filled the table before checking the ladder")
+
+        monkeypatch.setattr(recurrence, "build_table", build_table)
+        code, out, err = run(capsys, "crosscheck", "--t-max", "3000", "--eps-min", eps_min)
+        assert code == 2 and out == "" and "at least two rungs" in err
+        assert not any(in_tmp.iterdir())
+
+    def test_crosscheck_budget_still_comes_before_the_ode(self, capsys, in_tmp):
+        # a ladder that runs but whose ODE would fail leaves the budget first
+        code, _, err = run(capsys, "crosscheck", "--t-max", "4472", "--eps-min", "1e-11")
+        assert code == 2 and "cells exceeds the budget" in err
+
     def test_ramsey_beyond_float_range_exits_three(self, capsys, in_tmp):
         # R[k,l] = 2**(k+l-3) first leaves float range at (427, 600)
         for fmt in ("csv", "json"):

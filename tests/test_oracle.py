@@ -96,20 +96,44 @@ class TestCounting:
             count_mono_cliques_fast(ColoringRecord(n=65, red_mask=0), 3)
 
     @pytest.mark.parametrize(
-        "n, t",  # n = 64 uses bit 63 of the uint64 bitsets
+        "n, t",  # n = 64 has 2016 edge planes; t = n counts only mono rows
         [(2, 2), (5, 2), (5, 5), (9, 3), (9, 4), (12, 5), (64, 2), (64, 3), (64, 64)],
     )
     def test_batched_counter_matches_subset_counter(self, n, t):
+        # batches of one, two and about one or two 64-lane words, so the
+        # last word holds 1, 2, 63, 64 (full), 1 and 2 colourings
         m = math.comb(n, 2)
         rng = np.random.default_rng(n * 100 + t)
-        bits = rng.integers(0, 2, size=(12, m), dtype=np.uint8)
+        bits = rng.integers(0, 2, size=(130, m), dtype=np.uint8)
         bits[0], bits[1] = 1, 0  # all red and all blue: t = n counts 1
-        red, blue = _mono_counts(bits, n, t)
-        for row, r, b in zip(bits, red, blue):
-            rec = ColoringRecord(n=n, red_mask=mask_of(row))
-            assert count_mono_cliques(rec, t) == (r, b)
-        assert (red[0], blue[0]) == (math.comb(n, t), 0)
-        assert (red[1], blue[1]) == (0, math.comb(n, t))
+        bits[64], bits[129] = 0, 1  # and again past the first word
+        want = [
+            count_mono_cliques(ColoringRecord(n=n, red_mask=mask_of(row)), t)
+            for row in bits
+        ]
+        for batch in (1, 2, 63, 64, 65, 130):
+            red, blue = _mono_counts(bits[:batch], n, t)
+            assert len(red) == len(blue) == batch
+            assert list(zip(red.tolist(), blue.tolist())) == want[:batch], batch
+        assert want[0] == want[129] == (math.comb(n, t), 0)
+        assert want[1] == want[64] == (0, math.comb(n, t))
+
+    @pytest.mark.parametrize("batch", [1, 2, 63, 64, 65, 130])
+    def test_padding_lanes_never_count(self, batch):
+        # all-blue padding would hold every clique; valid lanes mask it off
+        n, t = 6, 3
+        bits = np.random.default_rng(batch).integers(0, 2, (batch, 15), np.uint8)
+        planes = oracle._edge_planes([bits], batch, 15)
+        valid = oracle._valid_lanes(batch)
+        words = -(-batch // 64)
+        assert planes.shape == (15, words) and valid.shape == (words,)
+        assert not (planes & ~valid).any()
+        red = oracle._clique_counts(planes, n, t, valid)
+        blue = oracle._clique_counts(planes ^ valid, n, t, valid)
+        flipped = oracle._clique_counts(~planes, n, t, valid)  # padding all blue
+        assert len(red) == 64 * words
+        assert not red[batch:].any() and not blue[batch:].any()
+        assert np.array_equal(flipped, blue)
 
     def test_goodman_identity(self):
         # Goodman (1959): mono triangles = C(n,3) - (1/2) sum_v r_v (n-1-r_v)
@@ -266,6 +290,18 @@ class TestExactMin:
         with pytest.raises(RuntimeError, match="star-canonical minimum"):
             exact_min(6, 3)
 
+    def test_goodman_closed_form_guards_the_symmetry_pass(self, monkeypatch):
+        # stars from d = n // 2 + 1 miss every n = 8 achiever; the witness
+        # search then reads only blocks at 9 and its recount agrees
+        def stars_too_red(n, low):
+            xs = np.arange(1 << low)
+            stars = [(1 << (d - 1)) - 1 for d in range(n // 2 + 1, n)]
+            return np.flatnonzero(np.isin(xs & ((1 << (n - 2)) - 1), stars))
+
+        monkeypatch.setattr(oracle, "_canonical_columns", stars_too_red)
+        with pytest.raises(RuntimeError, match="Goodman's closed form"):
+            exact_min(8, 3, large=True)
+
     def test_witness_recount_guards_the_scan(self, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_scan", lambda n, t: (1, PENTAGON))
@@ -340,6 +376,36 @@ class TestSampling:
         rep = sample_against_bounds(6, 3, samples=500, seed=3)
         assert rep.exact_floor == 2
         assert rep.min_count >= 2
+
+    @pytest.mark.parametrize(
+        "n, t, samples, mean, stderr, min_count",
+        [  # sample_against_bounds(n, t, samples, seed=7) of the per-lane counter
+            (2, 2, 2, 1.0, 0.0, 1),
+            (2, 2, 65, 1.0, 0.0, 1),
+            (2, 2, 4097, 1.0, 0.0, 1),
+            (8, 3, 2, 0.23214285714285715, 0.05357142857142856, 10),
+            (8, 3, 65, 0.24532967032967032, 0.008215675302361437, 8),
+            (8, 3, 4097, 0.25046636912026227, 0.0009078514331383253, 8),
+            (12, 5, 2, 0.0, 0.0, 0),
+            (12, 5, 65, 0.0016705516705516706, 0.0002613369084513153, 0),
+            (12, 5, 4097, 0.0019372391229847906, 5.0134386515465634e-05, 0),
+            (20, 4, 2, 0.03003095975232198, 0.000722394220846233, 142),
+            (20, 4, 65, 0.03108676669048186, 0.0009707739037522362, 86),
+            (20, 4, 4097, 0.031077586282897727, 0.00010179592256390205, 78),
+            (64, 3, 2, 0.24955597158218124, 0.0012360791090629678, 10346),
+            (64, 3, 65, 0.25028321812596005, 0.0002543016268287379, 10155),
+            (64, 3, 4097, 0.24993712851222674, 3.2409737210242173e-05, 10155),
+        ],
+    )
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_pinned_statistics(self, n, t, samples, mean, stderr, min_count, complement):
+        # 2, 65 and 4097 samples leave 2, 1 and 1 lanes in the last word
+        rep = sample_against_bounds(n, t, samples=samples, seed=7, complement=complement)
+        assert (rep.mean_fraction, rep.stderr, rep.min_count) == (mean, stderr, min_count)
+
+    def test_block_fills_whole_words(self):
+        # every block but the last packs into whole 64-lane words
+        assert oracle._SAMPLE_BLOCK % 64 == 0
 
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 8, 10, 12, 20, 64])
     def test_blocks_concatenate_to_one_draw(self, n):
