@@ -27,6 +27,7 @@ import numpy as np
 from .lattice import OutOfRange, ThresholdSequence
 from .numerics import (
     NoBracket,
+    NumericFailure,
     SingularField,
     Trajectory,
     bisect,
@@ -36,11 +37,11 @@ from .numerics import (
 _DENOMINATOR_FLOOR = -1e-12
 
 
-class InvalidEpsilon(Exception):
+class InvalidEpsilon(ValueError):
     """Initial condition outside (0, 1]."""
 
 
-class Overflow(Exception):
+class Overflow(NumericFailure):
     """A patch entry left (0, 1)."""
 
 

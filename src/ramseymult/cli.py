@@ -9,7 +9,12 @@ the file alone.  Outputs are byte-deterministic for a fixed configuration.
 Exit codes: 0 on success, 2 for validation problems (bad arguments,
 out-of-range queries, refused sizes, an unwritable ``--out``), 3 for
 numeric failures (singular fields, lost brackets, degenerate fits, blown
-budgets of the solvers, values beyond float range).
+budgets of the solvers, values beyond float range).  The exception types
+carry that split: every refusal is a ``ValueError``, every numeric failure
+a ``numerics.NumericFailure`` (or Python's ``OverflowError``).
+
+Each handler imports the solver modules it runs, so a call loads only
+those.
 """
 
 from __future__ import annotations
@@ -19,31 +24,16 @@ import math
 import os
 import sys
 from argparse import ArgumentParser, Namespace
-from dataclasses import asdict
-from fractions import Fraction
+
+# Each CLI process is short-lived, and an idle OpenBLAS worker thread
+# spins beside the main one for most of it; only the n = 8 scan calls
+# BLAS at all.  So one thread, unless the caller's environment says
+# otherwise.  This must run before numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import analytic, lattice, oracle, recurrence
-from .numerics import BudgetExceeded, Degenerate, NoBracket, SingularField, check_cells
-from .shortest import float_reprs
-
-_VALIDATION_ERRORS = (
-    ValueError,
-    lattice.TooMany,
-    lattice.OutOfRange,
-    oracle.TooLarge,
-    analytic.InvalidEpsilon,
-    BudgetExceeded,
-)
-_NUMERIC_ERRORS = (
-    SingularField,
-    NoBracket,
-    Degenerate,
-    analytic.Overflow,
-    recurrence.WindowTooSmall,
-    OverflowError,
-)
+from .numerics import NumericFailure, check_cells
 
 _SPAN_ROWS = 1 << 18  # rows whose equal values share one text
 _BLOCK_ROWS = 8192  # rows assembled and written at a time
@@ -56,8 +46,15 @@ _ROW_LAYOUT = {
 }
 
 
+def _is_fraction(v) -> bool:
+    # a Fraction exists only once its module is loaded (the oracle loads
+    # it), so a call that made none need not import it to check
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(v, fractions.Fraction)
+
+
 def _fmt(v) -> str:
-    if isinstance(v, Fraction):
+    if _is_fraction(v):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
         return repr(v)
@@ -65,7 +62,7 @@ def _fmt(v) -> str:
 
 
 def _json_cell(v):
-    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
+    return f"{v.numerator}/{v.denominator}" if _is_fraction(v) else v
 
 
 def _json_text(v) -> str:
@@ -85,6 +82,8 @@ def _span_texts(col, fmt: str) -> tuple[np.ndarray, np.ndarray]:
         mat[np.arange(mat.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(raw), np.uint8)
         return mat, np.arange(len(raw), dtype=np.int32)
     if col.dtype == np.float64:
+        from .shortest import float_reprs
+
         distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
         texts = float_reprs(distinct.view(np.float64))
     else:  # index columns: a few thousand distinct values at most
@@ -174,14 +173,20 @@ def _threshold_table(cfg: Namespace):
     """The --thresholds table of a --k x --l DP; only ``patched`` reads
     --epsilon, --w, --tol.  ``optimal`` fills only the recurrence's
     max(k, l) x min(k, l) block, all the DP reads."""
+    from . import lattice
+
     kind, size = cfg.thresholds, max(cfg.k, cfg.l)
     if kind == "uniform":
         return lattice.ThresholdSequence.uniform(size)
     if kind == "erdos-szekeres":
         return lattice.ThresholdSequence.erdos_szekeres(size)
     if kind == "optimal":
+        from . import recurrence
+
         return recurrence.optimal_thresholds(recurrence.build_table(size, min(cfg.k, cfg.l)))
     if kind == "patched":
+        from . import analytic
+
         return analytic.assemble_patched_thresholds(cfg.epsilon, size, cfg.w, cfg.tol)
     raise ValueError(f"unknown threshold kind {kind!r}")
 
@@ -194,6 +199,8 @@ def _table_columns(values: np.ndarray) -> list[np.ndarray]:
 
 
 def _cmd_recurrence(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import recurrence
+
     table = recurrence.build_table(cfg.t_max)
     corner = table.neglog(cfg.t_max, cfg.t_max)
     return (
@@ -205,6 +212,8 @@ def _cmd_recurrence(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_thresholds(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import recurrence
+
     thr = recurrence.optimal_thresholds(recurrence.build_table(cfg.t_max))
     return (
         ["i", "j", "threshold"],
@@ -215,6 +224,8 @@ def _cmd_thresholds(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_dp(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import lattice
+
     thr = _threshold_table(cfg)
     table = lattice.dp_min_weight(cfg.k, cfg.l, thr, exponent=cfg.mode)
     corner = table.neglog(cfg.k, cfg.l)
@@ -228,6 +239,8 @@ def _cmd_dp(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_ramsey(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import lattice
+
     thr = _threshold_table(cfg)
     table = lattice.ramsey_table(cfg.k, cfg.l, thr)
     k, l, bits = _table_columns(table.table[1:, 1:])
@@ -251,6 +264,8 @@ def _cmd_ramsey(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_ode(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import analytic
+
     traj = analytic.solve_threshold_ode(cfg.epsilon, cfg.tol)
     return (
         ["x", "t"],
@@ -262,6 +277,8 @@ def _cmd_ode(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_constants(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import analytic
+
     est = analytic.estimate_limit_constants(analytic.epsilon_ladder(cfg.eps_min), cfg.tol)
     extras = {
         "t1_limit": est.t1_limit,
@@ -278,6 +295,8 @@ def _cmd_constants(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_patch(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import analytic
+
     check_cells((cfg.t_max + 1) ** 2, "(t_max + 1)^2")  # the wedge it writes
     thr = analytic.assemble_patched_thresholds(
         cfg.epsilon, cfg.t_max, w=cfg.w, tol=cfg.tol
@@ -294,6 +313,8 @@ def _cmd_patch(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_multicolor(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import recurrence
+
     table = recurrence.multicolor_table(cfg.q, cfg.t_max)
     columns = [f"i{d + 1}" for d in range(cfg.q)] + ["neglog_value"]
     diag = table.neglog_at((cfg.t_max,) * cfg.q)
@@ -307,6 +328,8 @@ def _cmd_multicolor(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_alpha(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import recurrence
+
     value = recurrence.alpha_estimate(cfg.q, cfg.t)
     return (
         ["q", "t", "alpha"],
@@ -317,6 +340,8 @@ def _cmd_alpha(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_bruteforce(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import oracle
+
     rep = oracle.exact_min(cfg.n, cfg.t, large=cfg.large)
     witness = format(rep.witness.red_mask, "#x")
     return (
@@ -329,6 +354,8 @@ def _cmd_bruteforce(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_ratios(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import oracle
+
     series = oracle.ratio_series(cfg.t, cfg.n_max, large=cfg.large)
     last = series[-1]
     return (
@@ -341,6 +368,10 @@ def _cmd_ratios(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from dataclasses import asdict
+
+    from . import oracle
+
     rep = oracle.sample_against_bounds(
         cfg.n,
         cfg.t,
@@ -368,6 +399,8 @@ def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_crosscheck(cfg: Namespace) -> tuple[list, list, dict, str]:
+    from . import analytic, recurrence
+
     ladder = analytic.check_ladder(analytic.epsilon_ladder(cfg.eps_min))  # before the fill
     rec_est = recurrence.estimate_growth_constant(recurrence.build_table(cfg.t_max))
     ode_est = analytic.estimate_limit_constants(ladder, cfg.tol)
@@ -425,7 +458,8 @@ def build_parser():
     sp = add("dp", "minimum path-weight dynamic program")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--mode", choices=lattice.EXPONENT_MODES, default="max")
+    # lattice.EXPONENT_MODES, spelled out so that parsing loads no solver
+    sp.add_argument("--mode", choices=("a", "b", "max"), default="max")
     sp.add_argument(
         "--thresholds",
         choices=("uniform", "erdos-szekeres", "optimal", "patched"),
@@ -503,10 +537,10 @@ def main(argv=None) -> int:
         msg = f"ramseymult {cfg.subcommand}: cannot write --out {cfg.out}: {exc}"
         print(msg, file=sys.stderr)
         return 2
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:
         print(f"ramseymult {cfg.subcommand}: invalid request: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except (NumericFailure, OverflowError) as exc:
         print(f"ramseymult {cfg.subcommand}: numeric failure: {exc}", file=sys.stderr)
         return 3
     print(f"{summary} -> {path}")

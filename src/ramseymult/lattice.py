@@ -25,11 +25,11 @@ from .numerics import check_cells, wavefront_fill
 EXPONENT_MODES = ("a", "b", "max")
 
 
-class TooMany(Exception):
+class TooMany(ValueError):
     """Path enumeration would exceed the requested cap."""
 
 
-class OutOfRange(Exception):
+class OutOfRange(ValueError):
     """Threshold lookup outside the table, or in an undefined column."""
 
 

@@ -15,20 +15,26 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class SingularField(Exception):
+class NumericFailure(Exception):
+    """A solver could not produce a number it can vouch for.  Every such
+    error subclasses this one, and the CLI exits 3 on it; refused requests
+    subclass ``ValueError`` instead, on which the CLI exits 2."""
+
+
+class SingularField(NumericFailure):
     """The ODE field blew up, returned a non-finite value, or forced the
     adaptive step below the resolution floor."""
 
 
-class NoBracket(Exception):
+class NoBracket(NumericFailure):
     """Bisection was handed endpoints whose images share a sign."""
 
 
-class Degenerate(Exception):
+class Degenerate(NumericFailure):
     """Quadratic fit input has fewer than three distinct abscissae."""
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(ValueError):
     """A table would allocate more cells than allowed."""
 
 

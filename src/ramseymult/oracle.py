@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-class TooLarge(Exception):
+class TooLarge(ValueError):
     """Exhaustive search beyond n = 8, or n = 8 without the opt-in flag."""
 
 
@@ -42,7 +42,8 @@ _LOW_BITS = 13  # the scan's product has one column per low part of a mask
 _BLOCK_BITS = 5  # log2 of the high parts per product block (1 MB float32)
 # Read by perfbench/tracecall.py: log2 of the product blocks at n = 8.
 _CHUNK_BITS = math.comb(8, 2) - 1 - _LOW_BITS - _BLOCK_BITS
-_SAMPLE_BYTES = 2**28  # cap on samples x C(n, 2), the edge bytes drawn in all
+# cap on samples x C(n, 2), the edge draws of a request: 32 MiB of packed planes
+_SAMPLE_DRAWS = 2**28
 _SAMPLE_BLOCK = 4096  # samples drawn and packed per batch; a multiple of 64
 _LEAF_WORDS = 2**14  # the clique counter's leaf buffer: 128 KB of uint64
 
@@ -415,7 +416,9 @@ class MinimumReport:
 
 
 def _worker_count(requested: int | None, chunks: int) -> int:
-    """Always 1 (BLAS threads share the product); perfbench/tracecall.py reads it."""
+    """Always 1: the scan runs in this one process, and its only parallelism
+    is the BLAS library's threads (one under the CLI unless the caller sets
+    ``OPENBLAS_NUM_THREADS``).  perfbench/tracecall.py reads it."""
     return 1
 
 
@@ -545,10 +548,11 @@ def sample_against_bounds(
     if samples < 2:
         raise ValueError("need at least two samples for a spread")
     m = math.comb(n, 2)
-    if samples * m > _SAMPLE_BYTES:
+    if samples * m > _SAMPLE_DRAWS:
         raise ValueError(
-            f"{samples} samples x {m} edges = {samples * m} bytes exceeds "
-            f"the {_SAMPLE_BYTES}-byte sampling budget"
+            f"{samples} samples x {m} edges = {samples * m} edge draws, over the "
+            f"sampling budget of {_SAMPLE_DRAWS} (one bit each: "
+            f"{_SAMPLE_DRAWS // (8 << 20)} MiB of packed planes)"
         )
     planes = _edge_planes(_sample_blocks(seed, samples, m), samples, m)
     if complement:

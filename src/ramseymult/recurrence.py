@@ -23,10 +23,10 @@ from functools import reduce
 import numpy as np
 
 from .lattice import BoundTable, ThresholdSequence
-from .numerics import fit_quadratic_leading, wavefront_fill
+from .numerics import NumericFailure, fit_quadratic_leading, wavefront_fill
 
 
-class WindowTooSmall(Exception):
+class WindowTooSmall(NumericFailure):
     """The table is too short to carve out a usable fit window."""
 
 

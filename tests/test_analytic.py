@@ -351,15 +351,32 @@ class TestPchip:
 
     def test_package_import_loads_no_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def fresh(probe):
+            return subprocess.run(
+                [sys.executable, "-c", probe],
+                env={"PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.strip()
+
         probe = (
             "import sys, ramseymult.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={"PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        assert out.strip() == "[]"
+        assert fresh(probe) == "[]"
+        # a bare import loads no numpy and no submodule; each public name
+        # then resolves to its submodule's object, and only those names do
+        probe = (
+            "import sys, importlib, ramseymult as r\n"
+            "print([m for m in sys.modules if m == 'numpy' or m.startswith('ramseymult.')])\n"
+            "mods = {n: importlib.import_module('ramseymult.' + r._HOME[n]) for n in r.__all__}\n"
+            "assert all(getattr(r, n) is getattr(mods[n], n) for n in r.__all__)\n"
+            "assert r.build_table is r.recurrence.build_table\n"
+            "try:\n"
+            "    r.no_such_name\n"
+            "except AttributeError:\n"
+            "    print('AttributeError')\n"
+        )
+        assert fresh(probe) == "[]\nAttributeError"

@@ -1,6 +1,9 @@
 """End-to-end command-line behaviour: files, summaries, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from argparse import Namespace
 from fractions import Fraction
@@ -10,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ramseymult import analytic, cli, lattice, recurrence
+from ramseymult import analytic, cli, lattice, numerics, oracle, recurrence
 from ramseymult.cli import (
     _BLOCK_ROWS,
     _emit,
@@ -31,6 +34,9 @@ def run(capsys, *argv):
 def in_tmp(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def read_config_line(path):
@@ -354,6 +360,38 @@ class TestExitCodes:
                            "--thresholds", "patched", "--epsilon", "0.0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (lattice.TooMany, 2),
+            (lattice.OutOfRange, 2),
+            (oracle.TooLarge, 2),
+            (analytic.InvalidEpsilon, 2),
+            (numerics.BudgetExceeded, 2),
+            (numerics.SingularField, 3),
+            (numerics.NoBracket, 3),
+            (numerics.Degenerate, 3),
+            (analytic.Overflow, 3),
+            (recurrence.WindowTooSmall, 3),
+            (OverflowError, 3),
+            (ZeroDivisionError, None),  # not the CLI's to classify
+        ],
+    )
+    def test_exit_code_of_each_exception(self, capsys, monkeypatch, in_tmp, exc, code):
+        def handler(cfg):
+            raise exc("raised by the handler")
+
+        monkeypatch.setitem(cli._HANDLERS, "alpha", handler)
+        if code is None:
+            with pytest.raises(exc):
+                main(["alpha"])
+            return
+        got, out, err = run(capsys, "alpha")
+        why = "invalid request" if code == 2 else "numeric failure"
+        assert got == code and out == ""
+        assert err == f"ramseymult alpha: {why}: raised by the handler\n"
+        assert not any(in_tmp.iterdir())
+
     def test_numeric_errors_exit_three(self, capsys):
         # a 30-deep table has no usable default fit window
         code, _, err = run(capsys, "crosscheck", "--t-max", "30",
@@ -462,10 +500,10 @@ class TestExitCodes:
         assert "disagree" in err
 
     def test_sample_budget_exits_two_before_drawing(self, capsys, in_tmp):
-        # 200000 x C(64, 2) = 403 MB, beyond the 2**28-byte budget
+        # 200000 x C(64, 2) = 403 M edge draws, beyond the budget of 2**28
         code, _, err = run(capsys, "sample", "--n", "64", "--t", "3",
                            "--samples", "200000")
-        assert code == 2 and "403200000 bytes" in err
+        assert code == 2 and "403200000 edge draws" in err and "32 MiB of packed planes" in err
         assert not any(in_tmp.iterdir())
 
     @pytest.mark.parametrize(
@@ -499,6 +537,50 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["dp", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+def _fresh_python(code: str, env_extra: dict | None = None) -> str:
+    """stdout of ``code`` in a new interpreter on the source tree, with no
+    ``OPENBLAS_NUM_THREADS`` unless ``env_extra`` sets it."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=SRC, **(env_extra or {}))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+class TestStartup:
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            (["bruteforce", "--n", "5", "--t", "3"], {"analytic", "lattice", "recurrence"}),
+            (["constants", "--eps-min", "1e-3"], {"oracle"}),
+        ],
+    )
+    def test_subcommand_loads_only_its_solvers(self, in_tmp, argv, unloaded):
+        probe = (
+            "import sys\n"
+            "from ramseymult import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('ramseymult.')))\n"
+        )
+        last = _fresh_python(probe).splitlines()[-1]  # after the summary line
+        loaded = {m.removeprefix("ramseymult.") for m in last.split()}
+        assert "cli" in loaded and not loaded & unloaded
+
+    def test_mode_choices_are_the_lattice_modes(self):
+        dp = build_parser()._subparsers._group_actions[0].choices["dp"]
+        (mode,) = [a for a in dp._actions if a.dest == "mode"]
+        assert tuple(mode.choices) == lattice.EXPONENT_MODES
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+        reason="needs /proc/self/task and two CPUs",
+    )
+    def test_one_blas_thread_unless_the_caller_sets_it(self):
+        probe = "import os, ramseymult.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+        assert _fresh_python(probe) == "1\n"
+        assert _fresh_python(probe, {"OPENBLAS_NUM_THREADS": "2"}) == "2\n"
 
 
 class TestLadder:
