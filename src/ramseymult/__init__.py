@@ -66,7 +66,6 @@ _SOURCES = {
     "recurrence": (
         "ClassicalBounds",
         "ConstantEstimate",
-        "MultiIndexTable",
         "WindowTooSmall",
         "alpha_estimate",
         "build_table",

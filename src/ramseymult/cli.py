@@ -28,10 +28,16 @@ from argparse import ArgumentParser, Namespace
 # Each CLI process is short-lived, and an idle OpenBLAS worker thread
 # spins beside the main one for most of it; only the n = 8 scan calls
 # BLAS at all.  So one thread, unless the caller's environment says
-# otherwise.  This must run before numpy is first imported.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# otherwise.  OpenBLAS reads the variable once, when numpy first loads
+# it, so the default is removed again and no child process inherits it.
+_BLAS_DEFAULT = "OPENBLAS_NUM_THREADS" not in os.environ
+if _BLAS_DEFAULT:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
+
+if _BLAS_DEFAULT:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .numerics import NumericFailure, check_cells
 
@@ -46,27 +52,8 @@ _ROW_LAYOUT = {
 }
 
 
-def _is_fraction(v) -> bool:
-    # a Fraction exists only once its module is loaded (the oracle loads
-    # it), so a call that made none need not import it to check
-    fractions = sys.modules.get("fractions")
-    return fractions is not None and isinstance(v, fractions.Fraction)
-
-
 def _fmt(v) -> str:
-    if _is_fraction(v):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _json_cell(v):
-    return f"{v.numerator}/{v.denominator}" if _is_fraction(v) else v
-
-
-def _json_text(v) -> str:
-    return json.dumps(_json_cell(v))
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _span_texts(col, fmt: str) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +62,7 @@ def _span_texts(col, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     apart by bit pattern (so -0.0 keeps its sign and every NaN reads
     "nan"), by ``float_reprs``, integers by ``repr``; a list cell by cell."""
     if not isinstance(col, np.ndarray):
-        raw = [s.encode() for s in map(_fmt if fmt == "csv" else _json_text, col)]
+        raw = [s.encode() for s in map(_fmt if fmt == "csv" else json.dumps, col)]
         lengths = np.fromiter(map(len, raw), np.intp, len(raw))
         # padded by length, not by content: a NUL in a text is kept
         mat = np.full((len(raw), lengths.max(initial=0)), _PAD, np.uint8)
@@ -169,6 +156,17 @@ def _check_out(path: str) -> None:
         raise ValueError(f"--out {path}: no directory {parent}")
 
 
+def _check_limits(cfg: Namespace) -> None:
+    """Refuse a ``--tol`` that is not positive and finite, or a
+    ``--max-diff`` that is not finite and >= 0, before any work: neither
+    could be honoured by a solve or a comparison."""
+    tol, max_diff = getattr(cfg, "tol", None), getattr(cfg, "max_diff", None)
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {tol!r}")
+    if max_diff is not None and not 0.0 <= max_diff < math.inf:
+        raise ValueError(f"--max-diff must be finite and at least 0, got {max_diff!r}")
+
+
 def _threshold_table(cfg: Namespace):
     """The --thresholds table of a --k x --l DP; only ``patched`` reads
     --epsilon, --w, --tol.  ``optimal`` fills only the recurrence's
@@ -191,9 +189,10 @@ def _threshold_table(cfg: Namespace):
     raise ValueError(f"unknown threshold kind {kind!r}")
 
 
-def _table_columns(values: np.ndarray) -> list[np.ndarray]:
+def _table_columns(table) -> list[np.ndarray]:
     """Index columns (1-based, row-major) and the value column of the
-    cells of ``values``, which the caller has cut to drop index 0."""
+    cells of a ``BoundTable``, without the padding index 0 of any axis."""
+    values = table.table[(slice(1, None),) * table.table.ndim]
     idx = np.indices(values.shape, dtype=np.int32).reshape(values.ndim, -1) + 1
     return [*idx, values.ravel()]
 
@@ -205,7 +204,7 @@ def _cmd_recurrence(cfg: Namespace) -> tuple[list, list, dict, str]:
     corner = table.neglog(cfg.t_max, cfg.t_max)
     return (
         ["k", "l", "neglog_value"],
-        _table_columns(table.table[1:, 1:]),
+        _table_columns(table),
         {},
         f"recurrence table to t_max={cfg.t_max}; negLog M[{cfg.t_max},{cfg.t_max}] = {corner!r}",
     )
@@ -231,7 +230,7 @@ def _cmd_dp(cfg: Namespace) -> tuple[list, list, dict, str]:
     corner = table.neglog(cfg.k, cfg.l)
     return (
         ["k", "l", "neglog_value"],
-        _table_columns(table.table[1:, 1:]),
+        _table_columns(table),
         {},
         f"min-weight DP ({cfg.thresholds} thresholds, mode {cfg.mode}); "
         f"negLog S[{cfg.k},{cfg.l}] = {corner!r}",
@@ -243,7 +242,7 @@ def _cmd_ramsey(cfg: Namespace) -> tuple[list, list, dict, str]:
 
     thr = _threshold_table(cfg)
     table = lattice.ramsey_table(cfg.k, cfg.l, thr)
-    k, l, bits = _table_columns(table.table[1:, 1:])
+    k, l, bits = _table_columns(table)
     # Python's pow once per distinct value: np.power and np.exp2 can differ
     # from it in the last bit
     distinct, inverse = np.unique(bits.view(np.int64), return_inverse=True)
@@ -317,10 +316,10 @@ def _cmd_multicolor(cfg: Namespace) -> tuple[list, list, dict, str]:
 
     table = recurrence.multicolor_table(cfg.q, cfg.t_max)
     columns = [f"i{d + 1}" for d in range(cfg.q)] + ["neglog_value"]
-    diag = table.neglog_at((cfg.t_max,) * cfg.q)
+    diag = table.neglog(*(cfg.t_max,) * cfg.q)
     return (
         columns,
-        _table_columns(table.neglog_array[(slice(1, None),) * cfg.q]),
+        _table_columns(table),
         {},
         f"{cfg.q}-colour table to t_max={cfg.t_max}; "
         f"negLog M[diag] = {diag!r}",
@@ -339,6 +338,11 @@ def _cmd_alpha(cfg: Namespace) -> tuple[list, list, dict, str]:
     )
 
 
+def _ratio_text(r) -> str:
+    """A Fraction as "n/d", its denominator written even when it is 1."""
+    return f"{r.numerator}/{r.denominator}"
+
+
 def _cmd_bruteforce(cfg: Namespace) -> tuple[list, list, dict, str]:
     from . import oracle
 
@@ -346,7 +350,7 @@ def _cmd_bruteforce(cfg: Namespace) -> tuple[list, list, dict, str]:
     witness = format(rep.witness.red_mask, "#x")
     return (
         ["n", "t", "kmin", "ratio", "witness_mask"],
-        [[rep.n], [rep.t], [rep.kmin], [rep.ratio], [witness]],
+        [[rep.n], [rep.t], [rep.kmin], [_ratio_text(rep.ratio)], [witness]],
         {"witness": rep.to_payload()} if cfg.format == "json" else {},
         f"exhaustive minimum k_{cfg.t}({cfg.n}) = {rep.kmin} "
         f"(ratio {rep.ratio}, witness {witness})",
@@ -357,13 +361,14 @@ def _cmd_ratios(cfg: Namespace) -> tuple[list, list, dict, str]:
     from . import oracle
 
     series = oracle.ratio_series(cfg.t, cfg.n_max, large=cfg.large)
-    last = series[-1]
+    ns, kmins, ratios = zip(*series)
+    last = ratios[-1]
     return (
         ["n", "kmin", "ratio"],
-        [list(col) for col in zip(*series)],
+        [list(ns), list(kmins), list(map(_ratio_text, ratios))],
         {},
         f"minimum ratios for t={cfg.t} up to n={cfg.n_max}; "
-        f"last = {last[2]} ({float(last[2]):.6f})",
+        f"last = {last} ({float(last):.6f})",
     )
 
 
@@ -530,6 +535,7 @@ def main(argv=None) -> int:
     cfg = parser.parse_args(argv)
     cfg.out = cfg.out or f"{cfg.subcommand}.{cfg.format}"
     try:
+        _check_limits(cfg)
         _check_out(cfg.out)
         columns, data, extras, summary = _HANDLERS[cfg.subcommand](cfg)
         path = _emit(cfg, columns, data, extras)

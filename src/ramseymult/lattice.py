@@ -226,7 +226,9 @@ class ThresholdSequence:
 
 @dataclass(frozen=True)
 class BoundTable:
-    """A filled DP table, indexed 1 <= k <= rows, 1 <= l <= cols.
+    """A filled table with one axis per colour, each indexed from 1 to its
+    length; index 0 of every axis is padding.  ``rows`` and ``cols`` are
+    the lengths of the first two axes.
 
     Every mode stores a log-domain path sum.  The minimising modes ("a",
     "b", "max") hold negLog weights in nats; mode "ramsey" holds log2 of
@@ -235,38 +237,42 @@ class BoundTable:
     """
 
     mode: str
-    rows: int
-    cols: int
-    provenance: str
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in EXPONENT_MODES + ("ramsey",):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.table.shape != (self.rows + 1, self.cols + 1):
-            raise ValueError("storage array has the wrong shape")
 
-    def _check(self, k: int, l: int) -> None:
-        if not (1 <= k <= self.rows and 1 <= l <= self.cols):
-            raise OutOfRange(f"({k}, {l}) outside {self.rows} x {self.cols} table")
+    @property
+    def rows(self) -> int:
+        return self.table.shape[0] - 1
 
-    def neglog(self, k: int, l: int) -> float:
-        self._check(k, l)
-        v = float(self.table[k, l])
+    @property
+    def cols(self) -> int:
+        return self.table.shape[1] - 1
+
+    def _read(self, idx: tuple[int, ...]) -> float:
+        shape = self.table.shape
+        if len(idx) != len(shape) or not all(1 <= i < n for i, n in zip(idx, shape)):
+            size = " x ".join(str(n - 1) for n in shape)
+            raise OutOfRange(f"{idx} outside {size} table")
+        return float(self.table[idx])
+
+    def neglog(self, *idx: int) -> float:
+        v = self._read(idx)
         return -v * math.log(2.0) if self.mode == "ramsey" else v
 
-    def value(self, k: int, l: int) -> float:
+    def value(self, *idx: int) -> float:
         """Decoded value; OverflowError, naming the cell, when a "ramsey"
         entry exceeds float range."""
-        self._check(k, l)
-        v = float(self.table[k, l])
+        v = self._read(idx)
         if self.mode != "ramsey":
             return math.exp(-v)
         try:
             return 2.0 ** v
         except OverflowError:
-            msg = f"R[{k},{l}] = 2**{v!r} is beyond float range"
-            raise OverflowError(msg) from None
+            cell = ",".join(map(str, idx))
+            raise OverflowError(f"R[{cell}] = 2**{v!r} is beyond float range") from None
 
 
 def _step_exponent(mode: str, a, b):
@@ -317,7 +323,7 @@ def _max_plus_fill(
         return np.maximum(e * -log(t) + below[1], e * -log(1.0 - t) + below[0])
 
     table = wavefront_fill((k + 1, l + 1), cell)
-    return BoundTable(mode, k, l, thresholds.provenance, table)
+    return BoundTable(mode, table)
 
 
 def dp_min_weight(

@@ -150,8 +150,8 @@ def integrate(
     """
     if not (x0 < x1):
         raise ValueError("integration interval must satisfy x0 < x1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
     def eval_field(x: float, y: float) -> float:
         v = field(x, y)

@@ -73,13 +73,10 @@ def _subset_masks(n: int, t: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ColoringRecord:
-    """One two-colouring of K_n, with optionally cached clique counts."""
+    """One two-colouring of K_n."""
 
     n: int
     red_mask: int
-    t: int | None = None
-    red_count: int | None = None
-    blue_count: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -87,8 +84,6 @@ class ColoringRecord:
         m = math.comb(self.n, 2)
         if not 0 <= self.red_mask < 1 << m:
             raise ValueError(f"mask must use exactly {m} bits")
-        if (self.red_count is None) != (self.blue_count is None):
-            raise ValueError("cache both counts or neither")
 
     @property
     def edge_count(self) -> int:
@@ -101,16 +96,7 @@ class ColoringRecord:
 
     def complement(self) -> "ColoringRecord":
         flipped = self.red_mask ^ ((1 << self.edge_count) - 1)
-        return replace(
-            self,
-            red_mask=flipped,
-            red_count=self.blue_count,
-            blue_count=self.red_count,
-        )
-
-    def with_counts(self, t: int) -> "ColoringRecord":
-        red, blue = count_mono_cliques(self, t)
-        return replace(self, t=t, red_count=red, blue_count=blue)
+        return replace(self, red_mask=flipped)
 
 
 def count_mono_cliques(coloring: ColoringRecord, t: int) -> tuple[int, int]:
@@ -401,6 +387,8 @@ class MinimumReport:
     t: int
     kmin: int
     witness: ColoringRecord
+    red_count: int  # the witness's red K_t
+    blue_count: int
     ratio: Fraction  # kmin / C(n, t)
 
     def to_payload(self) -> dict:
@@ -411,7 +399,7 @@ class MinimumReport:
             "ratio": [self.ratio.numerator, self.ratio.denominator],
             "witness_mask": format(self.witness.red_mask, "#x"),
             "witness_red_edges": self.witness.red_edges(),
-            "witness_counts": [self.witness.red_count, self.witness.blue_count],
+            "witness_counts": [self.red_count, self.blue_count],
         }
 
 
@@ -451,9 +439,10 @@ def exact_min(
     _check_reach(n, large)
 
     kmin, witness_mask = _scan(n, t)
-    witness = ColoringRecord(n=n, red_mask=witness_mask).with_counts(t)
+    witness = ColoringRecord(n=n, red_mask=witness_mask)
+    red, blue = count_mono_cliques(witness, t)
     recounts = [
-        witness.red_count + witness.blue_count,
+        red + blue,
         sum(count_mono_cliques_fast(witness, t)),
     ]
     if t == 3:
@@ -467,6 +456,8 @@ def exact_min(
         t=t,
         kmin=kmin,
         witness=witness,
+        red_count=red,
+        blue_count=blue,
         ratio=Fraction(kmin, math.comb(n, t)),
     )
 

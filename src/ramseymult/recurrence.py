@@ -58,14 +58,7 @@ def build_table(t_max: int, cols: int | None = None) -> BoundTable:
     cols = t_max if cols is None else cols
     if not 1 <= cols <= t_max:
         raise ValueError(f"cols must lie in [1, t_max], got {cols}")
-    neg = wavefront_fill((t_max + 1, cols + 1), _recurrence_cell)
-    return BoundTable(
-        mode="max",
-        rows=t_max,
-        cols=cols,
-        provenance="optimal-recurrence",
-        table=neg,
-    )
+    return BoundTable("max", wavefront_fill((t_max + 1, cols + 1), _recurrence_cell))
 
 
 def optimal_thresholds(table: BoundTable) -> ThresholdSequence:
@@ -80,8 +73,8 @@ def optimal_thresholds(table: BoundTable) -> ThresholdSequence:
     :func:`build_table`), which serves the DPs whose shorter side is at
     most ``table.cols``.
     """
-    if table.mode != "max" or table.rows < table.cols:
-        raise ValueError("optimal thresholds need a mode-'max' table with rows >= cols")
+    if table.mode != "max" or table.table.ndim != 2 or table.rows < table.cols:
+        raise ValueError("optimal thresholds need a 2-axis mode-'max' table with rows >= cols")
     cols = table.cols
     flat, width = table.table.ravel(), cols + 1
 
@@ -116,8 +109,8 @@ def estimate_growth_constant(
     :class:`WindowTooSmall`, as do explicit windows with fewer than four
     points.
     """
-    if table.rows != table.cols:
-        raise ValueError("growth estimate needs a square table")
+    if table.table.ndim != 2 or table.rows != table.cols:
+        raise ValueError("growth estimate needs a square 2-axis table")
     t_max = table.rows
     if window is None:
         if t_max < 40:
@@ -142,46 +135,24 @@ def estimate_growth_constant(
     )
 
 
-@dataclass(frozen=True)
-class MultiIndexTable:
-    """q-dimensional negLog table, indexed by tuples in [1, t_max]^q."""
-
-    q: int
-    t_max: int
-    neglog_array: np.ndarray
-
-    def _check(self, indices: tuple[int, ...]) -> None:
-        if len(indices) != self.q:
-            raise ValueError(f"expected {self.q} indices, got {len(indices)}")
-        for i in indices:
-            if not 1 <= i <= self.t_max:
-                raise ValueError(f"index {i} outside [1, {self.t_max}]")
-
-    def neglog_at(self, indices: tuple[int, ...]) -> float:
-        self._check(indices)
-        return float(self.neglog_array[indices])
-
-    def value_at(self, indices: tuple[int, ...]) -> float:
-        return math.exp(-self.neglog_at(indices))
-
-
-def multicolor_table(q: int, t_max: int) -> MultiIndexTable:
+def multicolor_table(q: int, t_max: int) -> BoundTable:
     """The q-colour recurrence: each cell folds its q decremented
     neighbours through the shared cell, mu = max of the indices.
 
-    Cells with any index equal to 1 are boundary (negLog 0).  The table
-    holds (t_max + 1)^q cells; the fill raises :class:`BudgetExceeded`,
-    naming its shape, before allocating more than ``CELL_BUDGET``.
+    Returns a mode-"max" table with q axes of length t_max; at q = 2 it
+    is :func:`build_table`'s.  Cells with any index equal to 1 are
+    boundary (negLog 0).  The table holds (t_max + 1)^q cells; the fill
+    raises :class:`BudgetExceeded`, naming its shape, before allocating
+    more than ``CELL_BUDGET``.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    neg = wavefront_fill((t_max + 1,) * q, _recurrence_cell)
-    return MultiIndexTable(q=q, t_max=t_max, neglog_array=neg)
+    return BoundTable("max", wavefront_fill((t_max + 1,) * q, _recurrence_cell))
 
 
-def alpha_estimate(q: int, t: int, table: MultiIndexTable | None = None) -> float:
+def alpha_estimate(q: int, t: int, table: BoundTable | None = None) -> float:
     """negLog M_{t,...,t} normalised by q * t^2 * ln q.
 
     As t grows this tends to the exponent constant governing q-colour
@@ -191,9 +162,8 @@ def alpha_estimate(q: int, t: int, table: MultiIndexTable | None = None) -> floa
         raise ValueError("alpha estimate needs q >= 2 and t >= 2")
     if table is None:
         table = multicolor_table(q, t)
-    if table.q != q or table.t_max < t:
-        raise ValueError("supplied table does not cover (q, t)")
-    return table.neglog_at((t,) * q) / (q * t * t * math.log(q))
+    # a table without q axes reaching t raises OutOfRange here
+    return table.neglog(*(t,) * q) / (q * t * t * math.log(q))
 
 
 def uniform_exponents(k: int, l: int) -> tuple[int, int]:

@@ -173,9 +173,9 @@ def test_criterion_7_multicolor_consistency(big):
         "alpha(2,100) is within 2% of ln(C)/(2 ln 2)",
     ):
         mc = multicolor_table(2, 100)
-        assert np.array_equal(mc.neglog_array, big["table"].table[:101, :101])
+        assert np.array_equal(mc.table, big["table"].table[:101, :101])
         m3 = multicolor_table(3, 2)
-        assert math.isclose(m3.value_at((2, 2, 2)), 1 / 9, rel_tol=1e-14)
+        assert math.isclose(m3.value(2, 2, 2), 1 / 9, rel_tol=1e-14)
         alpha = alpha_estimate(2, 100, mc)
         target = big["estimate"].ln_c / (2 * math.log(2))
         assert abs(alpha - target) <= 0.02 * target, (alpha, target)

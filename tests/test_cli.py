@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from argparse import Namespace
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -150,15 +149,7 @@ class TestArtifacts:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _json_cell(v):
-    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def reference_emit(cfg, columns, rows, extras) -> str:
@@ -175,7 +166,7 @@ def reference_emit(cfg, columns, rows, extras) -> str:
     payload = {
         "config": config,
         "columns": columns,
-        "rows": [[_json_cell(v) for v in row] for row in rows],
+        "rows": [list(row) for row in rows],
     }
     payload.update(extras)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -229,7 +220,7 @@ def reference_artifact(argv) -> str:
         rows = [(k, l, table.value(k, l)) for k, l, _ in _table_rows(table)]
     elif cfg.subcommand == "multicolor":
         columns = [f"i{d + 1}" for d in range(cfg.q)] + ["neglog_value"]
-        neg = recurrence.multicolor_table(cfg.q, cfg.t_max).neglog_array
+        neg = recurrence.multicolor_table(cfg.q, cfg.t_max).table
         rows = [
             idx + (float(neg[idx]),)
             for idx in product(range(1, cfg.t_max + 1), repeat=cfg.q)
@@ -290,7 +281,7 @@ class TestColumnWriter:
         random_bits = np.random.default_rng(5).integers(0, 2**64, 4000, dtype=np.uint64)
         floats += random_bits.view(np.float64).tolist()
         # a NUL in a list cell is text like any other, not padding
-        mixed = [Fraction(1, 3), "0x3bc", 7, 1.5, float("nan"), "\0nul\0"]
+        mixed = ["0x3bc", 7, 1.5, float("nan"), "\0nul\0"]
         data = [
             np.arange(n) - 3,
             np.resize(np.array(floats), n),
@@ -308,7 +299,7 @@ class TestColumnWriter:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
         peaks = []
         for t in (300, 600):
-            data = _table_columns(recurrence.build_table(t).table[1:, 1:])
+            data = _table_columns(recurrence.build_table(t))
             cfg = Namespace(subcommand="x", format="csv", out=str(tmp_path / f"{t}.csv"))
             tracemalloc.start()
             try:
@@ -491,6 +482,33 @@ class TestExitCodes:
         if max(k, l) < 1000:  # the square reference is cheap here
             assert text == reference_artifact(argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "constants --tol inf",
+            "ode --tol inf",
+            "ode --tol nan",
+            "ode --tol 0",
+            "patch --tol=-1e-9",
+            "dp --k 5 --l 5 --thresholds patched --tol inf",
+            "crosscheck --t-max 3000 --tol nan",
+            "crosscheck --max-diff nan",
+            "crosscheck --max-diff -1",
+            "crosscheck --max-diff inf",
+        ],
+    )
+    def test_unusable_tolerance_exits_two_before_work(self, capsys, monkeypatch, in_tmp, argv):
+        def never(cfg):
+            raise AssertionError("handler ran")
+
+        argv = argv.split()
+        flag = "--max-diff" if "--max-diff" in argv else "--tol"
+        monkeypatch.setitem(cli._HANDLERS, argv[0], never)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"ramseymult {argv[0]}: invalid request: {flag} must be ")
+        assert not any(in_tmp.iterdir())
+
     def test_crosscheck_disagreement_exits_three(self, capsys):
         code, out, err = run(
             capsys, "crosscheck", "--t-max", "80", "--eps-min", "1e-4",
@@ -581,6 +599,18 @@ class TestStartup:
         probe = "import os, ramseymult.cli, numpy; print(len(os.listdir('/proc/self/task')))"
         assert _fresh_python(probe) == "1\n"
         assert _fresh_python(probe, {"OPENBLAS_NUM_THREADS": "2"}) == "2\n"
+
+    @pytest.mark.parametrize("caller", [None, "2"])
+    def test_import_leaves_the_environment_unchanged(self, caller):
+        # a child process of the CLI sees the caller's environment
+        probe = (
+            "import os\n"
+            "before = dict(os.environ)\n"
+            "import ramseymult.cli\n"
+            "print(dict(os.environ) == before, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        extra = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+        assert _fresh_python(probe, extra) == f"True {caller}\n"
 
 
 class TestLadder:

@@ -623,10 +623,4 @@ class TestBoundTable:
         import numpy as np
 
         with pytest.raises(ValueError):
-            BoundTable(
-                mode="s",
-                rows=2,
-                cols=2,
-                provenance="x",
-                table=np.zeros((3, 3)),
-            )
+            BoundTable(mode="s", table=np.zeros((3, 3)))

@@ -93,6 +93,9 @@ class TestIntegrate:
             integrate(lambda x, y: 0.0, 1.0, 0.0, 0.0, 1e-8)
         with pytest.raises(ValueError):
             integrate(lambda x, y: 0.0, 0.0, 0.0, 1.0, 0.0)
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                integrate(lambda x, y: 0.0, 0.0, 0.0, 1.0, tol)
 
     def test_trajectory_validates_shape(self):
         with pytest.raises(ValueError):

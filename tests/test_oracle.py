@@ -39,15 +39,10 @@ class TestColoringRecord:
         with pytest.raises(ValueError):
             ColoringRecord(n=1, red_mask=0)
 
-    def test_counts_cached_together(self):
-        with pytest.raises(ValueError):
-            ColoringRecord(n=3, red_mask=0, red_count=1)
-
     def test_complement_involution(self):
-        rec = ColoringRecord(n=5, red_mask=PENTAGON).with_counts(3)
+        rec = ColoringRecord(n=5, red_mask=PENTAGON)
         comp = rec.complement()
         assert comp.red_mask == PENTAGON ^ ((1 << 10) - 1)
-        assert (comp.red_count, comp.blue_count) == (rec.blue_count, rec.red_count)
         assert comp.complement().red_mask == rec.red_mask
 
     def test_red_edges_order(self):
@@ -227,11 +222,8 @@ class TestExactMin:
 
     def test_witness_is_consistent(self):
         rep = exact_min(6, 3)
-        assert rep.witness.red_count + rep.witness.blue_count == rep.kmin
-        assert count_mono_cliques_fast(rep.witness, 3) == (
-            rep.witness.red_count,
-            rep.witness.blue_count,
-        )
+        assert rep.red_count + rep.blue_count == rep.kmin
+        assert count_mono_cliques_fast(rep.witness, 3) == (rep.red_count, rep.blue_count)
         assert rep.ratio == Fraction(rep.kmin, math.comb(6, 3))
 
     def test_witness_is_lexicographic_minimum(self):

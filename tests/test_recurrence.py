@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ramseymult.lattice import OutOfRange, ThresholdSequence, dp_min_weight
+from ramseymult.lattice import BoundTable, OutOfRange, ThresholdSequence, dp_min_weight
 from ramseymult.numerics import BudgetExceeded
 from ramseymult.recurrence import (
     WindowTooSmall,
@@ -83,7 +83,7 @@ class TestScalarReference:
 
     def test_three_colour(self):
         np.testing.assert_allclose(
-            multicolor_table(3, 12).neglog_array,
+            multicolor_table(3, 12).table,
             scalar_recurrence(3, 12),
             rtol=1e-13,
             atol=0,
@@ -214,25 +214,25 @@ class TestMulticolor:
     def test_two_colour_slice_is_exact(self):
         mc = multicolor_table(2, 40)
         two = build_table(40)
-        assert np.array_equal(mc.neglog_array, two.table)
+        assert np.array_equal(mc.table, two.table)
 
     def test_three_colour_hand_value(self):
         mc = multicolor_table(3, 3)
-        assert math.isclose(mc.value_at((2, 2, 2)), 1 / 9, rel_tol=1e-14)
+        assert math.isclose(mc.value(2, 2, 2), 1 / 9, rel_tol=1e-14)
 
     def test_boundary_cells_are_one(self):
         mc = multicolor_table(3, 4)
-        assert mc.value_at((1, 3, 4)) == 1.0
-        assert mc.value_at((4, 1, 2)) == 1.0
-        assert mc.value_at((1, 1, 1)) == 1.0
+        assert mc.value(1, 3, 4) == 1.0
+        assert mc.value(4, 1, 2) == 1.0
+        assert mc.value(1, 1, 1) == 1.0
 
     def test_permutation_symmetry(self):
         from itertools import permutations
 
         mc = multicolor_table(3, 6)
-        base = mc.neglog_at((4, 5, 6))
+        base = mc.neglog(4, 5, 6)
         for perm in permutations((4, 5, 6)):
-            assert math.isclose(mc.neglog_at(perm), base, rel_tol=1e-12)
+            assert math.isclose(mc.neglog(*perm), base, rel_tol=1e-12)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -243,9 +243,24 @@ class TestMulticolor:
     def test_index_validation(self):
         mc = multicolor_table(2, 5)
         with pytest.raises(ValueError):
-            mc.neglog_at((2, 6))
+            mc.neglog(2, 6)
         with pytest.raises(ValueError):
-            mc.neglog_at((2, 2, 2))
+            mc.neglog(2, 2, 2)
+
+    def test_one_table_type(self):
+        three, two = multicolor_table(3, 5), multicolor_table(2, 5)
+        assert type(three) is type(two) is type(build_table(5)) is BoundTable
+        for read in (three.neglog, three.value):
+            with pytest.raises(OutOfRange):
+                read(2, 2)
+            with pytest.raises(OutOfRange):
+                read(2, 2, 2, 2)
+        with pytest.raises(OutOfRange):
+            two.value(2, 2, 2)
+        # the readers that work in two dimensions refuse a third
+        for read in (optimal_thresholds, estimate_growth_constant, lambda t: classical_bounds(3, t)):
+            with pytest.raises(ValueError):
+                read(three)
 
 
 class TestAlpha:
