@@ -15,6 +15,11 @@ a ``numerics.NumericFailure`` (or Python's ``OverflowError``).
 
 Each handler imports the solver modules it runs, so a call loads only
 those.
+
+Handlers return columns, and a filled table as it is: each index column
+is the range of one axis (``_Axis``), the value column a view of the
+table.  The writer reads them span by span and block by block, so beside
+the table a call holds only temporaries bounded by the span.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import math
 import os
 import sys
 from argparse import ArgumentParser, Namespace
+from dataclasses import dataclass
+from typing import Callable
 
 # Each CLI process is short-lived, and an idle OpenBLAS worker thread
 # spins beside the main one for most of it; only the n = 8 scan calls
@@ -56,34 +63,126 @@ def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _span_texts(col, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """(text matrix, int32 row of it for each cell) of one span of a column.
-    A numeric array is formatted once per distinct value: floats, told
-    apart by bit pattern (so -0.0 keeps its sign and every NaN reads
-    "nan"), by ``float_reprs``, integers by ``repr``; a list cell by cell."""
-    if not isinstance(col, np.ndarray):
-        raw = [s.encode() for s in map(_fmt if fmt == "csv" else json.dumps, col)]
+@dataclass(frozen=True)
+class _Axis:
+    """The 1-based index column of one axis of a table of ``shape``, its
+    cells read in row-major order: row r holds (r // stride) % length + 1."""
+
+    shape: tuple[int, ...]
+    axis: int
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def length(self) -> int:
+        return self.shape[self.axis]
+
+    @property
+    def stride(self) -> int:
+        return math.prod(self.shape[self.axis + 1 :])
+
+
+@dataclass(frozen=True)
+class _Decoded:
+    """A float column written as ``decode`` of its cells: ``decode`` maps
+    float64 arrays to float64 arrays, and sees each distinct value of a
+    span once."""
+
+    array: np.ndarray
+    decode: Callable[[np.ndarray], np.ndarray]
+
+
+def _length(col) -> int:
+    return len(col) if isinstance(col, list) else col.size
+
+
+def _pad_nuls(mat: np.ndarray) -> None:
+    """Turn the NUL padding of a text matrix into ``_PAD`` in place: 0 - 1
+    wraps to 0xFF, and every other byte loses 0."""
+    np.subtract(mat, (mat == 0).view(np.uint8), out=mat)
+
+
+def _padded(texts: np.ndarray) -> np.ndarray:
+    """A bytes array as a matrix, one row per text, trimmed to the longest
+    and padded with ``_PAD``."""
+    texts = texts.astype(f"S{np.strings.str_len(texts).max()}")
+    mat = texts.view(np.uint8).reshape(len(texts), -1)
+    _pad_nuls(mat)
+    return mat
+
+
+def _float_texts(x: np.ndarray, decode: Callable | None, fmt: str) -> np.ndarray:
+    """The text matrix of float64 values, ``_BLOCK_ROWS`` at a time
+    decoded and formatted by ``float_reprs`` straight into their rows of
+    one ``WIDTH``-wide matrix, which is then trimmed in place."""
+    from .shortest import WIDTH, float_reprs
+
+    n = len(x)
+    buf = np.empty(n * WIDTH, np.uint8)
+    mat, width = buf.reshape(n, WIDTH), 1
+    for lo in range(0, n, _BLOCK_ROWS):
+        chunk = x[lo : lo + _BLOCK_ROWS]
+        rows = mat[lo : lo + len(chunk)]
+        texts = float_reprs(decode(chunk) if decode else chunk, out=rows)
+        if fmt == "json":
+            for text, json_text in _JSON_FLOATS:
+                texts[texts == text] = json_text
+        while width < WIDTH and rows[:, width].any():  # texts are left-aligned
+            width += 1
+        _pad_nuls(rows)
+    # each row moves down to its trimmed place, read before it is overwritten
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        buf[lo * width : hi * width] = mat[lo:hi, :width].ravel()
+    return buf[: n * width].reshape(n, width)
+
+
+def _span_texts(col, lo: int, hi: int, fmt: str):
+    """(text matrix, rows_of) of rows lo to hi of a column, where
+    ``rows_of(a, b)`` gives the matrix row of each of rows a to b.
+
+    An index column formats the steps of its axis that the span crosses.
+    A numeric array, read in row-major order, is formatted once per
+    distinct value of the span: floats, told apart by bit pattern (so -0.0
+    keeps its sign and every NaN reads "nan"), by ``float_reprs``,
+    integers by numpy's conversion, which gives ``repr``'s digits.  One
+    sorted copy of the span finds them; each block then finds its cells'
+    rows by ``searchsorted``.  A list is formatted cell by cell."""
+    if isinstance(col, _Axis):
+        length, stride = col.length, col.stride
+        first = lo // stride
+        steps = first + np.arange(min((hi - 1) // stride - first + 1, length))
+        return _padded((steps % length + 1).astype("S21")), (
+            lambda a, b: (np.arange(a, b) // stride - first) % length
+        )
+    if isinstance(col, list):
+        raw = [s.encode() for s in map(_fmt if fmt == "csv" else json.dumps, col[lo:hi])]
         lengths = np.fromiter(map(len, raw), np.intp, len(raw))
         # padded by length, not by content: a NUL in a text is kept
-        mat = np.full((len(raw), lengths.max(initial=0)), _PAD, np.uint8)
+        mat = np.full((len(raw), lengths.max()), _PAD, np.uint8)
         mat[np.arange(mat.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(raw), np.uint8)
-        return mat, np.arange(len(raw), dtype=np.int32)
-    if col.dtype == np.float64:
-        from .shortest import float_reprs
+        return mat, lambda a, b: np.arange(a - lo, b - lo)
+    array, decode = (col.array, col.decode) if isinstance(col, _Decoded) else (col, None)
+    floats = array.dtype == np.float64
 
-        distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        texts = float_reprs(distinct.view(np.float64))
-    else:  # index columns: a few thousand distinct values at most
-        distinct, inverse = np.unique(col, return_inverse=True)
-        # 24 characters hold any int64 repr
-        texts = np.fromiter(map(repr, distinct.tolist()), "S24", len(distinct))
-    if fmt == "json":
-        for text, json_text in _JSON_FLOATS:
-            texts[texts == text] = json_text
-    texts = texts.astype(f"S{np.strings.str_len(texts).max()}")  # contiguous for take
-    mat = texts.view(np.uint8).reshape(len(texts), -1)
-    mat[mat == 0] = _PAD
-    return mat, inverse.astype(np.int32)
+    def keys(a: int, b: int) -> np.ndarray:  # a copy of cells a to b
+        cells = array.flat[a:b]
+        return cells.view(np.int64) if floats else cells
+
+    distinct = keys(lo, hi)
+    distinct.sort()
+    new = np.empty(len(distinct), bool)
+    new[0] = True
+    np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
+    distinct = distinct[new]
+    del new
+    if floats:
+        mat = _float_texts(distinct.view(np.float64), decode, fmt)
+    else:
+        mat = _padded(distinct.astype("S21"))
+    return mat, lambda a, b: np.searchsorted(distinct, keys(a, b))
 
 
 def _write_rows(f, data: list, fmt: str) -> None:
@@ -91,9 +190,10 @@ def _write_rows(f, data: list, fmt: str) -> None:
     one byte matrix: separator columns from a template row, cell texts
     gathered from the span's text matrices, padding masked out."""
     opening, cell_sep, closing, row_sep = _ROW_LAYOUT[fmt]
-    n = len(data[0])
+    n = _length(data[0])
     for span in range(0, n, _SPAN_ROWS):
-        texts = [_span_texts(col[span : span + _SPAN_ROWS], fmt) for col in data]
+        end = min(span + _SPAN_ROWS, n)
+        texts = [_span_texts(col, span, end, fmt) for col in data]
         widths = [mat.shape[1] for mat, _ in texts]
         template, starts = bytearray(opening), []
         for c, width in enumerate(widths):
@@ -101,15 +201,14 @@ def _write_rows(f, data: list, fmt: str) -> None:
             starts.append(len(template))
             template += bytes([_PAD]) * width
         template += closing + row_sep
-        rows = min(_BLOCK_ROWS, n - span)
-        block = np.tile(np.frombuffer(template, np.uint8), (rows, 1))
-        for lo in range(0, len(texts[0][1]), rows):
-            for (mat, inverse), start, width in zip(texts, starts, widths):
-                cells = inverse[lo : lo + rows]
-                block[: len(cells), start : start + width] = mat.take(cells, axis=0)
-            part = block[: len(cells)]
+        block = np.tile(np.frombuffer(template, np.uint8), (min(_BLOCK_ROWS, end - span), 1))
+        for lo in range(span, end, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, end)
+            for (mat, rows_of), start, width in zip(texts, starts, widths):
+                block[: hi - lo, start : start + width] = mat.take(rows_of(lo, hi), axis=0)
+            part = block[: hi - lo]
             out = part[part != _PAD]
-            if span + lo + len(cells) == n:  # the last row takes no separator
+            if hi == n:  # the last row takes no separator
                 out = out[: len(out) - len(row_sep)]
             f.write(out)
 
@@ -118,7 +217,10 @@ def _emit(cfg: Namespace, columns: list[str], data: list, extras: dict) -> str:
     """Write the artefact in the configured format; returns the path.
 
     ``data`` holds one entry per column, all of one length: a numpy array
-    of integers or floats, or a list for short object columns.
+    of integers or floats of any shape, its cells read in row-major order
+    (a table is handed over as it is, never ravelled), an ``_Axis`` index
+    column, a ``_Decoded`` float column, or a list for short object
+    columns.
     """
     config = {k: v for k, v in vars(cfg).items() if v is not None}
     if cfg.format == "csv":
@@ -135,7 +237,7 @@ def _emit(cfg: Namespace, columns: list[str], data: list, extras: dict) -> str:
         payload.update(extras)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         head, _, tail = text.partition(json.dumps(marker))
-        if len(data[0]):
+        if _length(data[0]):
             head, tail = head + "[\n    ", "\n  ]" + tail
         else:
             head += "[]"
@@ -189,12 +291,12 @@ def _threshold_table(cfg: Namespace):
     raise ValueError(f"unknown threshold kind {kind!r}")
 
 
-def _table_columns(table) -> list[np.ndarray]:
+def _table_columns(table) -> list:
     """Index columns (1-based, row-major) and the value column of the
-    cells of a ``BoundTable``, without the padding index 0 of any axis."""
+    cells of a ``BoundTable``, without the padding index 0 of any axis:
+    one ``_Axis`` per axis and a view of the table, nothing copied."""
     values = table.table[(slice(1, None),) * table.table.ndim]
-    idx = np.indices(values.shape, dtype=np.int32).reshape(values.ndim, -1) + 1
-    return [*idx, values.ravel()]
+    return [*(_Axis(values.shape, a) for a in range(values.ndim)), values]
 
 
 def _cmd_recurrence(cfg: Namespace) -> tuple[list, list, dict, str]:
@@ -237,28 +339,29 @@ def _cmd_dp(cfg: Namespace) -> tuple[list, list, dict, str]:
     )
 
 
+def _exp2(v: np.ndarray) -> np.ndarray:
+    """2.0 ** v by Python's pow: np.power and np.exp2 can differ from it
+    in the last bit."""
+    return np.fromiter(map((2.0).__pow__, v.tolist()), np.float64, len(v))
+
+
 def _cmd_ramsey(cfg: Namespace) -> tuple[list, list, dict, str]:
     from . import lattice
 
     thr = _threshold_table(cfg)
     table = lattice.ramsey_table(cfg.k, cfg.l, thr)
-    k, l, bits = _table_columns(table)
-    # Python's pow once per distinct value: np.power and np.exp2 can differ
-    # from it in the last bit
-    distinct, inverse = np.unique(bits.view(np.int64), return_inverse=True)
-    try:
-        decoded = list(map((2.0).__pow__, distinct.view(bits.dtype).tolist()))
-    except OverflowError:
-        # BoundTable.value names the first cell beyond float range
-        first = int(np.argmax(bits >= 1024.0))
-        table.value(int(k[first]), int(l[first]))
-        raise
-    values = np.array(decoded)[inverse]
+    k, l, log2 = _table_columns(table)
+    if log2.max() >= 1024.0:
+        # 2.0 ** v overflows from v = 1024 on: BoundTable.value names the
+        # first such cell in row-major order, before the file is opened
+        first = np.unravel_index(np.argmax(log2 >= 1024.0), log2.shape)
+        table.value(*(int(i) + 1 for i in first))
     return (
         ["k", "l", "value"],
-        [k, l, values],
+        [k, l, _Decoded(log2, _exp2)],
         {},
-        f"max-form bound ({cfg.thresholds} thresholds); R[{cfg.k},{cfg.l}] = {values[-1].item()!r}",
+        f"max-form bound ({cfg.thresholds} thresholds); R[{cfg.k},{cfg.l}] = "
+        f"{table.value(cfg.k, cfg.l)!r}",
     )
 
 

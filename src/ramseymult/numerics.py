@@ -230,8 +230,8 @@ def bisect(
     """
     if not (lo < hi):
         raise ValueError("bisection requires lo < hi")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     g_lo = g(lo)
     if g_lo == 0.0:
         return lo

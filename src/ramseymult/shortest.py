@@ -216,12 +216,15 @@ def _format_block(x: np.ndarray, out: np.ndarray) -> None:
         out[rows] = _SPECIALS[kind].view(np.uint8).reshape(-1, WIDTH)
 
 
-def float_reprs(x: np.ndarray) -> np.ndarray:
+def float_reprs(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.array([repr(v).encode() for v in x], "S24")`` for a float64
     array, byte for byte, without a Python call per value.  The values are
-    formatted ``_BLOCK`` at a time into the one array returned."""
+    formatted ``_BLOCK`` at a time into the one array returned: ``out``,
+    a C-contiguous (len(x), WIDTH) uint8 matrix whose every byte is
+    written, when one is given."""
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    out = np.zeros((len(x), WIDTH), np.uint8)
+    if out is None:
+        out = np.zeros((len(x), WIDTH), np.uint8)
     for lo in range(0, len(x), _BLOCK):
         _format_block(x[lo : lo + _BLOCK], out[lo : lo + _BLOCK])
     return out.view(f"S{WIDTH}").ravel()

@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour: files, summaries, exit codes."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -299,15 +301,40 @@ class TestColumnWriter:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
         peaks = []
         for t in (300, 600):
-            data = _table_columns(recurrence.build_table(t))
+            table = recurrence.build_table(t)
             cfg = Namespace(subcommand="x", format="csv", out=str(tmp_path / f"{t}.csv"))
             tracemalloc.start()
             try:
-                _emit(cfg, ["k", "l", "v"], data, {})
+                _emit(cfg, ["k", "l", "v"], _table_columns(table), {})
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize(
+        "argv, shape",  # shape with index 0 of each axis
+        [
+            (("recurrence", "--t-max", "600"), (601, 601)),
+            (("ramsey", "--k", "600", "--l", "400"), (601, 401)),
+        ],
+        ids=["recurrence", "ramsey"],
+    )
+    def test_whole_call_memory_near_the_table(self, monkeypatch, argv, shape):
+        # fill, columns and writer together hold the table and span- and
+        # block-sized temporaries, no column or copy the size of the table;
+        # 1024-row blocks keep the formatter's fixed block temporaries
+        # (about 375 bytes a value) small beside it
+        monkeypatch.setattr(cli, "_SPAN_ROWS", 4096)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
+        small = [argv[0]] + [a if a.startswith("-") else "20" for a in argv[1:]]
+        assert main(small) == 0  # imports and constant tables, outside the count
+        tracemalloc.start()
+        try:
+            assert main(list(argv)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * math.prod(shape)
 
 
 class TestConfig:
@@ -335,6 +362,39 @@ class TestDeterminism:
         first = Path(name).read_bytes()
         assert main([*argv]) == 0
         assert Path(name).read_bytes() == first
+
+
+class TestPinnedBytes:
+    """sha256 of the t = 500 tables artifacts, taken from the writer that
+    ravelled whole columns (Linux x86-64, numpy 2.4.6).  Reruns of one
+    version agree by construction; these pins hold the bytes across
+    versions of the writer, the fills and the formatter."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("recurrence", "--t-max", "500", "--out", "recurrence.csv"),
+                "70f69a47f1c9ae8e47c48c1a540b18da7f0f0665649ea8600cc1c95898dabd9e",
+            ),
+            (
+                ("dp", "--k", "500", "--l", "500", "--thresholds", "optimal", "--out", "dp-optimal.csv"),
+                "ac19fb5180fe666b4d25a671be6460d3450049a0b4028b53d1db3e6fb530ef7b",
+            ),
+            (
+                ("dp", "--k", "500", "--l", "500", "--thresholds", "patched", "--out", "dp-patched.csv"),
+                "2bf741dd973dfcf78d329a3ca8e150c4b53cd89fd4801579cce21ff524cdbbd6",
+            ),
+            (
+                ("ramsey", "--k", "500", "--l", "500", "--out", "ramsey.csv"),
+                "8ee27eff293d292b39a5ffb14ee24aa288a7567dc8b495905491ec46413a9eb0",
+            ),
+        ],
+        ids=["recurrence", "dp-optimal", "dp-patched", "ramsey"],
+    )
+    def test_table_artifact_sha256(self, capsys, argv, digest):
+        assert main(list(argv)) == 0
+        assert hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest() == digest
 
 
 class TestExitCodes:
@@ -432,6 +492,20 @@ class TestExitCodes:
                 "R[427,600] = 2**1024.0 is beyond float range\n"
             )
             assert not any(in_tmp.iterdir())  # no artifact, so no "inf" in one
+
+    def test_ramsey_overflow_found_before_the_file_is_opened(self, capsys, in_tmp):
+        # erdos-szekeres values first leave float range at (394, 700), far
+        # from the corner: the whole table is scanned before any byte is
+        # written, and the first cell in row-major order is named
+        code, out, err = run(
+            capsys, "ramsey", "--k", "700", "--l", "700", "--thresholds", "erdos-szekeres"
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "ramseymult ramsey: numeric failure: "
+            "R[394,700] = 2**1024.528137273551 is beyond float range\n"
+        )
+        assert not any(in_tmp.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

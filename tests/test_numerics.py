@@ -124,6 +124,19 @@ class TestBisect:
         with pytest.raises(NoBracket):
             bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # a nan or inf tol would return the bracket's midpoint unbisected
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x - 0.3
+
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            bisect(g, 0.0, 1.0, tol)
+        assert calls == []
+
     def test_evaluation_budget(self):
         lo, hi, tol = 0.0, 3.0, 1e-9
         calls = 0

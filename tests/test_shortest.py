@@ -83,6 +83,17 @@ def test_lengths_across_block_edges(n):
     assert_reprs(from_bits(bits))
 
 
+def test_out_rows_are_written_whole():
+    # a caller may hand over uninitialised rows: every byte must be set,
+    # the NUL padding of short texts and of the specials included
+    bits = np.random.default_rng(7).integers(0, 2**64, 2 * shortest._BLOCK + 5, dtype=np.uint64)
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 0.5], from_bits(bits)])
+    out = np.full((len(x), WIDTH), 0xAB, np.uint8)
+    got = float_reprs(x, out=out)
+    assert np.shares_memory(got, out)
+    assert got.tolist() == reference(x).tolist()
+
+
 def test_memory_is_the_output_and_one_block():
     # blocks are written into one preallocated output: the peak is that
     # output plus one block's temporaries, whatever the length
