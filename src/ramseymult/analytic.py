@@ -7,8 +7,8 @@ t(x):
     t'(x) = ln(t) * t * (1 - t) / (x - (1 + x) * t),    t(0) = eps.
 
 The profile rises from eps to a limit L = t(1) that is insensitive to eps
-(pushing eps to 0 changes t(1) in the sixth decimal), and the growth
-constant is C = (L * (1 - L))^(-1/2).
+(down a ladder of decades of eps, t(1) settles in the sixth decimal), and
+the growth constant is C = (L * (1 - L))^(-1/2).
 
 Near the diagonal the continuum picture breaks down, so assembled
 threshold tables splice in a discrete patch sequence a_0 = 1/2,
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .numerics import (
 )
 
 _DENOMINATOR_FLOOR = -1e-12
+_SEED_TOL = 1e-12
 
 
 class InvalidEpsilon(ValueError):
@@ -46,18 +46,18 @@ class Overflow(NumericFailure):
 
 
 def epsilon_ladder(eps_min: float) -> tuple[float, ...]:
-    """Decades from 1e-2 down to, and including, eps_min.  Each decade is
-    1 / 10**d, which rounds to the same double as the literal 1e-d."""
+    """Decades from 1e-2 down to, and including, eps_min; each is 1 / 10**d,
+    the same double as the literal 1e-d.  Cheap, so callers refuse a ladder
+    before other work: one rung, from an eps_min not clearly below 1e-2,
+    has no spread to report and raises :class:`InvalidEpsilon`."""
     if not 0.0 < eps_min < 1.0:
         raise ValueError(f"eps-min must lie in (0, 1), got {eps_min!r}")
     d = 2
     while 1 / 10**d > eps_min * (1.0 + 1e-9):
         d += 1
+    if d == 2:
+        raise InvalidEpsilon("epsilon ladder needs at least two rungs for an error bar, got 1")
     return tuple(1 / 10**e for e in range(2, d)) + (eps_min,)
-
-
-#: default epsilon ladder for the limit study, largest first
-DEFAULT_EPSILONS = epsilon_ladder(1e-7)
 
 
 def threshold_field(x: float, y: float) -> float:
@@ -111,40 +111,18 @@ class AnalyticConstants:
     t1_limit: float  # endpoint at the smallest epsilon
     c: float
     error_bar: float  # spread of the last <= 3 endpoints
-    tolerance: float
 
 
-def check_ladder(epsilons: Sequence[float]) -> list[float]:
-    """The ladder as a list, or :class:`InvalidEpsilon` if it cannot run:
-    fewer than two rungs, an entry outside (0, 1), or not strictly
-    decreasing.  Cheap, so callers can refuse a ladder before other work."""
-    eps_list = list(epsilons)
-    if len(eps_list) < 2:
-        raise InvalidEpsilon(
-            f"epsilon ladder needs at least two rungs for an error bar, "
-            f"got {len(eps_list)}"
-        )
-    for e in eps_list:
-        if not 0.0 < e < 1.0:
-            raise InvalidEpsilon(f"ladder entry {e!r} outside (0, 1)")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise InvalidEpsilon("epsilon ladder must be strictly decreasing")
-    return eps_list
+def estimate_limit_constants(eps_min: float = 1e-7, tol: float = 1e-10) -> AnalyticConstants:
+    """Solve the ODE along :func:`epsilon_ladder` of ``eps_min`` and report
+    the limit and C.
 
-
-def estimate_limit_constants(
-    epsilons: Sequence[float] | None = None, tol: float = 1e-10
-) -> AnalyticConstants:
-    """Solve the ODE along an epsilon ladder and report the limit and C.
-
-    The ladder must hold at least two rungs, strictly decreasing within
-    (0, 1): one endpoint has no spread to report.  The error bar is the
-    spread of the last three endpoints; by 1e-5 it sits near the
-    integrator noise floor rather than the true epsilon sensitivity.
+    The error bar is the spread of the last three endpoints; by 1e-5 it
+    sits near the integrator noise floor rather than the true epsilon
+    sensitivity.
     """
-    eps_list = check_ladder(DEFAULT_EPSILONS if epsilons is None else epsilons)
     series = tuple(
-        (e, solve_threshold_ode(e, tol).final_value) for e in eps_list
+        (e, solve_threshold_ode(e, tol).final_value) for e in epsilon_ladder(eps_min)
     )
     tail = [t1 for _, t1 in series[-3:]]
     t1_limit = series[-1][1]
@@ -153,7 +131,6 @@ def estimate_limit_constants(
         t1_limit=t1_limit,
         c=constant_from_limit(t1_limit),
         error_bar=max(tail) - min(tail),
-        tolerance=tol,
     )
 
 
@@ -185,11 +162,9 @@ def elementary_ratio(a: int, b: int, thresholds: ThresholdSequence) -> float:
 
 @dataclass(frozen=True)
 class PatchSequence:
-    """Near-diagonal threshold values a_0 .. a_w."""
+    """Near-diagonal threshold values a_0 .. a_w, seeded by a_1."""
 
     values: tuple[float, ...]
-    width: int
-    seed: float  # a_1
 
     def ratios(self) -> tuple[float, ...]:
         return tuple(
@@ -219,11 +194,12 @@ def build_patch_sequence(a1: float, w: int) -> PatchSequence:
         if not 0.0 < nxt < 1.0:
             raise Overflow(f"patch entry {nxt!r} left (0, 1)")
         vals.append(nxt)
-    return PatchSequence(values=tuple(vals), width=w, seed=a1)
+    return PatchSequence(tuple(vals))
 
 
-def find_seed(target: float, w: int, tol: float = 1e-12) -> float:
-    """Seed a_1 whose patch ends at a_w = target, by bisection.
+def find_seed(target: float, w: int) -> float:
+    """Seed a_1 whose patch ends at a_w = target, by bisection to width
+    ``_SEED_TOL``.
 
     The endpoint map a_1 -> a_w is strictly increasing with fixed point
     1/2, so targets below 1/2 are unreachable (:class:`NoBracket` via the
@@ -242,7 +218,7 @@ def find_seed(target: float, w: int, tol: float = 1e-12) -> float:
     def gap(a1: float) -> float:
         return build_patch_sequence(a1, w).values[-1] - target
 
-    return bisect(gap, 0.5, target, tol)
+    return bisect(gap, 0.5, target, _SEED_TOL)
 
 
 def default_patch_width(t_max: int) -> int:

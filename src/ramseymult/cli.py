@@ -327,6 +327,7 @@ def _cmd_thresholds(cfg: Namespace) -> tuple[list, list, dict, str]:
 def _cmd_dp(cfg: Namespace) -> tuple[list, list, dict, str]:
     from . import lattice
 
+    lattice.check_corner(cfg.k, cfg.l)  # before any thresholds are built
     thr = _threshold_table(cfg)
     table = lattice.dp_min_weight(cfg.k, cfg.l, thr, exponent=cfg.mode)
     corner = table.neglog(cfg.k, cfg.l)
@@ -381,7 +382,7 @@ def _cmd_ode(cfg: Namespace) -> tuple[list, list, dict, str]:
 def _cmd_constants(cfg: Namespace) -> tuple[list, list, dict, str]:
     from . import analytic
 
-    est = analytic.estimate_limit_constants(analytic.epsilon_ladder(cfg.eps_min), cfg.tol)
+    est = analytic.estimate_limit_constants(cfg.eps_min, cfg.tol)
     extras = {
         "t1_limit": est.t1_limit,
         "c": est.c,
@@ -509,9 +510,9 @@ def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
 def _cmd_crosscheck(cfg: Namespace) -> tuple[list, list, dict, str]:
     from . import analytic, recurrence
 
-    ladder = analytic.check_ladder(analytic.epsilon_ladder(cfg.eps_min))  # before the fill
+    analytic.epsilon_ladder(cfg.eps_min)  # refuses a bad ladder before the fill
     rec_est = recurrence.estimate_growth_constant(recurrence.build_table(cfg.t_max))
-    ode_est = analytic.estimate_limit_constants(ladder, cfg.tol)
+    ode_est = analytic.estimate_limit_constants(cfg.eps_min, cfg.tol)
     diff = abs(rec_est.c - ode_est.c)
     data = [
         ["recurrence", "ode"],

@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import check_cells, wavefront_fill
+from .numerics import check_cells, check_shape, wavefront_fill
 
 EXPONENT_MODES = ("a", "b", "max")
 
@@ -303,6 +303,14 @@ def path_weight(
     return float(np.sum(_step_exponent(exponent, a, b) * -np.log(s)))
 
 
+def check_corner(k: int, l: int) -> None:
+    """Refuse a DP to corner (k, l) before any work: both sides must be at
+    least 1, and its (k + 1) x (l + 1) table within ``CELL_BUDGET``."""
+    if k < 1 or l < 1:
+        raise ValueError("table corner must have k >= 1 and l >= 1")
+    check_shape((k + 1, l + 1))
+
+
 def _max_plus_fill(
     k: int, l: int, thresholds: ThresholdSequence, mode: str
 ) -> BoundTable:
@@ -311,8 +319,7 @@ def _max_plus_fill(
     from (i-1, j), factor (1-t)^e, with boundary cells at 0 (weight 1).
     ``mode`` sets the exponent e; mode "ramsey" counts in bits, the
     others in nats.  The thresholds are read one antidiagonal at a time."""
-    if k < 1 or l < 1:
-        raise ValueError("table corner must have k >= 1 and l >= 1")
+    check_corner(k, l)
     if k > thresholds.size or l > thresholds.size:
         raise OutOfRange(f"({k}, {l}) needs thresholds beyond size {thresholds.size}")
     log = np.log2 if mode == "ramsey" else np.log

@@ -48,6 +48,11 @@ def check_cells(cells: int, what: str) -> None:
         raise BudgetExceeded(f"{what} = {cells} cells exceeds the budget of {CELL_BUDGET}")
 
 
+def check_shape(shape: tuple[int, ...]) -> None:
+    """:func:`check_cells` for a table of ``shape``, named "k x l table"."""
+    check_cells(math.prod(shape), " x ".join(map(str, shape)) + " table")
+
+
 def wavefront_fill(
     shape: tuple[int, ...],
     cell: Callable[[tuple[np.ndarray, ...], list[np.ndarray]], np.ndarray],
@@ -62,7 +67,7 @@ def wavefront_fill(
     :class:`BudgetExceeded`, naming the shape, before allocating more than
     ``CELL_BUDGET`` cells.  Extra memory is O(t^(q-1)).
     """
-    check_cells(math.prod(shape), " x ".join(map(str, shape)) + " table")
+    check_shape(shape)
     table = np.zeros(shape)
     q, last = table.ndim, table.shape[-1]
     flat = table.reshape(-1)
@@ -97,18 +102,12 @@ class Trajectory:
 
     xs: np.ndarray
     ys: np.ndarray
-    tolerance: float
-    epsilon: float
 
     def __post_init__(self) -> None:
         if len(self.xs) != len(self.ys) or len(self.xs) < 1:
             raise ValueError("trajectory needs parallel, non-empty sample arrays")
         if np.any(np.diff(self.xs) <= 0):
             raise ValueError("trajectory abscissae must be strictly increasing")
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.xs.tolist(), self.ys.tolist()))
 
     @property
     def final_value(self) -> float:
@@ -215,9 +214,7 @@ def integrate(
     else:
         raise SingularField("step budget exhausted; field is too stiff")
 
-    return Trajectory(
-        xs=np.asarray(xs), ys=np.asarray(ys), tolerance=tol, epsilon=y0
-    )
+    return Trajectory(np.asarray(xs), np.asarray(ys))
 
 
 def bisect(

@@ -96,7 +96,6 @@ class ConstantEstimate:
     ln_c: float
     window: tuple[int, int]
     rms_residual: float
-    per_t: tuple[tuple[int, float], ...]  # (t, negLog M_{t,t} / t^2)
 
 
 def estimate_growth_constant(
@@ -123,16 +122,7 @@ def estimate_growth_constant(
         raise WindowTooSmall(f"window {window} unusable for t_max={t_max}")
     pts = [(float(t), float(table.table[t, t])) for t in range(lo, hi + 1)]
     ln_c, resid = fit_quadratic_leading(pts)
-    per_t = tuple(
-        (t, float(table.table[t, t]) / (t * t)) for t in range(2, t_max + 1)
-    )
-    return ConstantEstimate(
-        c=math.exp(ln_c),
-        ln_c=ln_c,
-        window=(lo, hi),
-        rms_residual=resid,
-        per_t=per_t,
-    )
+    return ConstantEstimate(c=math.exp(ln_c), ln_c=ln_c, window=(lo, hi), rms_residual=resid)
 
 
 def multicolor_table(q: int, t_max: int) -> BoundTable:
@@ -211,8 +201,6 @@ def classical_bounds(t: int, table: BoundTable | None = None) -> ClassicalBounds
         raise ValueError("bounds defined for t >= 2")
     if table is None:
         table = build_table(t)
-    if table.rows < t or table.cols < t:
-        raise ValueError("supplied table does not reach t")
     ln2 = math.log(2.0)
     return ClassicalBounds(
         t=t,

@@ -12,7 +12,6 @@ from scipy.interpolate import PchipInterpolator
 
 from ramseymult import analytic
 from ramseymult.analytic import (
-    DEFAULT_EPSILONS,
     AnalyticConstants,
     InvalidEpsilon,
     Overflow,
@@ -108,7 +107,7 @@ def est():
 
 class TestLimitConstants:
     def test_default_ladder_recorded(self, est):
-        assert tuple(e for e, _ in est.epsilon_series) == DEFAULT_EPSILONS
+        assert tuple(e for e, _ in est.epsilon_series) == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
     def test_limit_band(self, est):
         assert 0.65 <= est.t1_limit <= 0.75
@@ -129,25 +128,17 @@ class TestLimitConstants:
             assert b < a or b < 1e-8
         assert est.error_bar < 1e-6
 
-    def test_ladder_validation(self):
-        with pytest.raises(InvalidEpsilon):
-            estimate_limit_constants([])
-        with pytest.raises(InvalidEpsilon):
-            estimate_limit_constants([1e-3, 1e-2])
-        with pytest.raises(InvalidEpsilon):
-            estimate_limit_constants([1e-2, 1e-2])
-
     def test_one_rung_ladder_refused_before_any_solve(self, monkeypatch):
         def no_solve(*args):
             raise AssertionError("a refused ladder must not be solved")
 
         with monkeypatch.context() as patch:
             patch.setattr(analytic, "solve_threshold_ode", no_solve)
-            for ladder in ([1e-2], [0.05], (1e-7,)):
+            for eps_min in (1e-2, 0.05):
                 with pytest.raises(InvalidEpsilon, match="at least two rungs"):
-                    estimate_limit_constants(ladder)
+                    estimate_limit_constants(eps_min)
         # two rungs are a spread of two endpoints, still allowed
-        est = estimate_limit_constants([1e-2, 1e-3])
+        est = estimate_limit_constants(1e-3)
         assert est.error_bar == abs(
             est.epsilon_series[0][1] - est.epsilon_series[1][1]
         ) > 0.0
@@ -210,8 +201,7 @@ class TestPatchSequence:
         p = build_patch_sequence(0.6, 5)
         assert math.isclose(p.values[2], 2 / 3, rel_tol=1e-14)
         assert len(p.values) == 6
-        assert p.seed == 0.6
-        assert p.width == 5
+        assert p.values[:2] == (0.5, 0.6)
 
     def test_random_seeds_stay_inside_and_monotone(self):
         rng = random.Random(2)
@@ -227,7 +217,7 @@ class TestPatchSequence:
             p = build_patch_sequence(rng.uniform(0.5, 0.9), 10)
             r = p.ratios()
             assert all(b <= a + 1e-15 for a, b in zip(r, r[1:]))
-            assert p.final_ratio <= 2 ** (1 / p.width)
+            assert p.final_ratio <= 2 ** (1 / 10)
 
     def test_validation(self):
         with pytest.raises(ValueError):

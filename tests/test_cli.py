@@ -366,9 +366,11 @@ class TestDeterminism:
 
 class TestPinnedBytes:
     """sha256 of the t = 500 tables artifacts, taken from the writer that
-    ravelled whole columns (Linux x86-64, numpy 2.4.6).  Reruns of one
-    version agree by construction; these pins hold the bytes across
-    versions of the writer, the fills and the formatter."""
+    ravelled whole columns, and of the ODE route's artifacts, taken before
+    its records and epsilon ladder were trimmed (Linux x86-64, numpy
+    2.4.6).  Reruns of one version agree by construction; these pins hold
+    the bytes across versions of the writer, the solvers and the
+    formatter."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -389,8 +391,20 @@ class TestPinnedBytes:
                 ("ramsey", "--k", "500", "--l", "500", "--out", "ramsey.csv"),
                 "8ee27eff293d292b39a5ffb14ee24aa288a7567dc8b495905491ec46413a9eb0",
             ),
+            (
+                ("constants", "--out", "constants.csv"),
+                "8023be4b5f52dc50562fd6701b17c399f48d953e84d655cbfc005f76dc736bd6",
+            ),
+            (
+                ("crosscheck", "--t-max", "400", "--out", "crosscheck.csv"),
+                "b96ac44da9bcecec13783f2836b7a99c95297f986122376eb2279cfc7519fc97",
+            ),
+            (
+                ("ode", "--epsilon", "1e-6", "--out", "ode.csv"),
+                "86cc37fc9e4939621aba7c6ffe31131e1e166b665f4d433df3cc7fb2dcbd8740",
+            ),
         ],
-        ids=["recurrence", "dp-optimal", "dp-patched", "ramsey"],
+        ids=["recurrence", "dp-optimal", "dp-patched", "ramsey", "constants", "crosscheck", "ode"],
     )
     def test_table_artifact_sha256(self, capsys, argv, digest):
         assert main(list(argv)) == 0
@@ -529,6 +543,32 @@ class TestExitCodes:
         # (4472 + 1)^2 cells is the first square past the 20-million budget
         code, _, err = run(capsys, *argv)
         assert code == 2 and "cells exceeds the budget of 20000000" in err
+        assert not any(in_tmp.iterdir())
+
+    @pytest.mark.parametrize(
+        "k, l, thresholds, why",
+        [
+            (0, 5, "optimal", "table corner must have k >= 1 and l >= 1"),
+            (0, 5, "patched", "table corner must have k >= 1 and l >= 1"),
+            (5, -1, "erdos-szekeres", "table corner must have k >= 1 and l >= 1"),
+            (4472, 4472, "optimal", "4473 x 4473 table = 20007729 cells exceeds the budget of 20000000"),
+            (4472, 4472, "patched", "4473 x 4473 table = 20007729 cells exceeds the budget of 20000000"),
+        ],
+        ids=["corner-optimal", "corner-patched", "corner-erdos-szekeres", "cells-optimal", "cells-patched"],
+    )
+    def test_dp_refuses_before_any_thresholds(
+        self, capsys, in_tmp, monkeypatch, k, l, thresholds, why
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("built thresholds for a refused DP")
+
+        monkeypatch.setattr(analytic, "solve_threshold_ode", never)
+        monkeypatch.setattr(recurrence, "build_table", never)
+        monkeypatch.setattr(lattice.ThresholdSequence, "erdos_szekeres", never)
+        argv = ["dp", "--k", str(k), "--l", str(l), "--thresholds", thresholds]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"ramseymult dp: invalid request: {why}\n"
         assert not any(in_tmp.iterdir())
 
     def test_dp_budget_counts_its_own_cells(self, capsys, in_tmp):
@@ -692,18 +732,22 @@ class TestLadder:
         ladder = analytic.epsilon_ladder
         assert ladder(1e-4) == (1e-2, 1e-3, 1e-4)
         assert ladder(3e-4) == (1e-2, 1e-3, 3e-4)
-        assert ladder(1e-2) == (1e-2,)
-        assert ladder(0.5) == (0.5,)
         # every decade is the literal: dividing by 10.0 again and again
         # drifts, 1e-2 / 10 / 10 / 10 / 10 != 1e-6
         assert ladder(1e-7) == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-        assert ladder(1e-7) == analytic.DEFAULT_EPSILONS
         assert ladder(1e-9) == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
         assert ladder(1e-11) == (
             1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11
         )
         assert ladder(3e-7) == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 3e-7)
-        assert ladder(0.05) == (0.05,)
+
+    @pytest.mark.parametrize("eps_min", [1e-2, 0.05, 0.5])
+    def test_one_rung_refused(self, eps_min):
+        with pytest.raises(
+            analytic.InvalidEpsilon,
+            match=r"^epsilon ladder needs at least two rungs for an error bar, got 1$",
+        ):
+            analytic.epsilon_ladder(eps_min)
 
     def test_constants_writes_the_literals(self, capsys):
         code, _, _ = run(capsys, "constants", "--tol", "1e-9")

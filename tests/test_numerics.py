@@ -71,9 +71,7 @@ class TestIntegrate:
     def test_samples_strictly_increasing(self):
         traj = integrate(lambda x, y: y * (1 - y), 0.0, 0.1, 2.0, 1e-9)
         assert np.all(np.diff(traj.xs) > 0)
-        assert traj.samples[0] == (0.0, 0.1)
-        assert traj.epsilon == 0.1
-        assert traj.tolerance == 1e-9
+        assert (traj.xs[0], traj.ys[0]) == (0.0, 0.1)
 
     def test_nonfinite_field_raises(self):
         with pytest.raises(SingularField):
@@ -99,16 +97,9 @@ class TestIntegrate:
 
     def test_trajectory_validates_shape(self):
         with pytest.raises(ValueError):
-            Trajectory(
-                xs=np.array([0.0, 1.0]), ys=np.array([1.0]), tolerance=1e-8, epsilon=1.0
-            )
+            Trajectory(xs=np.array([0.0, 1.0]), ys=np.array([1.0]))
         with pytest.raises(ValueError):
-            Trajectory(
-                xs=np.array([0.0, 0.0]),
-                ys=np.array([1.0, 1.0]),
-                tolerance=1e-8,
-                epsilon=1.0,
-            )
+            Trajectory(xs=np.array([0.0, 0.0]), ys=np.array([1.0, 1.0]))
 
 
 class TestBisect:

@@ -190,8 +190,9 @@ class TestGrowthEstimate:
         assert est.c == math.exp(est.ln_c)
 
     def test_per_t_series_monotone(self):
-        est = estimate_growth_constant(build_table(80))
-        vals = [v for _, v in est.per_t]
+        table = build_table(80)
+        est = estimate_growth_constant(table)
+        vals = [table.neglog(t, t) / (t * t) for t in range(2, 81)]
         assert len(vals) == 79
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < est.ln_c  # still approaching from below
@@ -345,5 +346,5 @@ class TestClassicalBounds:
     def test_validation(self, table50):
         with pytest.raises(ValueError):
             classical_bounds(1, table50)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(60, 60\) outside 50 x 50 table"):
             classical_bounds(60, table50)
