@@ -272,10 +272,11 @@ def _check_limits(cfg: Namespace) -> None:
 def _threshold_table(cfg: Namespace):
     """The --thresholds table of a --k x --l DP; only ``patched`` reads
     --epsilon, --w, --tol.  ``optimal`` fills only the recurrence's
-    max(k, l) x min(k, l) block, all the DP reads."""
+    max(k, l) x min(k, l) block, all the DP reads.  Every table has size
+    at least 2, so a 1 x 1 corner, which reads none, still gets one."""
     from . import lattice
 
-    kind, size = cfg.thresholds, max(cfg.k, cfg.l)
+    kind, size = cfg.thresholds, max(cfg.k, cfg.l, 2)
     if kind == "uniform":
         return lattice.ThresholdSequence.uniform(size)
     if kind == "erdos-szekeres":

@@ -278,7 +278,13 @@ class BoundTable:
 def _step_exponent(mode: str, a, b):
     """Exponent of a step through cell (a, b); takes index arrays too.  The
     "ramsey" table steps with exponent 1."""
-    return {"a": a, "b": b, "max": np.maximum(a, b), "ramsey": 1}[mode]
+    if mode == "a":
+        return a
+    if mode == "b":
+        return b
+    if mode == "max":
+        return np.maximum(a, b)
+    return 1
 
 
 def path_weight(
@@ -318,19 +324,22 @@ def _max_plus_fill(
     the larger of the b-step from (i, j-1), factor t^e, and the a-step
     from (i-1, j), factor (1-t)^e, with boundary cells at 0 (weight 1).
     ``mode`` sets the exponent e; mode "ramsey" counts in bits, the
-    others in nats.  The thresholds are read one antidiagonal at a time."""
+    others in nats.  The thresholds and both step costs are computed one
+    band of antidiagonals at a time, before the table is read."""
     check_corner(k, l)
     if k > thresholds.size or l > thresholds.size:
         raise OutOfRange(f"({k}, {l}) needs thresholds beyond size {thresholds.size}")
     log = np.log2 if mode == "ramsey" else np.log
 
-    def cell(idx, below):
+    def weights(idx):
         t = thresholds._evaluate(*idx)
         e = _step_exponent(mode, *idx)
-        return np.maximum(e * -log(t) + below[1], e * -log(1.0 - t) + below[0])
+        return e * -log(t), e * -log(1.0 - t)
 
-    table = wavefront_fill((k + 1, l + 1), cell)
-    return BoundTable(mode, table)
+    def combine(w, below):
+        return np.maximum(w[0] + below[1], w[1] + below[0])
+
+    return BoundTable(mode, wavefront_fill((k + 1, l + 1), weights, combine))
 
 
 def dp_min_weight(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,41 +53,91 @@ def check_shape(shape: tuple[int, ...]) -> None:
     check_cells(math.prod(shape), " x ".join(map(str, shape)) + " table")
 
 
+# Cells per ``weights`` call of :func:`wavefront_fill` on 2 axes.  A band
+# takes whole hyperplanes, so one hyperplane larger than this is a band alone.
+_BAND_CELLS = 4096
+
+
+def _bands(sizes: list[int], limit: int) -> Iterator[tuple[int, int]]:
+    """Split hyperplanes of ``sizes`` cells into consecutive runs [p, r)
+    of at most ``limit`` cells, or of one larger hyperplane."""
+    p, filled = 0, 0
+    for r, n in enumerate(sizes):
+        if filled and filled + n > limit:
+            yield p, r
+            p, filled = r, 0
+        filled += n
+    yield p, len(sizes)
+
+
 def wavefront_fill(
     shape: tuple[int, ...],
-    cell: Callable[[tuple[np.ndarray, ...], list[np.ndarray]], np.ndarray],
+    weights: Callable[[tuple[np.ndarray, ...]], Sequence[np.ndarray]],
+    combine: Callable[[tuple[np.ndarray, ...], list[np.ndarray]], np.ndarray],
 ) -> np.ndarray:
     """Allocate a table of ``shape`` and fill every entry whose indices are
     all >= 2; entries with an index below 2 are the boundary, 0.
 
-    An entry may depend only on its q one-step-down neighbours, so each
-    index-sum hyperplane is one vectorised call ``cell(idx, below)``:
-    ``idx`` holds the q index arrays of the hyperplane's entries, and
-    ``below[d]`` their neighbours' values one step down axis d.  Raises
-    :class:`BudgetExceeded`, naming the shape, before allocating more than
-    ``CELL_BUDGET`` cells.  Extra memory is O(t^(q-1)).
+    An entry may depend only on its q one-step-down neighbours, so the
+    entries are filled one index-sum hyperplane at a time, in two parts.
+    ``weights(idx)`` returns the per-entry arrays that do not read the
+    table: ``idx`` holds the q index arrays of a band of consecutive
+    hyperplanes, and each returned array is parallel to them.  Then
+    ``combine(w, below)`` returns one hyperplane's values from ``w``, its
+    slice of each weight array, and ``below[d]``, its entries' neighbours
+    one step down axis d.
+
+    On 2 axes a band holds up to ``_BAND_CELLS`` entries, and each
+    antidiagonal is a strided run of the table, so ``below`` and the
+    write are views.  On more axes ``below`` is gathered at sorted
+    offsets, and each hyperplane is a band of its own: gathering a band's
+    index rows would cost more than the weights calls it saves.  Raises
+    :class:`BudgetExceeded`, naming the shape, before allocating more
+    than ``CELL_BUDGET`` cells.  Extra memory is O(band + t^(q-1)).
     """
     check_shape(shape)
     table = np.zeros(shape)
-    q, last = table.ndim, table.shape[-1]
+    if min(shape) < 3:
+        return table
+    q, last = table.ndim, shape[-1]
     flat = table.reshape(-1)
     steps = [s // table.itemsize for s in table.strides]
     # interior points of the first q - 1 axes sorted by index sum, so the
     # points of each hyperplane are one contiguous run
-    head = np.indices([n - 2 for n in table.shape[:-1]]).reshape(q - 1, -1) + 2
+    head = np.indices([n - 2 for n in shape[:-1]]).reshape(q - 1, -1) + 2
     sums = head.sum(axis=0)
     order = np.argsort(sums, kind="stable")
     head, sums = head[:, order], sums[order]
     offsets = np.dot(steps[:-1], head)
-    planes = np.arange(2 * q, sum(table.shape) - q + 1)
+    planes = np.arange(2 * q, sum(shape) - q + 1)
     # the last index s - sum must lie in [2, last - 1]
     starts = np.searchsorted(sums, planes - last + 1)
-    stops = np.searchsorted(sums, planes - 1)
-    for s, a, b in zip(planes.tolist(), starts.tolist(), stops.tolist()):
-        tail = s - sums[a:b]
-        idx = (*head[:, a:b], tail)
-        pos = offsets[a:b] + tail * steps[-1]
-        flat[pos] = cell(idx, [flat[pos - step] for step in steps])
+    sizes = np.searchsorted(sums, planes - 1) - starts
+    plane_of, start_of, size_of = planes.tolist(), starts.tolist(), sizes.tolist()
+    # on more than 2 axes the limit 0 makes each hyperplane a band alone;
+    # a band of one hyperplane reads its index rows as views
+    for p, r in _bands(size_of, _BAND_CELLS if q == 2 else 0):
+        if r - p == 1:
+            take = slice(start_of[p], start_of[p] + size_of[p])
+            rows, tail = head[:, take], plane_of[p] - sums[take]
+        else:
+            n = sizes[p:r]
+            first = np.cumsum(n) - n
+            take = np.arange(first[-1] + n[-1]) + np.repeat(starts[p:r] - first, n)
+            rows, tail = head.take(take, axis=1), np.repeat(planes[p:r], n) - sums.take(take)
+        w = tuple(weights((*rows, tail)))
+        if q > 2:
+            pos = offsets[take] + tail  # the last axis has step 1
+            flat[pos] = combine(w, [flat[pos - step] for step in steps])
+            continue
+        # on 2 axes, head[0, a] = a + 2, and cell (i, s - i) of the flat
+        # table sits at s + i * stride
+        o, stride = 0, steps[0] - 1
+        for s, a, n in zip(plane_of[p:r], start_of[p:r], size_of[p:r]):
+            at, span = s + (a + 2) * stride, (n - 1) * stride + 1
+            below = [flat[at - step : at - step + span : stride] for step in steps]
+            flat[at : at + span : stride] = combine(tuple([x[o : o + n] for x in w]), below)
+            o += n
     return table
 
 

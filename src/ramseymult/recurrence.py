@@ -30,12 +30,17 @@ class WindowTooSmall(NumericFailure):
     """The table is too short to carve out a usable fit window."""
 
 
-def _recurrence_cell(idx, below):
-    """negLog of (sum_d M_{x-e_d}^(-1/mu))^(-mu), mu the largest index, on
-    one wavefront hyperplane.  The q neighbours are folded left to right,
-    the same arithmetic for every q, so the two-colour table is a true
-    slice of the q-colour one, bit for bit."""
-    mu = reduce(np.maximum, idx)
+def _recurrence_weights(idx):
+    """mu, the largest index of each cell."""
+    return (reduce(np.maximum, idx),)
+
+
+def _recurrence_cell(w, below):
+    """negLog of (sum_d M_{x-e_d}^(-1/mu))^(-mu) on one wavefront
+    hyperplane.  The q neighbours are folded left to right, the same
+    arithmetic for every q, so the two-colour table is a true slice of
+    the q-colour one, bit for bit."""
+    (mu,) = w
     acc = below[0] / mu
     for nb in below[1:]:
         acc = np.logaddexp(acc, nb / mu)
@@ -58,7 +63,8 @@ def build_table(t_max: int, cols: int | None = None) -> BoundTable:
     cols = t_max if cols is None else cols
     if not 1 <= cols <= t_max:
         raise ValueError(f"cols must lie in [1, t_max], got {cols}")
-    return BoundTable("max", wavefront_fill((t_max + 1, cols + 1), _recurrence_cell))
+    table = wavefront_fill((t_max + 1, cols + 1), _recurrence_weights, _recurrence_cell)
+    return BoundTable("max", table)
 
 
 def optimal_thresholds(table: BoundTable) -> ThresholdSequence:
@@ -139,7 +145,8 @@ def multicolor_table(q: int, t_max: int) -> BoundTable:
         raise ValueError("q must be at least 2")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    return BoundTable("max", wavefront_fill((t_max + 1,) * q, _recurrence_cell))
+    table = wavefront_fill((t_max + 1,) * q, _recurrence_weights, _recurrence_cell)
+    return BoundTable("max", table)
 
 
 def alpha_estimate(q: int, t: int, table: BoundTable | None = None) -> float:

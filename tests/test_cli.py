@@ -76,6 +76,18 @@ class TestArtifacts:
         rows = Path("ramsey.csv").read_text().splitlines()
         assert rows[-1] == "5,5,128.0"
 
+    @pytest.mark.parametrize(
+        "sub, kind",
+        [("dp", k) for k in ("uniform", "erdos-szekeres", "optimal", "patched")]
+        + [("ramsey", k) for k in ("uniform", "erdos-szekeres")],
+    )
+    def test_one_by_one_corner(self, capsys, sub, kind):
+        # the corner is its own boundary cell: weight 1, R = 1
+        code, _, err = run(capsys, sub, "--k", "1", "--l", "1", "--thresholds", kind)
+        assert (code, err) == (0, "")
+        want = ["k,l,neglog_value", "1,1,0.0"] if sub == "dp" else ["k,l,value", "1,1,1.0"]
+        assert Path(f"{sub}.csv").read_text().splitlines()[-2:] == want
+
     def test_ode_trajectory(self, capsys):
         code, out, _ = run(
             capsys, "ode", "--epsilon", "0.01", "--tol", "1e-8", "--out", "tr.csv"

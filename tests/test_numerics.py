@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from ramseymult import numerics
+from ramseymult.analytic import assemble_patched_thresholds
+from ramseymult.lattice import ThresholdSequence, dp_min_weight, ramsey_table
 from ramseymult.numerics import (
     Degenerate,
     NoBracket,
@@ -15,6 +18,7 @@ from ramseymult.numerics import (
     integrate,
     wavefront_fill,
 )
+from ramseymult.recurrence import build_table, optimal_thresholds
 
 
 def _index_weighted_paths(idx, below):
@@ -34,14 +38,68 @@ class TestWavefrontFill:
             if min(x) >= 2:
                 below = [ref[x[:d] + (x[d] - 1,) + x[d + 1 :]] for d in range(len(x))]
                 ref[x] = sum(below) + math.prod(x)
-        got = wavefront_fill(shape, _index_weighted_paths)
+        got = wavefront_fill(shape, lambda idx: idx, _index_weighted_paths)
         assert np.array_equal(got, ref)
 
     def test_boundary_untouched(self):
-        got = wavefront_fill((5, 6), _index_weighted_paths)
+        got = wavefront_fill((5, 6), lambda idx: idx, _index_weighted_paths)
         assert np.all(got[:2] == 0.0) and np.all(got[:, :2] == 0.0)
         assert got[2, 2] == 4.0
-        assert np.array_equal(wavefront_fill((2, 6), _index_weighted_paths), np.zeros((2, 6)))
+        assert np.array_equal(wavefront_fill((2, 6), lambda idx: idx, _index_weighted_paths), np.zeros((2, 6)))
+
+
+THRESHOLD_KINDS = {
+    "uniform": ThresholdSequence.uniform,
+    "erdos-szekeres": ThresholdSequence.erdos_szekeres,
+    "optimal": lambda size: optimal_thresholds(build_table(size)),
+    "patched": lambda size: assemble_patched_thresholds(1e-3, size),
+}
+
+
+class TestBands:
+    @pytest.mark.parametrize("band", [1, 5])
+    @pytest.mark.parametrize(
+        "shape", [(7, 4), (4, 7), (3, 9), (5, 7, 4), (3, 3, 3, 6)]
+    )
+    def test_band_size_leaves_table_unchanged(self, monkeypatch, shape, band):
+        # band 1 is one antidiagonal per band; band 5 mixes bands of several
+        # short antidiagonals with longer ones alone; fills on more axes
+        # keep one hyperplane per band whatever the constant
+        want = wavefront_fill(shape, lambda idx: idx, _index_weighted_paths)
+        monkeypatch.setattr(numerics, "_BAND_CELLS", band)
+        got = wavefront_fill(shape, lambda idx: idx, _index_weighted_paths)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("band", [1, 5])
+    @pytest.mark.parametrize("kind", list(THRESHOLD_KINDS))
+    def test_band_size_leaves_dp_bits_unchanged(self, monkeypatch, kind, band):
+        thr = THRESHOLD_KINDS[kind](37)
+
+        def fill(mode):
+            if mode == "ramsey":
+                return ramsey_table(37, 23, thr).table
+            return dp_min_weight(37, 23, thr, mode).table
+
+        modes = ("a", "b", "max", "ramsey")
+        want = [fill(mode) for mode in modes]
+        monkeypatch.setattr(numerics, "_BAND_CELLS", band)
+        for mode, table in zip(modes, want):
+            assert np.array_equal(fill(mode).view(np.int64), table.view(np.int64)), mode
+
+    def test_thresholds_read_once_per_band(self):
+        # a band holds whole antidiagonals, so two consecutive bands hold
+        # more than a band's cells; each cell is read exactly once
+        thr = optimal_thresholds(build_table(300))
+        reads = []
+
+        def at(i, j):
+            reads.append(np.size(i))
+            return thr.at(i, j)
+
+        dp_min_weight(300, 300, ThresholdSequence(thr.size, thr.provenance, at))
+        cells = 299 * 299
+        assert len(reads) <= 2 * math.ceil(cells / numerics._BAND_CELLS) + 1
+        assert sum(reads) == cells
 
 
 class TestIntegrate:
