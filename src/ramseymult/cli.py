@@ -288,6 +288,9 @@ def _threshold_table(cfg: Namespace):
     if kind == "patched":
         from . import analytic
 
+        if cfg.w is not None and not 1 <= cfg.w < size:
+            # dp has no --t-max, so the bound is named by the options it has
+            raise ValueError(f"patch width {cfg.w} must satisfy 1 <= w < max(k, l, 2) = {size}")
         return analytic.assemble_patched_thresholds(cfg.epsilon, size, cfg.w, cfg.tol)
     raise ValueError(f"unknown threshold kind {kind!r}")
 
@@ -512,7 +515,7 @@ def _cmd_crosscheck(cfg: Namespace) -> tuple[list, list, dict, str]:
     from . import analytic, recurrence
 
     analytic.epsilon_ladder(cfg.eps_min)  # refuses a bad ladder before the fill
-    rec_est = recurrence.estimate_growth_constant(recurrence.build_table(cfg.t_max))
+    rec_est = recurrence.estimate_growth_constant(cfg.t_max)  # a streamed diagonal
     ode_est = analytic.estimate_limit_constants(cfg.eps_min, cfg.tol)
     diff = abs(rec_est.c - ode_est.c)
     data = [

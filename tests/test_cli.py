@@ -495,18 +495,50 @@ class TestExitCodes:
     def test_crosscheck_refuses_its_ladder_before_the_fill(
         self, capsys, in_tmp, monkeypatch, eps_min
     ):
-        def build_table(*args):
-            raise AssertionError("filled the table before checking the ladder")
+        def diagonal(*args):
+            raise AssertionError("streamed the diagonal before checking the ladder")
 
-        monkeypatch.setattr(recurrence, "build_table", build_table)
+        monkeypatch.setattr(recurrence, "diagonal", diagonal)
         code, out, err = run(capsys, "crosscheck", "--t-max", "3000", "--eps-min", eps_min)
         assert code == 2 and out == "" and "at least two rungs" in err
         assert not any(in_tmp.iterdir())
 
     def test_crosscheck_budget_still_comes_before_the_ode(self, capsys, in_tmp):
-        # a ladder that runs but whose ODE would fail leaves the budget first
-        code, _, err = run(capsys, "crosscheck", "--t-max", "4472", "--eps-min", "1e-11")
-        assert code == 2 and "cells exceeds the budget" in err
+        # a ladder that runs but whose ODE would fail leaves the bound first
+        code, _, err = run(capsys, "crosscheck", "--t-max", "20001", "--eps-min", "1e-11")
+        assert code == 2 and "exceeds the streaming bound t <= 20000" in err
+        assert not any(in_tmp.iterdir())
+
+    @pytest.mark.parametrize("argv", ["crosscheck --t-max 20001", "alpha --q 2 --t 20001"])
+    def test_streaming_bound_exits_two_before_work(self, capsys, monkeypatch, in_tmp, argv):
+        # the diagonal is streamed in O(t) memory, so t, not the cell
+        # budget, bounds it; nothing is filled or solved before the refusal
+        def never(*args, **kwargs):
+            raise AssertionError("worked on a refused request")
+
+        monkeypatch.setattr(recurrence, "wavefront_fill", never)
+        monkeypatch.setattr(analytic, "solve_threshold_ode", never)
+        argv = argv.split()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"ramseymult {argv[0]}: invalid request: "
+            "a diagonal to t = 20001 exceeds the streaming bound t <= 20000\n"
+        )
+        assert not any(in_tmp.iterdir())
+
+    def test_crosscheck_past_the_cell_budget_holds_o_t_memory(self, capsys):
+        # (4472 + 1)^2 cells, the first square past the budget, would be a
+        # 160 MB table; the streamed fill holds a few antidiagonals
+        assert run(capsys, "crosscheck", "--t-max", "60")[0] == 0  # imports, outside the count
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "crosscheck", "--t-max", "4472")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == "" and out.startswith("C(recurrence) = ")
+        assert peak <= 1000 * 4472
 
     def test_ramsey_beyond_float_range_exits_three(self, capsys, in_tmp):
         # R[k,l] = 2**(k+l-3) first leaves float range at (427, 600)
@@ -546,7 +578,6 @@ class TestExitCodes:
             ("ramsey", "--k", "100000", "--l", "100000"),
             ("ramsey", "--k", "4472", "--l", "4472", "--thresholds", "erdos-szekeres"),
             ("patch", "--t-max", "4472"),
-            ("crosscheck", "--t-max", "4472"),
             ("multicolor", "--q", "3", "--t-max", "271"),  # 272^3 = 20123648
         ],
         ids=" ".join,
@@ -581,6 +612,22 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"ramseymult dp: invalid request: {why}\n"
+        assert not any(in_tmp.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, why",
+        [
+            ("dp --k 5 --l 5 --thresholds patched --w 5", "patch width 5 must satisfy 1 <= w < max(k, l, 2) = 5"),
+            ("dp --k 1 --l 1 --thresholds patched --w 3", "patch width 3 must satisfy 1 <= w < max(k, l, 2) = 2"),
+            ("patch --t-max 5 --w 5", "patch width 5 must satisfy 1 <= w < t_max"),
+        ],
+    )
+    def test_patch_width_refusal_names_the_options(self, capsys, in_tmp, argv, why):
+        # dp has no --t-max: its patched table has size max(k, l, 2)
+        argv = argv.split()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"ramseymult {argv[0]}: invalid request: {why}\n"
         assert not any(in_tmp.iterdir())
 
     def test_dp_budget_counts_its_own_cells(self, capsys, in_tmp):
@@ -697,8 +744,13 @@ class TestStartup:
     @pytest.mark.parametrize(
         "argv, unloaded",
         [
-            (["bruteforce", "--n", "5", "--t", "3"], {"analytic", "lattice", "recurrence"}),
-            (["constants", "--eps-min", "1e-3"], {"oracle"}),
+            (
+                ["bruteforce", "--n", "5", "--t", "3"],
+                {"ramseymult.analytic", "ramseymult.lattice", "ramseymult.recurrence"},
+            ),
+            (["constants", "--eps-min", "1e-3"], {"ramseymult.oracle"}),
+            # np.unique would import numpy.ma, about 11 ms of the call
+            (["crosscheck", "--t-max", "60"], {"ramseymult.oracle", "numpy.ma"}),
         ],
     )
     def test_subcommand_loads_only_its_solvers(self, in_tmp, argv, unloaded):
@@ -706,11 +758,11 @@ class TestStartup:
             "import sys\n"
             "from ramseymult import cli\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('ramseymult.')))\n"
+            "print(' '.join(sys.modules))\n"
         )
         last = _fresh_python(probe).splitlines()[-1]  # after the summary line
-        loaded = {m.removeprefix("ramseymult.") for m in last.split()}
-        assert "cli" in loaded and not loaded & unloaded
+        loaded = set(last.split())
+        assert "ramseymult.cli" in loaded and not loaded & unloaded
 
     def test_mode_choices_are_the_lattice_modes(self):
         dp = build_parser()._subparsers._group_actions[0].choices["dp"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ramseymult import numerics
-from ramseymult.analytic import assemble_patched_thresholds
+from ramseymult.analytic import assemble_patched_thresholds, threshold_field
 from ramseymult.lattice import ThresholdSequence, dp_min_weight, ramsey_table
 from ramseymult.numerics import (
     Degenerate,
@@ -46,6 +46,33 @@ class TestWavefrontFill:
         assert np.all(got[:2] == 0.0) and np.all(got[:, :2] == 0.0)
         assert got[2, 2] == 4.0
         assert np.array_equal(wavefront_fill((2, 6), lambda idx: idx, _index_weighted_paths), np.zeros((2, 6)))
+
+
+class TestStreamedPlanes:
+    @pytest.mark.parametrize("band", [1, 5, 4096])
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (3, 9), (9, 3), (8, 8)])
+    def test_each_plane_is_the_tables_antidiagonal(self, monkeypatch, shape, band):
+        monkeypatch.setattr(numerics, "_BAND_CELLS", band)
+        table = wavefront_fill(shape, lambda idx: idx, _index_weighted_paths)
+        seen = []
+
+        def each_plane(s, row):
+            i = np.arange(max(2, s - shape[1] + 1), min(shape[0] - 1, s - 2) + 1)
+            assert np.array_equal(row[i], table[i, s - i])
+            seen.append(s)
+
+        assert wavefront_fill(shape, lambda idx: idx, _index_weighted_paths, each_plane) is None
+        assert seen == list(range(4, sum(shape) - 1))
+
+    def test_two_axes_only(self):
+        with pytest.raises(ValueError, match="only 2-axis fills stream"):
+            wavefront_fill((4, 4, 4), lambda idx: idx, _index_weighted_paths, lambda s, row: None)
+
+    def test_no_interior_no_plane(self):
+        def never(s, row):
+            raise AssertionError("handed a plane of a fill with no interior")
+
+        assert wavefront_fill((2, 9), lambda idx: idx, _index_weighted_paths, never) is None
 
 
 THRESHOLD_KINDS = {
@@ -100,6 +127,136 @@ class TestBands:
         cells = 299 * 299
         assert len(reads) <= 2 * math.ceil(cells / numerics._BAND_CELLS) + 1
         assert sum(reads) == cells
+
+
+# The Dormand-Prince step as a loop over its tableau, as integrate took it
+# before the step was unrolled: the reference its float operations must
+# match bit for bit.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def tableau_integrate(field, x0, y0, x1, tol):
+    def eval_field(x, y):
+        v = field(x, y)
+        if not math.isfinite(v):
+            raise SingularField(f"field returned {v!r} at x={x!r}, y={y!r}")
+        return v
+
+    xs, ys = [x0], [y0]
+    x, y = x0, y0
+    h = (x1 - x0) / 1000.0
+    k1 = eval_field(x, y)
+    err_prev = 1.0
+    k = [0.0] * 7
+    for _ in range(numerics._MAX_STEPS):
+        if x >= x1:
+            break
+        h = min(h, x1 - x)
+        if h < numerics._MIN_STEP:
+            raise SingularField(
+                f"step size underflow ({h!r}) at x={x!r}; field is too stiff here"
+            )
+        k[0] = k1
+        failed = False
+        for i in range(1, 7):
+            yi = y
+            for j, a in enumerate(_DP_A[i]):
+                if a != 0.0:
+                    yi += h * a * k[j]
+            try:
+                k[i] = eval_field(x + _DP_C[i] * h, yi)
+            except SingularField:
+                failed = True
+                break
+        if failed:
+            h *= 0.25
+            continue
+        err = abs(sum(e * ki for e, ki in zip(_DP_E, k)))
+        r = err / tol
+        if r <= 1.0:
+            y_new = y
+            for b, ki in zip(_DP_B5, k):
+                if b != 0.0:
+                    y_new += h * b * ki
+            x = x1 if (x1 - x) == h else x + h
+            y = y_new
+            xs.append(x)
+            ys.append(y)
+            k1 = k[6]
+            rr = max(r, 1e-10)
+            fac = 0.9 * rr ** -0.14 * err_prev ** 0.08
+            err_prev = rr
+            h *= min(5.0, max(0.2, fac))
+        else:
+            h *= max(0.2, 0.9 * r ** -0.2)
+    else:
+        raise SingularField("step budget exhausted; field is too stiff")
+    return Trajectory(np.asarray(xs), np.asarray(ys))
+
+
+def _undershoot(x, y):
+    # stiff relaxation to 1; the first steps' interior stages undershoot
+    # past 1 - 1e-3 and raise, so those steps are retried at a quarter
+    if y < 1.0 - 1e-3:
+        raise SingularField("undershoot")
+    return -5000.0 * (y - 1.0)
+
+
+class TestUnrolledStep:
+    @pytest.mark.parametrize(
+        "field, x0, y0, x1, tol",
+        [
+            (threshold_field, 0.0, 1e-2, 1.0, 1e-10),
+            (threshold_field, 0.0, 1e-5, 1.0, 1e-10),
+            (threshold_field, 0.0, 1e-9, 1.0, 1e-10),
+            (lambda x, y: -y, 0.0, 1.0, 1.0, 1e-8),
+            (lambda x, y: y * math.cos(x), 0.0, 1.0, 10.0, 1e-9),
+            (_undershoot, 0.0, 2.0, 1.0, 1e-9),
+        ],
+        ids=["threshold-1e-2", "threshold-1e-5", "threshold-1e-9", "decay", "y-cos", "interior-raise"],
+    )
+    def test_matches_the_tableau_loop_bit_for_bit(self, field, x0, y0, x1, tol):
+        want = tableau_integrate(field, x0, y0, x1, tol)
+        got = integrate(field, x0, y0, x1, tol)
+        assert np.array_equal(got.xs.view(np.int64), want.xs.view(np.int64))
+        assert np.array_equal(got.ys.view(np.int64), want.ys.view(np.int64))
+
+    def test_interior_raise_is_retried(self):
+        raised = []
+
+        def field(x, y):
+            try:
+                return _undershoot(x, y)
+            except SingularField:
+                raised.append(x)
+                raise
+
+        assert integrate(field, 0.0, 2.0, 1.0, 1e-9).xs[-1] == 1.0
+        assert raised  # stages raised, and the solve still reached x1
+
+    @pytest.mark.parametrize(
+        "field, y0",
+        [(threshold_field, 1e-11), (lambda x, y: 1.0 / (0.5 - x), 0.0)],
+        ids=["threshold-1e-11", "pole"],
+    )
+    def test_same_step_underflow_message(self, field, y0):
+        with pytest.raises(SingularField) as want:
+            tableau_integrate(field, 0.0, y0, 1.0, 1e-10)
+        with pytest.raises(SingularField) as got:
+            integrate(field, 0.0, y0, 1.0, 1e-10)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("step size underflow (")
 
 
 class TestIntegrate:

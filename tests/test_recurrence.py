@@ -1,6 +1,7 @@
 """Recurrence tables, optimal thresholds, growth fits, multicolour."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import mpmath
@@ -9,12 +10,15 @@ import pytest
 
 from ramseymult.lattice import BoundTable, OutOfRange, ThresholdSequence, dp_min_weight
 from ramseymult.numerics import BudgetExceeded
+from ramseymult import recurrence
 from ramseymult.recurrence import (
+    STREAM_T_MAX,
     WindowTooSmall,
     _ln_binom_4t_choose_t,
     alpha_estimate,
     build_table,
     classical_bounds,
+    diagonal,
     estimate_growth_constant,
     multicolor_table,
     optimal_thresholds,
@@ -177,6 +181,49 @@ class TestOptimalThresholds:
         rt = ramsey_table(5, 5, ThresholdSequence.uniform(5))
         with pytest.raises(ValueError):
             optimal_thresholds(rt)
+
+
+class TestDiagonal:
+    @pytest.mark.parametrize("t", [2, 3, 4, 37, 500, 1000])
+    def test_equals_the_table_diagonal_bit_for_bit(self, t):
+        want = np.diagonal(build_table(t).table)
+        assert np.array_equal(diagonal(t).view(np.int64), want.view(np.int64))
+
+    def test_memory_grows_linearly(self):
+        # the table would grow 4-fold from t = 1000 to 2000
+        peaks = []
+        for t in (1000, 2000):
+            tracemalloc.start()
+            try:
+                diagonal(t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+    def test_refused_before_the_fill(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("filled a refused diagonal")
+
+        monkeypatch.setattr(recurrence, "wavefront_fill", never)
+        with pytest.raises(ValueError, match="t_max must be at least 2"):
+            diagonal(1)
+        for read in (diagonal, estimate_growth_constant, classical_bounds, lambda t: alpha_estimate(2, t)):
+            with pytest.raises(BudgetExceeded, match=f"^a diagonal to t = {STREAM_T_MAX + 1} exceeds"):
+                read(STREAM_T_MAX + 1)
+        # an unusable window is refused before the fill as well
+        with pytest.raises(WindowTooSmall):
+            estimate_growth_constant(30)
+        with pytest.raises(WindowTooSmall):
+            estimate_growth_constant(60, window=(10, 70))
+
+    def test_readers_without_a_table_read_it(self):
+        table = build_table(120)
+        assert estimate_growth_constant(120) == estimate_growth_constant(table)
+        assert estimate_growth_constant(60, (40, 60)) == estimate_growth_constant(build_table(60), (40, 60))
+        assert classical_bounds(120) == classical_bounds(120, table)
+        alpha = alpha_estimate(2, 120)
+        assert type(alpha) is float and alpha == alpha_estimate(2, 120, table)
 
 
 class TestGrowthEstimate:
