@@ -84,34 +84,31 @@ def wavefront_fill(
     ``weights(idx)`` returns the per-entry arrays that do not read the
     table: ``idx`` holds the q index arrays of a band of consecutive
     hyperplanes, and each returned array is parallel to them.  Then
-    ``combine(w, below)`` returns one hyperplane's values from ``w``, its
-    slice of each weight array, and ``below[d]``, its entries' neighbours
-    one step down axis d.
+    ``combine(w, below)`` returns one hyperplane's values, as a new
+    array, from ``w``, its slice of each weight array, and ``below[d]``,
+    its entries' neighbours one step down axis d.
 
-    On 2 axes a band holds up to ``_BAND_CELLS`` entries, and each
-    antidiagonal is a strided run of the table, so ``below`` and the
-    write are views.  On more axes ``below`` is gathered at sorted
-    offsets, and each hyperplane is a band of its own: gathering a band's
-    index rows would cost more than the weights calls it saves.  Raises
-    :class:`BudgetExceeded`, naming the shape, before allocating more
-    than ``CELL_BUDGET`` cells.  Extra memory is O(band + t^(q-1)).
-
-    With ``each_plane``, a 2-axis fill allocates no table and returns
-    None.  It keeps only the previous antidiagonal, as one array ``row``
-    indexed by the first index, so ``below`` is two contiguous views of
-    it.  Each finished antidiagonal s goes back into ``row``, row[i] being
-    entry (i, s - i), and then to ``each_plane(s, row)``, which may read
-    the interior entries of s; ``row`` is then reused.  The budget counts
-    one antidiagonal, and memory is O(band + shape[0]).
+    The fill reads only the previous hyperplane, kept as one flat array
+    ``plane`` indexed by the first q - 1 indices: entry h is cell
+    (h, s - sum(h)) of hyperplane s.  On 2 axes ``below`` is two
+    contiguous views of it, and a band holds up to ``_BAND_CELLS``
+    entries; on more axes ``below`` is gathered at sorted offsets, and
+    each hyperplane is a band of its own: gathering a band's index rows
+    would cost more than the weights calls it saves.  Each finished
+    hyperplane s goes back into ``plane`` and then into the table, or,
+    with ``each_plane``, to ``each_plane(s, plane)``, which may read the
+    interior entries of s; ``plane`` is then reused.  With ``each_plane``
+    no table is allocated, None is returned, and memory is
+    O(band + t^(q-1)).  Raises :class:`BudgetExceeded` before allocating
+    a table of more than ``CELL_BUDGET`` cells, naming its shape, or a
+    ``plane`` of more.
     """
     q = len(shape)
     if each_plane is None:
         check_shape(shape)
         table = np.zeros(shape)
-    elif q != 2:
-        raise ValueError(f"only 2-axis fills stream their planes, not {q}")
     else:
-        check_cells(shape[0], "one antidiagonal")
+        check_cells(math.prod(shape[:-1]), "one hyperplane")
         table = None
     if min(shape) < 3:
         return table
@@ -127,16 +124,15 @@ def wavefront_fill(
     starts = np.searchsorted(sums, planes - last + 1)
     sizes = np.searchsorted(sums, planes - 1) - starts
     plane_of, start_of, size_of = planes.tolist(), starts.tolist(), sizes.tolist()
-    if table is None:
-        # entry (i, s - i) has neighbours (i - 1, s - i) and (i, s - 1 - i),
-        # row[i - 1] and row[i] of antidiagonal s - 1; its boundary entries
-        # row[1] and row[s - 2] stay zero, as no earlier antidiagonal
-        # reaches them
-        row = np.zeros(shape[0])
-    else:
-        flat = table.reshape(-1)
-        steps = [s // table.itemsize for s in table.strides]
-        offsets = np.dot(steps[:-1], head)
+    # the neighbours of entry h are entries h - e_d and, down the last
+    # axis, h itself; an entry no earlier hyperplane reached is boundary
+    # and still zero
+    plane = np.zeros(math.prod(shape[:-1]))
+    steps = [math.prod(shape[d + 1 : -1]) for d in range(q - 1)]
+    ats = np.dot(steps, head)  # sorted within each hyperplane
+    if table is not None:
+        # cell (i, s - i) of a flat 2-axis table sits at s + i * stride
+        flat, stride = table.reshape(-1), last - 1
     # on more than 2 axes the limit 0 makes each hyperplane a band alone;
     # a band of one hyperplane reads its index rows as views
     for p, r in _bands(size_of, _BAND_CELLS if q == 2 else 0):
@@ -149,26 +145,23 @@ def wavefront_fill(
             take = np.arange(first[-1] + n[-1]) + np.repeat(starts[p:r] - first, n)
             rows, tail = head.take(take, axis=1), np.repeat(planes[p:r], n) - sums.take(take)
         w = tuple(weights((*rows, tail)))
-        if q > 2:
-            pos = offsets[take] + tail  # the last axis has step 1
-            flat[pos] = combine(w, [flat[pos - step] for step in steps])
-            continue
-        if table is None:
-            o = 0
-            for s, a, n in zip(plane_of[p:r], start_of[p:r], size_of[p:r]):
-                i = a + 2  # head[0, a]
-                below = [row[i - 1 : i - 1 + n], row[i : i + n]]
-                row[i : i + n] = combine(tuple([x[o : o + n] for x in w]), below)
-                each_plane(s, row)
-                o += n
-            continue
-        # on 2 axes, head[0, a] = a + 2, and cell (i, s - i) of the flat
-        # table sits at s + i * stride
-        o, stride = 0, steps[0] - 1
+        o = 0
         for s, a, n in zip(plane_of[p:r], start_of[p:r], size_of[p:r]):
-            at, span = s + (a + 2) * stride, (n - 1) * stride + 1
-            below = [flat[at - step : at - step + span : stride] for step in steps]
-            flat[at : at + span : stride] = combine(tuple([x[o : o + n] for x in w]), below)
+            if q == 2:
+                i = a + 2  # head[0, a]
+                at = slice(i, i + n)
+                below = [plane[i - 1 : i - 1 + n], plane[at]]
+            else:
+                at = ats[a : a + n]
+                below = [plane[at - step] for step in steps] + [plane[at]]
+            v = combine(tuple([x[o : o + n] for x in w]), below)
+            plane[at] = v
+            if table is None:
+                each_plane(s, plane)
+            elif q == 2:
+                flat[s + i * stride : s + (i + n - 1) * stride + 1 : stride] = v
+            else:
+                flat[at * last + tail[o : o + n]] = v
             o += n
     return table
 

@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .lattice import BoundTable, ThresholdSequence
-from .numerics import BudgetExceeded, NumericFailure, fit_quadratic_leading, wavefront_fill
+from .numerics import BudgetExceeded, fit_quadratic_leading, wavefront_fill
 
 # The largest t_max whose diagonal is streamed.  The stream holds O(t)
 # memory, so time bounds it: O(t^2), and `crosscheck --t-max 20000` takes
@@ -31,8 +31,9 @@ from .numerics import BudgetExceeded, NumericFailure, fit_quadratic_leading, wav
 STREAM_T_MAX = 20_000
 
 
-class WindowTooSmall(NumericFailure):
-    """The table is too short to carve out a usable fit window."""
+class WindowTooSmall(ValueError):
+    """The table is too short to carve out a usable fit window.  The
+    window is checked before any fill, so this is a refused request."""
 
 
 def _recurrence_weights(idx):
@@ -92,9 +93,9 @@ def diagonal(t_max: int) -> np.ndarray:
     _check_stream(t_max)
     diag = np.zeros(t_max + 1)
 
-    def keep(s, row):
+    def keep(s, plane):
         if s % 2 == 0:
-            diag[s // 2] = row[s // 2]
+            diag[s // 2] = plane[s // 2]
 
     wavefront_fill((t_max + 1,) * 2, _recurrence_weights, _recurrence_cell, keep)
     return diag

@@ -449,7 +449,7 @@ class TestExitCodes:
             (numerics.NoBracket, 3),
             (numerics.Degenerate, 3),
             (analytic.Overflow, 3),
-            (recurrence.WindowTooSmall, 3),
+            (recurrence.WindowTooSmall, 2),
             (OverflowError, 3),
             (ZeroDivisionError, None),  # not the CLI's to classify
         ],
@@ -470,10 +470,27 @@ class TestExitCodes:
         assert not any(in_tmp.iterdir())
 
     def test_numeric_errors_exit_three(self, capsys):
-        # a 30-deep table has no usable default fit window
-        code, _, err = run(capsys, "crosscheck", "--t-max", "30",
-                           "--eps-min", "1e-3", "--tol", "1e-9")
+        # R[k,l] = 2**(k+l-3) leaves float range inside the 600 x 600 table
+        code, _, err = run(capsys, "ramsey", "--k", "600", "--l", "600")
         assert code == 3 and "numeric failure" in err
+
+    @pytest.mark.parametrize("t_max", ["2", "39"])
+    def test_unrunnable_fit_window_exits_two_before_the_fill(
+        self, capsys, in_tmp, monkeypatch, t_max
+    ):
+        # a diagonal shorter than 40 has no default fit window, which is
+        # known before any work: a refused request, not a numeric failure
+        def diagonal(*args):
+            raise AssertionError("streamed the diagonal of an unrunnable window")
+
+        monkeypatch.setattr(recurrence, "diagonal", diagonal)
+        code, out, err = run(capsys, "crosscheck", "--t-max", t_max)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"ramseymult crosscheck: invalid request: "
+            f"t_max={t_max} leaves no stable default fit window\n"
+        )
+        assert not any(in_tmp.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

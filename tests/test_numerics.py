@@ -1,6 +1,7 @@
 """The wavefront fill, the adaptive integrator, bisection, fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ramseymult import numerics
 from ramseymult.analytic import assemble_patched_thresholds, threshold_field
 from ramseymult.lattice import ThresholdSequence, dp_min_weight, ramsey_table
 from ramseymult.numerics import (
+    BudgetExceeded,
     Degenerate,
     NoBracket,
     SingularField,
@@ -18,7 +20,13 @@ from ramseymult.numerics import (
     integrate,
     wavefront_fill,
 )
-from ramseymult.recurrence import build_table, optimal_thresholds
+from ramseymult.recurrence import (
+    _recurrence_cell,
+    _recurrence_weights,
+    build_table,
+    multicolor_table,
+    optimal_thresholds,
+)
 
 
 def _index_weighted_paths(idx, below):
@@ -50,23 +58,56 @@ class TestWavefrontFill:
 
 class TestStreamedPlanes:
     @pytest.mark.parametrize("band", [1, 5, 4096])
-    @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (3, 9), (9, 3), (8, 8)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(7, 4), (4, 7), (3, 9), (9, 3), (8, 8), (5, 7, 4), (3, 3, 3, 6), (6, 6, 6)],
+    )
     def test_each_plane_is_the_tables_antidiagonal(self, monkeypatch, shape, band):
         monkeypatch.setattr(numerics, "_BAND_CELLS", band)
         table = wavefront_fill(shape, lambda idx: idx, _index_weighted_paths)
+        idx = np.indices(shape)
+        interior = np.all(idx >= 2, axis=0)
         seen = []
 
-        def each_plane(s, row):
-            i = np.arange(max(2, s - shape[1] + 1), min(shape[0] - 1, s - 2) + 1)
-            assert np.array_equal(row[i], table[i, s - i])
+        def each_plane(s, plane):
+            # entry h of the plane is cell (h, s - sum(h)), h in C order
+            cells = interior & (idx.sum(axis=0) == s)
+            at = np.ravel_multi_index(tuple(idx[:-1][:, cells]), shape[:-1])
+            assert np.array_equal(plane[at].view(np.int64), table[cells].view(np.int64))
             seen.append(s)
 
         assert wavefront_fill(shape, lambda idx: idx, _index_weighted_paths, each_plane) is None
-        assert seen == list(range(4, sum(shape) - 1))
+        assert seen == list(range(2 * len(shape), sum(shape) - len(shape) + 1))
 
-    def test_two_axes_only(self):
-        with pytest.raises(ValueError, match="only 2-axis fills stream"):
-            wavefront_fill((4, 4, 4), lambda idx: idx, _index_weighted_paths, lambda s, row: None)
+    def test_three_axis_stream_holds_one_plane(self):
+        # the (t + 1)^3 table is 4.3 MB at t = 80; the stream keeps one
+        # (t + 1)^2 plane and the index rows of its interior
+        t = 80
+        want = multicolor_table(3, t).table
+        diag = np.zeros(t + 1)
+
+        def keep(s, plane):
+            if s % 3 == 0:
+                diag[s // 3] = plane[s // 3 * (t + 2)]  # entry (u, u) is u * (t + 1) + u
+
+        tracemalloc.start()
+        try:
+            wavefront_fill((t + 1,) * 3, _recurrence_weights, _recurrence_cell, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        u = np.arange(t + 1)
+        assert np.array_equal(diag.view(np.int64), want[u, u, u].view(np.int64))
+        assert peak <= want.nbytes / 4
+
+    def test_stream_budget_counts_the_plane(self):
+        def never(*args):
+            raise AssertionError("worked on a refused stream")
+
+        with pytest.raises(
+            BudgetExceeded, match="one hyperplane = 25010001 cells exceeds the budget of 20000000"
+        ):
+            wavefront_fill((5001, 5001, 3), never, never, never)
 
     def test_no_interior_no_plane(self):
         def never(s, row):
