@@ -19,11 +19,10 @@ ODE profile at offset w.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .lattice import OutOfRange, ThresholdSequence
 from .numerics import (
     NoBracket,
     NumericFailure,
@@ -32,6 +31,9 @@ from .numerics import (
     bisect,
     integrate,
 )
+
+if TYPE_CHECKING:  # lattice is imported by the two functions that use it
+    from .lattice import ThresholdSequence
 
 _DENOMINATOR_FLOOR = -1e-12
 _SEED_TOL = 1e-12
@@ -103,8 +105,7 @@ def constant_from_limit(t1: float) -> float:
     return (t1 * (1.0 - t1)) ** -0.5
 
 
-@dataclass(frozen=True)
-class AnalyticConstants:
+class AnalyticConstants(NamedTuple):
     """Limit study of t_eps(1) over a ladder of shrinking epsilons."""
 
     epsilon_series: tuple[tuple[float, float], ...]  # (epsilon, t_eps(1))
@@ -142,6 +143,8 @@ def elementary_ratio(a: int, b: int, thresholds: ThresholdSequence) -> float:
     with the ODE profile.  Needs column b - 1, so b >= 2, and a > b keeps
     all three lookups on the lower wedge.
     """
+    from .lattice import OutOfRange
+
     if b < 2:
         raise ValueError("ratio needs b >= 2")
     if a <= b:
@@ -160,8 +163,7 @@ def elementary_ratio(a: int, b: int, thresholds: ThresholdSequence) -> float:
     return math.exp(ln_r)
 
 
-@dataclass(frozen=True)
-class PatchSequence:
+class PatchSequence(NamedTuple):
     """Near-diagonal threshold values a_0 .. a_w, seeded by a_1."""
 
     values: tuple[float, ...]
@@ -288,6 +290,8 @@ def assemble_patched_thresholds(
     a_w equals the profile endpoint t_eps(1), making the two regions meet
     continuously in the large-k limit.  Cells are computed when read.
     """
+    from .lattice import ThresholdSequence
+
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
     if w is None:

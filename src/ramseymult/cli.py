@@ -13,8 +13,8 @@ budgets of the solvers, values beyond float range).  The exception types
 carry that split: every refusal is a ``ValueError``, every numeric failure
 a ``numerics.NumericFailure`` (or Python's ``OverflowError``).
 
-Each handler imports the solver modules it runs, so a call loads only
-those.
+A call builds the parser of its own subcommand alone, and each handler
+imports the solver modules it runs, so a call loads only those.
 
 Handlers return columns, and a filled table as it is: each index column
 is the range of one axis (``_Axis``), the value column a view of the
@@ -29,8 +29,7 @@ import math
 import os
 import sys
 from argparse import ArgumentParser, Namespace
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # Each CLI process is short-lived, and an idle OpenBLAS worker thread
 # spins beside the main one for most of it; only the n = 8 scan calls
@@ -63,8 +62,7 @@ def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-@dataclass(frozen=True)
-class _Axis:
+class _Axis(NamedTuple):
     """The 1-based index column of one axis of a table of ``shape``, its
     cells read in row-major order: row r holds (r // stride) % length + 1."""
 
@@ -84,8 +82,7 @@ class _Axis:
         return math.prod(self.shape[self.axis + 1 :])
 
 
-@dataclass(frozen=True)
-class _Decoded:
+class _Decoded(NamedTuple):
     """A float column written as ``decode`` of its cells: ``decode`` maps
     float64 arrays to float64 arrays, and sees each distinct value of a
     span once."""
@@ -105,10 +102,12 @@ def _pad_nuls(mat: np.ndarray) -> None:
 
 
 def _padded(texts: np.ndarray) -> np.ndarray:
-    """A bytes array as a matrix, one row per text, trimmed to the longest
-    and padded with ``_PAD``."""
-    texts = texts.astype(f"S{np.strings.str_len(texts).max()}")
+    """A bytes array of texts without NULs as a matrix, one row per text,
+    trimmed to the longest and padded with ``_PAD``.  The texts are
+    left-aligned, so the longest ends at the last column any text
+    reaches."""
     mat = texts.view(np.uint8).reshape(len(texts), -1)
+    mat = mat[:, : np.count_nonzero(mat.any(axis=0))].copy()
     _pad_nuls(mat)
     return mat
 
@@ -481,8 +480,6 @@ def _cmd_ratios(cfg: Namespace) -> tuple[list, list, dict, str]:
 
 
 def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
-    from dataclasses import asdict
-
     from . import oracle
 
     rep = oracle.sample_against_bounds(
@@ -505,7 +502,7 @@ def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
     return (
         ["n", "t", "samples", "mean_fraction", "expected_fraction", "stderr", "min_count"],
         [[v] for v in row],
-        {"report": asdict(rep)} if cfg.format == "json" else {},
+        {"report": rep._asdict()} if cfg.format == "json" else {},
         f"sampled mono fraction {rep.mean_fraction:.6f} vs expected "
         f"{rep.expected_fraction:.6f} (stderr {rep.stderr:.2e})",
     )
@@ -548,99 +545,122 @@ _HANDLERS = {
 }
 
 
-def build_parser():
+_INT, _FLOAT, _FLAG = {"type": int}, {"type": float}, {"action": "store_true"}
+# subcommand: (help, its options beyond --out and --format)
+_SUBCOMMANDS = {
+    "recurrence": ("optimal-threshold recurrence table", {"--t-max": {**_INT, "default": 400}}),
+    "thresholds": (
+        "optimal thresholds implied by the recurrence",
+        {"--t-max": {**_INT, "default": 400}},
+    ),
+    "dp": (
+        "minimum path-weight dynamic program",
+        {
+            "--k": {**_INT, "required": True},
+            "--l": {**_INT, "required": True},
+            # lattice.EXPONENT_MODES, spelled out so that parsing loads no solver
+            "--mode": {"choices": ("a", "b", "max"), "default": "max"},
+            "--thresholds": {
+                "choices": ("uniform", "erdos-szekeres", "optimal", "patched"),
+                "default": "uniform",
+            },
+            "--epsilon": {**_FLOAT, "default": 1e-3},
+            "--w": {**_INT, "default": None},
+            "--tol": {**_FLOAT, "default": 1e-10},
+        },
+    ),
+    "ramsey": (
+        "max-form Ramsey-number bound table",
+        {
+            "--k": {**_INT, "required": True},
+            "--l": {**_INT, "required": True},
+            "--thresholds": {"choices": ("uniform", "erdos-szekeres"), "default": "uniform"},
+        },
+    ),
+    "ode": (
+        "threshold profile trajectory",
+        {"--epsilon": {**_FLOAT, "default": 1e-3}, "--tol": {**_FLOAT, "default": 1e-10}},
+    ),
+    "constants": (
+        "profile limit and growth constant",
+        {"--eps-min": {**_FLOAT, "default": 1e-7}, "--tol": {**_FLOAT, "default": 1e-10}},
+    ),
+    "patch": (
+        "assembled threshold table (ODE profile + patch)",
+        {
+            "--epsilon": {**_FLOAT, "default": 1e-3},
+            "--t-max": {**_INT, "default": 100},
+            "--w": {**_INT, "default": None},
+            "--tol": {**_FLOAT, "default": 1e-10},
+        },
+    ),
+    "multicolor": (
+        "q-colour recurrence table",
+        {"--q": {**_INT, "default": 2}, "--t-max": {**_INT, "default": 20}},
+    ),
+    "alpha": (
+        "normalised q-colour diagonal exponent",
+        {"--q": {**_INT, "default": 2}, "--t": {**_INT, "default": 100}},
+    ),
+    "bruteforce": (
+        "exhaustive minimum over colourings of K_n",
+        {"--n": {**_INT, "required": True}, "--t": {**_INT, "required": True}, "--large": _FLAG},
+    ),
+    "ratios": (
+        "exhaustive minimum ratios across n",
+        {"--t": {**_INT, "default": 3}, "--n-max": {**_INT, "default": 7}, "--large": _FLAG},
+    ),
+    "sample": (
+        "random-colouring statistics against expectations",
+        {
+            "--n": {**_INT, "required": True},
+            "--t": {**_INT, "required": True},
+            "--samples": {**_INT, "default": 10_000},
+            "--seed": {**_INT, "default": 0},
+            "--complement": _FLAG,
+            "--large": _FLAG,
+        },
+    ),
+    "crosscheck": (
+        "compare recurrence and ODE growth constants",
+        {
+            "--t-max": {**_INT, "default": 400},
+            "--eps-min": {**_FLOAT, "default": 1e-7},
+            "--tol": {**_FLOAT, "default": 1e-10},
+            "--max-diff": {**_FLOAT, "default": 0.02},
+        },
+    ),
+}
+
+
+def build_parser(subcommand: str | None = None) -> ArgumentParser:
+    """The parser of every subcommand, or, given one by name, of that one
+    alone: its parse, help and errors are the full parser's, and only its
+    options are built.  The subcommand metavar is then spelled out, as
+    the top-level usage line of a sub-level error shows every name."""
     p = ArgumentParser(
         prog="ramseymult",
         description="Lower bounds for Ramsey multiplicity via threshold "
         "dynamic programs, recurrences, and an ODE limit.",
     )
-    sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, help_: str):
+    if subcommand is None:
+        names, metavar = list(_SUBCOMMANDS), None
+    else:
+        names, metavar = [subcommand], "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = p.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        help_, options = _SUBCOMMANDS[name]
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--out", default=None, help="output path (default <subcommand>.<format>)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        return sp
-
-    sp = add("recurrence", "optimal-threshold recurrence table")
-    sp.add_argument("--t-max", type=int, default=400)
-
-    sp = add("thresholds", "optimal thresholds implied by the recurrence")
-    sp.add_argument("--t-max", type=int, default=400)
-
-    sp = add("dp", "minimum path-weight dynamic program")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    # lattice.EXPONENT_MODES, spelled out so that parsing loads no solver
-    sp.add_argument("--mode", choices=("a", "b", "max"), default="max")
-    sp.add_argument(
-        "--thresholds",
-        choices=("uniform", "erdos-szekeres", "optimal", "patched"),
-        default="uniform",
-    )
-    sp.add_argument("--epsilon", type=float, default=1e-3)
-    sp.add_argument("--w", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-10)
-
-    sp = add("ramsey", "max-form Ramsey-number bound table")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument(
-        "--thresholds", choices=("uniform", "erdos-szekeres"), default="uniform"
-    )
-
-    sp = add("ode", "threshold profile trajectory")
-    sp.add_argument("--epsilon", type=float, default=1e-3)
-    sp.add_argument("--tol", type=float, default=1e-10)
-
-    sp = add("constants", "profile limit and growth constant")
-    sp.add_argument("--eps-min", type=float, default=1e-7)
-    sp.add_argument("--tol", type=float, default=1e-10)
-
-    sp = add("patch", "assembled threshold table (ODE profile + patch)")
-    sp.add_argument("--epsilon", type=float, default=1e-3)
-    sp.add_argument("--t-max", type=int, default=100)
-    sp.add_argument("--w", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-10)
-
-    sp = add("multicolor", "q-colour recurrence table")
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--t-max", type=int, default=20)
-
-    sp = add("alpha", "normalised q-colour diagonal exponent")
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--t", type=int, default=100)
-
-    sp = add("bruteforce", "exhaustive minimum over colourings of K_n")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--large", action="store_true")
-
-    sp = add("ratios", "exhaustive minimum ratios across n")
-    sp.add_argument("--t", type=int, default=3)
-    sp.add_argument("--n-max", type=int, default=7)
-    sp.add_argument("--large", action="store_true")
-
-    sp = add("sample", "random-colouring statistics against expectations")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--complement", action="store_true")
-    sp.add_argument("--large", action="store_true")
-
-    sp = add("crosscheck", "compare recurrence and ODE growth constants")
-    sp.add_argument("--t-max", type=int, default=400)
-    sp.add_argument("--eps-min", type=float, default=1e-7)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-diff", type=float, default=0.02)
-
+        for flag, kwargs in options.items():
+            sp.add_argument(flag, **kwargs)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    cfg = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    cfg = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     cfg.out = cfg.out or f"{cfg.subcommand}.{cfg.format}"
     try:
         _check_limits(cfg)

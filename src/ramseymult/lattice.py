@@ -15,7 +15,6 @@ bounds classical Ramsey numbers; see :func:`ramsey_bound`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -33,7 +32,6 @@ class OutOfRange(ValueError):
     """Threshold lookup outside the table, or in an undefined column."""
 
 
-@dataclass(frozen=True)
 class LatticePath:
     """An admissible path: a tuple of lattice points (a_i, b_i).
 
@@ -42,29 +40,29 @@ class LatticePath:
     exists), and each step increments exactly one coordinate by one.
     """
 
-    points: tuple[tuple[int, int], ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        pts = self.points
-        if not pts:
+    def __init__(self, points: tuple[tuple[int, int], ...]) -> None:
+        if not points:
             raise ValueError("a path needs at least one point")
-        for a, b in pts:
+        for a, b in points:
             if a < 1 or b < 1:
                 raise ValueError(f"point ({a}, {b}) leaves the positive lattice")
-        a0, b0 = pts[0]
+        a0, b0 = points[0]
         if a0 != 1 and b0 != 1:
             raise ValueError(f"path must start on the boundary, got ({a0}, {b0})")
-        if len(pts) > 1:
-            a1, b1 = pts[1]
+        if len(points) > 1:
+            a1, b1 = points[1]
             if a1 == 1 or b1 == 1:
                 raise ValueError(
                     f"second point ({a1}, {b1}) must leave the boundary"
                 )
-        for (pa, pb), (a, b) in zip(pts, pts[1:]):
+        for (pa, pb), (a, b) in zip(points, points[1:]):
             if not ((a == pa + 1 and b == pb) or (a == pa and b == pb + 1)):
                 raise ValueError(
                     f"({pa}, {pb}) -> ({a}, {b}) is not a unit step"
                 )
+        self.points = points
 
     @property
     def endpoint(self) -> tuple[int, int]:
@@ -141,7 +139,6 @@ def _check_interval(rows, t) -> None:
         raise ValueError(f"thresholds in row {row} leave the open interval (0, 1)")
 
 
-@dataclass(frozen=True)
 class ThresholdSequence:
     """A table of red-density thresholds t_{i,j} in (0, 1), as a function.
 
@@ -153,13 +150,14 @@ class ThresholdSequence:
     checks the cells it returns.
     """
 
-    size: int
-    provenance: str
-    at: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
+    __slots__ = ("size", "provenance", "at")
 
-    def __post_init__(self) -> None:
-        if self.size < 2:
+    def __init__(
+        self, size: int, provenance: str, at: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    ) -> None:
+        if size < 2:
             raise ValueError("threshold table needs size >= 2")
+        self.size, self.provenance, self.at = size, provenance, at
 
     @classmethod
     def from_function(
@@ -224,7 +222,6 @@ class ThresholdSequence:
         return i, j, self._evaluate(i, j)
 
 
-@dataclass(frozen=True)
 class BoundTable:
     """A filled table with one axis per colour, each indexed from 1 to its
     length; index 0 of every axis is padding.  ``rows`` and ``cols`` are
@@ -236,12 +233,12 @@ class BoundTable:
     far beyond float range stay finite.
     """
 
-    mode: str
-    table: np.ndarray = field(repr=False)
+    __slots__ = ("mode", "table")
 
-    def __post_init__(self) -> None:
-        if self.mode not in EXPONENT_MODES + ("ramsey",):
-            raise ValueError(f"unknown mode {self.mode!r}")
+    def __init__(self, mode: str, table: np.ndarray) -> None:
+        if mode not in EXPONENT_MODES + ("ramsey",):
+            raise ValueError(f"unknown mode {mode!r}")
+        self.mode, self.table = mode, table
 
     @property
     def rows(self) -> int:

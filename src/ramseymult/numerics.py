@@ -9,7 +9,6 @@ long after x itself underflows.  A larger negLog is a smaller density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -101,14 +100,20 @@ def wavefront_fill(
     no table is allocated, None is returned, and memory is
     O(band + t^(q-1)).  Raises :class:`BudgetExceeded` before allocating
     a table of more than ``CELL_BUDGET`` cells, naming its shape, or a
-    ``plane`` of more.
+    ``plane`` of more, or a ``plane`` and its index rows of more.
     """
     q = len(shape)
     if each_plane is None:
         check_shape(shape)
         table = np.zeros(shape)
     else:
-        check_cells(math.prod(shape[:-1]), "one hyperplane")
+        plane_cells = math.prod(shape[:-1])
+        check_cells(plane_cells, "one hyperplane")
+        # the int64 index rows of the plane's interior points: head and the
+        # np.indices temporary it is built from, q - 1 rows each, then
+        # sums, order and ats; O(t) on 2 axes, as large as the plane on 3
+        index_rows = (2 * q + 1) * math.prod(max(n - 2, 0) for n in shape[:-1])
+        check_cells(plane_cells + index_rows, "one hyperplane and its index rows")
         table = None
     if min(shape) < 3:
         return table
@@ -166,7 +171,6 @@ def wavefront_fill(
     return table
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Accepted sample points of one adaptive ODE solve.
 
@@ -175,14 +179,14 @@ class Trajectory:
     the requested endpoint.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
+    __slots__ = ("xs", "ys")
 
-    def __post_init__(self) -> None:
-        if len(self.xs) != len(self.ys) or len(self.xs) < 1:
+    def __init__(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        if len(xs) != len(ys) or len(xs) < 1:
             raise ValueError("trajectory needs parallel, non-empty sample arrays")
-        if np.any(np.diff(self.xs) <= 0):
+        if np.any(np.diff(xs) <= 0):
             raise ValueError("trajectory abscissae must be strictly increasing")
+        self.xs, self.ys = xs, ys
 
     @property
     def final_value(self) -> float:

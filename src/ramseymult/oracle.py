@@ -25,13 +25,14 @@ time and counts all samples in one recursion per colour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:  # imported by exact_min and ratio_series, which use it
+    from fractions import Fraction
 
 
 class TooLarge(ValueError):
@@ -71,19 +72,18 @@ def _subset_masks(n: int, t: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@dataclass(frozen=True)
 class ColoringRecord:
     """One two-colouring of K_n."""
 
-    n: int
-    red_mask: int
+    __slots__ = ("n", "red_mask")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int, red_mask: int) -> None:
+        if n < 2:
             raise ValueError("need at least two vertices")
-        m = math.comb(self.n, 2)
-        if not 0 <= self.red_mask < 1 << m:
+        m = math.comb(n, 2)
+        if not 0 <= red_mask < 1 << m:
             raise ValueError(f"mask must use exactly {m} bits")
+        self.n, self.red_mask = n, red_mask
 
     @property
     def edge_count(self) -> int:
@@ -96,7 +96,7 @@ class ColoringRecord:
 
     def complement(self) -> "ColoringRecord":
         flipped = self.red_mask ^ ((1 << self.edge_count) - 1)
-        return replace(self, red_mask=flipped)
+        return ColoringRecord(self.n, flipped)
 
 
 def count_mono_cliques(coloring: ColoringRecord, t: int) -> tuple[int, int]:
@@ -379,8 +379,7 @@ def _scan(n: int, t: int) -> tuple[int, int]:
     return int(kmin), min((first << 1) | 1, ((1 << m) - 1) ^ ((last << 1) | 1))
 
 
-@dataclass(frozen=True)
-class MinimumReport:
+class MinimumReport(NamedTuple):
     """Exhaustive minimum of mono K_t counts over colourings of K_n."""
 
     n: int
@@ -434,6 +433,8 @@ def exact_min(
     (:func:`_goodman_minimum`): the witness search checks only the blocks
     it reads, so a wrong canonical selection could otherwise pass.  ``workers`` is ignored; perfbench/run.py passes it.
     """
+    from fractions import Fraction
+
     if not 2 <= t <= n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
     _check_reach(n, large)
@@ -472,6 +473,8 @@ def ratio_series(
     mean a counting bug, so it is checked here.  An n_max beyond
     :func:`exact_min`'s reach raises :class:`TooLarge` before any scan.
     """
+    from fractions import Fraction
+
     if n_max < t:
         raise ValueError("n_max must be at least t")
     _check_reach(n_max, large)
@@ -488,8 +491,7 @@ def ratio_series(
     return rows
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(NamedTuple):
     """Monte Carlo mono-K_t statistics under uniformly random colourings."""
 
     n: int

@@ -17,8 +17,8 @@ of the diagonal negLogs estimates ln C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +128,7 @@ def optimal_thresholds(table: BoundTable) -> ThresholdSequence:
     return ThresholdSequence(table.rows, "optimal", at)
 
 
-@dataclass(frozen=True)
-class ConstantEstimate:
+class ConstantEstimate(NamedTuple):
     """Growth-constant fit: diagonal negLogs against t^2."""
 
     c: float
@@ -242,8 +241,7 @@ def _ln_binom_4t_choose_t(t: int) -> float:
     return s - math.lgamma(t + 1)
 
 
-@dataclass(frozen=True)
-class ClassicalBounds:
+class ClassicalBounds(NamedTuple):
     """The four comparable densities for monochromatic t-cliques, as negLog
     floats: a larger negLog is a smaller density."""
 

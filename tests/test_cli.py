@@ -378,11 +378,12 @@ class TestDeterminism:
 
 class TestPinnedBytes:
     """sha256 of the t = 500 tables artifacts, taken from the writer that
-    ravelled whole columns, and of the ODE route's artifacts, taken before
-    its records and epsilon ladder were trimmed (Linux x86-64, numpy
-    2.4.6).  Reruns of one version agree by construction; these pins hold
-    the bytes across versions of the writer, the solvers and the
-    formatter."""
+    ravelled whole columns, of the ODE route's artifacts, taken before
+    its records and epsilon ladder were trimmed, and of the oracle, JSON
+    and patch artifacts, taken while their records were still dataclasses
+    (Linux x86-64, numpy 2.4.6).  Reruns of one version agree by
+    construction; these pins hold the bytes across versions of the
+    writer, the solvers, the records and the formatter."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -415,8 +416,30 @@ class TestPinnedBytes:
                 ("ode", "--epsilon", "1e-6", "--out", "ode.csv"),
                 "86cc37fc9e4939621aba7c6ffe31131e1e166b665f4d433df3cc7fb2dcbd8740",
             ),
+            (
+                ("bruteforce", "--n", "6", "--t", "3", "--format", "json", "--out", "bruteforce.json"),
+                "511714ee9617ddc6f8aa394b88362bcc3b164d55149e4f0ea5452e697c3aa8bd",
+            ),
+            (
+                ("ratios", "--t", "3", "--n-max", "6", "--out", "ratios.csv"),
+                "ed42db37b15d66ef82dbd53b62476a41ddfdcd6ba7c65af93dcc82721505ea1a",
+            ),
+            (
+                (
+                    "sample", "--n", "10", "--t", "3", "--samples", "2000", "--seed", "1",
+                    "--format", "json", "--out", "sample.json",
+                ),
+                "670ea544309e7989b2596580ebd144b007e0274dd46fd0fbeab5b9d3846a47a0",
+            ),
+            (
+                ("patch", "--t-max", "100", "--out", "patch.csv"),
+                "8672533f3733d8d90893def9b672fb81735ef31c32f7c36bef53dab60b6a2e1f",
+            ),
         ],
-        ids=["recurrence", "dp-optimal", "dp-patched", "ramsey", "constants", "crosscheck", "ode"],
+        ids=[
+            "recurrence", "dp-optimal", "dp-patched", "ramsey", "constants", "crosscheck", "ode",
+            "bruteforce-json", "ratios", "sample-json", "patch",
+        ],
     )
     def test_table_artifact_sha256(self, capsys, argv, digest):
         assert main(list(argv)) == 0
@@ -747,6 +770,92 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+_VALID = {
+    "recurrence": ["--t-max", "8"],
+    "thresholds": ["--t-max", "6", "--format", "json"],
+    "dp": ["--k", "3", "--l", "3", "--thresholds", "patched", "--w", "1"],
+    "ramsey": ["--k", "3", "--l", "3", "--thresholds", "erdos-szekeres"],
+    "ode": ["--epsilon", "0.01", "--tol", "1e-8"],
+    "constants": ["--eps-min", "1e-3"],
+    "patch": ["--t-max", "10", "--out", "p.csv"],
+    "multicolor": ["--q", "3", "--t-max", "5"],
+    "alpha": ["--q", "2", "--t", "5"],
+    "bruteforce": ["--n", "5", "--t", "3", "--large"],
+    "ratios": ["--t", "3", "--n-max", "5"],
+    "sample": ["--n", "6", "--t", "3", "--samples", "50", "--complement"],
+    "crosscheck": ["--t-max", "60", "--max-diff", "0.1"],
+}
+
+
+def _parse(capsys, parser, argv):
+    """The namespace of ``argv``, or the exit code and output of a parse
+    that exits."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+class TestOneSubparser:
+    """A call names its subcommand first, and only that subparser is built;
+    it parses, helps and fails as the full parser does."""
+
+    def test_every_subcommand_has_a_handler(self):
+        assert list(cli._SUBCOMMANDS) == list(cli._HANDLERS)
+        assert set(_VALID) == set(cli._HANDLERS)
+
+    @pytest.mark.parametrize("name", list(_VALID))
+    def test_same_parse_help_and_errors_as_the_full_parser(self, capsys, name):
+        one = build_parser(name)
+        assert list(one._subparsers._group_actions[0].choices) == [name]
+        valid = [name, *_VALID[name]]
+        mistakes = [
+            [name],  # a missing required option where the subcommand has one
+            [name, "--format", "xml"],  # a bad choice
+            [name, "--bogus", "1"],  # an unknown option
+            [*valid, "extra"],  # an extra positional, in top-level usage
+            [name, "--out"],  # an option without its value
+        ]
+        for argv in [valid, [name, "-h"], *mistakes]:
+            want = _parse(capsys, build_parser(), argv)
+            assert _parse(capsys, one, argv) == want, argv
+        # the extra positional's usage line names every subcommand
+        code, _, err = _parse(capsys, one, [*valid, "extra"])
+        assert code == 2 and "{" + ",".join(cli._HANDLERS) + "}" in err
+
+    def test_main_builds_only_the_named_subparser(self, capsys, monkeypatch):
+        built = []
+
+        def spy(subcommand=None):
+            built.append(subcommand)
+            return build_parser(subcommand)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert main(["dp", "--k", "2", "--l", "2"]) == 0
+        for argv in ([], ["-h"], ["nope"], ["--format", "json", "dp"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert built == ["dp", None, None, None, None]
+
+    @pytest.mark.parametrize(
+        "argv, code, stream, text",
+        [
+            ([], 2, "err", "error: the following arguments are required: subcommand\n"),
+            (["-h"], 0, "out", "\npositional arguments:\n  {recurrence,thresholds,dp,"),
+            (["nope"], 2, "err", "error: argument subcommand: invalid choice: 'nope' (choose from"),
+        ],
+    )
+    def test_top_level_calls_keep_the_full_parser(self, capsys, argv, code, stream, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == code
+        shown = getattr(out, stream)
+        assert shown.startswith("usage: ramseymult [-h]") and text in shown
+        assert "{" + ",".join(cli._HANDLERS) + "}" in shown
+
+
 def _fresh_python(code: str, env_extra: dict | None = None) -> str:
     """stdout of ``code`` in a new interpreter on the source tree, with no
     ``OPENBLAS_NUM_THREADS`` unless ``env_extra`` sets it."""
@@ -765,9 +874,13 @@ class TestStartup:
                 ["bruteforce", "--n", "5", "--t", "3"],
                 {"ramseymult.analytic", "ramseymult.lattice", "ramseymult.recurrence"},
             ),
-            (["constants", "--eps-min", "1e-3"], {"ramseymult.oracle"}),
+            (["constants", "--eps-min", "1e-3"], {"ramseymult.oracle", "ramseymult.lattice"}),
             # np.unique would import numpy.ma, about 11 ms of the call
             (["crosscheck", "--t-max", "60"], {"ramseymult.oracle", "numpy.ma"}),
+            # no exhaustive floor at n > 8, so no Fraction and no decimal
+            (["sample", "--n", "10", "--t", "3"], {"fractions", "decimal"}),
+            # integer texts are trimmed without np.strings
+            (["dp", "--k", "20", "--l", "20"], {"numpy.strings"}),
         ],
     )
     def test_subcommand_loads_only_its_solvers(self, in_tmp, argv, unloaded):
@@ -779,7 +892,9 @@ class TestStartup:
         )
         last = _fresh_python(probe).splitlines()[-1]  # after the summary line
         loaded = set(last.split())
-        assert "ramseymult.cli" in loaded and not loaded & unloaded
+        # records are NamedTuples or __slots__ classes: a dataclass costs
+        # about 0.6 ms to create in a fresh process
+        assert "ramseymult.cli" in loaded and not loaded & (unloaded | {"dataclasses"})
 
     def test_mode_choices_are_the_lattice_modes(self):
         dp = build_parser()._subparsers._group_actions[0].choices["dp"]

@@ -109,6 +109,18 @@ class TestStreamedPlanes:
         ):
             wavefront_fill((5001, 5001, 3), never, never, never)
 
+    def test_stream_budget_counts_the_index_rows(self):
+        # a 9 M-cell plane is under the budget, but on 3 axes the int64
+        # index rows of its interior points come to 7 times as many cells
+        def never(*args):
+            raise AssertionError("worked on a refused stream")
+
+        with pytest.raises(
+            BudgetExceeded,
+            match="^one hyperplane and its index rows = 71916028 cells exceeds the budget of 20000000$",
+        ):
+            wavefront_fill((3000, 3000, 3), never, never, never)
+
     def test_no_interior_no_plane(self):
         def never(s, row):
             raise AssertionError("handed a plane of a fill with no interior")
