@@ -100,7 +100,8 @@ def wavefront_fill(
     no table is allocated, None is returned, and memory is
     O(band + t^(q-1)).  Raises :class:`BudgetExceeded` before allocating
     a table of more than ``CELL_BUDGET`` cells, naming its shape, or a
-    ``plane`` of more, or a ``plane`` and its index rows of more.
+    ``plane`` of more, or a ``plane``, its index rows and its per-hyperplane
+    temporaries of more: 8 bytes a counted cell bound a stream's memory.
     """
     q = len(shape)
     if each_plane is None:
@@ -109,11 +110,17 @@ def wavefront_fill(
     else:
         plane_cells = math.prod(shape[:-1])
         check_cells(plane_cells, "one hyperplane")
-        # the int64 index rows of the plane's interior points: head and the
-        # np.indices temporary it is built from, q - 1 rows each, then
-        # sums, order and ats; O(t) on 2 axes, as large as the plane on 3
-        index_rows = (2 * q + 1) * math.prod(max(n - 2, 0) for n in shape[:-1])
-        check_cells(plane_cells + index_rows, "one hyperplane and its index rows")
+        # per interior point of the first q - 1 axes, which bounds a
+        # hyperplane: 2q + 1 int64 index rows (head and the np.indices
+        # temporary it is built from, q - 1 rows each, then sums, order and
+        # ats) and 2q + 2 hyperplane temporaries (the q gathers of below,
+        # tail, and as many again for what weights and combine make of
+        # them); O(t) on 2 axes, 4q + 3 times the plane's interior on more
+        interior = math.prod(max(n - 2, 0) for n in shape[:-1])
+        check_cells(
+            plane_cells + (4 * q + 3) * interior,
+            "one hyperplane, its index rows and temporaries",
+        )
         table = None
     if min(shape) < 3:
         return table

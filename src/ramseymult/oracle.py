@@ -322,60 +322,80 @@ def _scan(n: int, t: int) -> tuple[int, int]:
     counts each group's q that h covers or misses, T[:, x] holds x's
     [covers p] and [misses p].  Partial sums are integers <= C(n, t), so
     float32 is exact in any summation order and any BLAS thread count.
+    W is never held whole: each product block builds its own rows from
+    0/1 tests [h & q == want], want = q for red and 0 for blue, times
+    ``into``, which adds each distinct test to the groups that use it.
+    The first pass multiplies the tests by ``into`` @ T at once.
 
-    Two passes read these tables.  The first takes kmin over the columns
-    of :func:`_canonical_columns` only: relabelling vertices 1..n-1 and
-    swapping colours carry every colouring to one whose star at vertex 0
-    is canonical, with the same count.  The second finds the witness,
-    min(first achiever, complement of last achiever), the lexicographic
-    minimum: it multiplies full-width row blocks in ascending r up to the
-    first block that reaches kmin, then descending down to the first
-    such block, never below where the ascent stopped.  A block below
-    kmin, or no block at kmin, would refute the symmetry argument and
-    raises RuntimeError.
+    Two passes read these products.  The first takes kmin over the
+    columns of :func:`_canonical_columns` only: relabelling vertices
+    1..n-1 and swapping colours carry every colouring to one whose star
+    at vertex 0 is canonical, with the same count.  The second finds the
+    witness, min(first achiever, complement of last achiever), the
+    lexicographic minimum: it multiplies full-width row blocks in
+    ascending r up to the first block that reaches kmin, then descending
+    down to the first such block, never below where the ascent stopped;
+    each block it reads yields only its first and last achiever.  So the
+    scan holds T and one product block at a time.  A block below kmin,
+    or no block at kmin, would refute the symmetry argument and raises
+    RuntimeError.
     """
     m = math.comb(n, 2)
     low = min(m - 1, _LOW_BITS)
+    highs = 1 << (m - 1 - low)
     subsets = np.array(_subset_masks(n, t), dtype=np.int64)
     pats, group = np.unique((subsets >> 1) & ((1 << low) - 1), return_inverse=True)
     groups = len(pats)
-    hs = np.arange(1 << (m - 1 - low))
-    w = np.zeros((len(hs), 2 * groups), dtype=np.float32)
-    for smask, g in zip(subsets.tolist(), group.tolist()):
-        q = smask >> (low + 1)
-        w[:, g] += (hs & q) == q
-        if not smask & 1:
-            w[:, groups + g] += (hs & q) == 0
+    # a test is keyed q * 2^16 + want (n <= 8: q < 2^14); only subsets
+    # that avoid edge (0,1) have a blue test.  Key 0, [h & 0 == 0], counts
+    # nowhere unless a subset uses it, and keeps two tests or more: numpy's
+    # matmul takes a slow loop on an inner dimension of 1 (t = n)
+    high = subsets >> (low + 1)
+    blue = subsets & 1 == 0
+    keys, test = np.unique(np.r_[0, high << 16 | high, high[blue] << 16], return_inverse=True)
+    qs, wants = (keys >> 16).astype(np.int32), (keys & 0xFFFF).astype(np.int32)
+    into = np.zeros((len(keys), 2 * groups), dtype=np.float32)
+    np.add.at(into, (test[1:], np.r_[group, groups + group[blue]]), 1)
+
+    def marks(lo: int, rows: int) -> np.ndarray:
+        """The tests of high parts lo .. lo + rows - 1, one row each."""
+        h = np.arange(lo, min(lo + rows, highs), dtype=np.int32)[:, None]
+        return ((h & qs) == wants).astype(np.float32)
+
     xs = np.arange(1 << low)
     tmat = np.empty((2 * groups, len(xs)), dtype=np.float32)
     for g, p in enumerate(pats.tolist()):
         tmat[g] = (xs & p) == p
         tmat[groups + g] = (xs & p) == 0
 
-    canon = tmat[:, _canonical_columns(n, low)]
+    canon = into @ tmat[:, _canonical_columns(n, low)]
     rows = max(1, (1 << (_LOW_BITS + _BLOCK_BITS)) // canon.shape[1])
-    kmin = min((w[lo : lo + rows] @ canon).min() for lo in range(0, len(hs), rows))
+    kmin = min((marks(lo, rows) @ canon).min() for lo in range(0, highs, rows))
 
-    def hits(lo: int) -> np.ndarray:
-        counts = (w[lo : lo + (1 << _BLOCK_BITS)] @ tmat).ravel()
+    def hits(lo: int) -> tuple[int, int] | None:
+        """First and last achiever of the block at high part lo, if any."""
+        counts = marks(lo, 1 << _BLOCK_BITS) @ into @ tmat
         if counts.min() < kmin:
             raise RuntimeError("scan block beats the star-canonical minimum")
-        return np.flatnonzero(counts == kmin) + (lo << low)
+        at = (counts == kmin).ravel()
+        first = int(at.argmax())
+        if not at[first]:
+            return None
+        return (lo << low) + first, (lo << low) + len(at) - 1 - int(at[::-1].argmax())
 
-    starts = range(0, len(hs), 1 << _BLOCK_BITS)
+    starts = range(0, highs, 1 << _BLOCK_BITS)
     for i, lo in enumerate(starts):
         found = hits(lo)
-        if len(found):
+        if found:
             break
     else:
         raise RuntimeError("no scan block reaches the star-canonical minimum")
-    first = int(found[0])
+    first, last = found
     for lo in reversed(starts[i + 1 :]):
         tail = hits(lo)
-        if len(tail):
-            found = tail
+        if tail:
+            last = tail[1]
             break
-    last = int(found[-1])
     return int(kmin), min((first << 1) | 1, ((1 << m) - 1) ^ ((last << 1) | 1))
 
 

@@ -93,8 +93,8 @@ def _rop(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
     10^-k 2^-r by at most 1, so g cp exceeds the exact product by less
     than 2^64, and an exact product stays exact once the low 64 bits are
     dropped.  ``g`` holds the four 32-bit limbs of each value, ``cp`` <
-    2^59 one or more multipliers per value; a limb product plus two limbs
-    never passes 2^64 - 1."""
+    2^59 its multiplier; a limb product plus two limbs never passes
+    2^64 - 1."""
     p0, p1 = cp & _M32, cp >> 32
     acc = p0 * g[0]
     limbs = []
@@ -122,11 +122,13 @@ def _decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     irregular = (frac == 0) & (bq > 1)
     k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
     h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
+    del bq, frac, q  # the products below set the peak
     lo = int(k.min())
     g = np.take(_g_limbs(lo, int(k.max())), k - lo, axis=1)
     cb = c << 2
-    # 4 v, and the interval's ends, times 10^-k, rounded to odd
-    vb, vbl, vbr = _rop(g, np.stack([cb, cb - 2 + irregular, cb + 2]) << h).view(np.int64)
+    # 4 v, and the interval's ends, times 10^-k, rounded to odd, one
+    # product at a time to keep _rop's limb temporaries to one value each
+    vb, vbl, vbr = (_rop(g, x << h).view(np.int64) for x in (cb, cb - 2 + irregular, cb + 2))
     # an even significand's interval holds its ends
     odd = (c & 1).view(np.int64)
     vbl += odd

@@ -335,7 +335,7 @@ class TestColumnWriter:
         # fill, columns and writer together hold the table and span- and
         # block-sized temporaries, no column or copy the size of the table;
         # 1024-row blocks keep the formatter's fixed block temporaries
-        # (about 375 bytes a value) small beside it
+        # (about 220 bytes a value) small beside it
         monkeypatch.setattr(cli, "_SPAN_ROWS", 4096)
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
         small = [argv[0]] + [a if a.startswith("-") else "20" for a in argv[1:]]
@@ -379,9 +379,10 @@ class TestDeterminism:
 class TestPinnedBytes:
     """sha256 of the t = 500 tables artifacts, taken from the writer that
     ravelled whole columns, of the ODE route's artifacts, taken before
-    its records and epsilon ladder were trimmed, and of the oracle, JSON
-    and patch artifacts, taken while their records were still dataclasses
-    (Linux x86-64, numpy 2.4.6).  Reruns of one version agree by
+    its records and epsilon ladder were trimmed, of the oracle, JSON and
+    patch artifacts, taken while their records were still dataclasses,
+    and of the n = 8 scans, taken while the scan held its whole weight
+    table (Linux x86-64, numpy 2.4.6).  Reruns of one version agree by
     construction; these pins hold the bytes across versions of the
     writer, the solvers, the records and the formatter."""
 
@@ -435,10 +436,23 @@ class TestPinnedBytes:
                 ("patch", "--t-max", "100", "--out", "patch.csv"),
                 "8672533f3733d8d90893def9b672fb81735ef31c32f7c36bef53dab60b6a2e1f",
             ),
+            (
+                ("bruteforce", "--n", "8", "--t", "3", "--large", "--format", "json", "--out", "bruteforce8.json"),
+                "2f2a06aa7fef783ebb22a06d3251d5bdb6c0b3a290f51f34960311f6db889b75",
+            ),
+            (
+                ("bruteforce", "--n", "8", "--t", "4", "--large", "--format", "json", "--out", "bruteforce8t4.json"),
+                "5c8b0060ccf5bde0acd4a0331f1f5673b4db75b97ef37164b119779010120ae2",
+            ),
+            (
+                ("ratios", "--t", "4", "--n-max", "8", "--large", "--out", "ratios8.csv"),
+                "a18085593b2ab47dc3dd7a83b583f43d8f4e0638176c6f72de4e74cc5d9d8c3f",
+            ),
         ],
         ids=[
             "recurrence", "dp-optimal", "dp-patched", "ramsey", "constants", "crosscheck", "ode",
             "bruteforce-json", "ratios", "sample-json", "patch",
+            "bruteforce8-json", "bruteforce8t4-json", "ratios8",
         ],
     )
     def test_table_artifact_sha256(self, capsys, argv, digest):

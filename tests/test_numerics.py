@@ -109,17 +109,36 @@ class TestStreamedPlanes:
         ):
             wavefront_fill((5001, 5001, 3), never, never, never)
 
-    def test_stream_budget_counts_the_index_rows(self):
-        # a 9 M-cell plane is under the budget, but on 3 axes the int64
-        # index rows of its interior points come to 7 times as many cells
+    @pytest.mark.parametrize("side, cells", [(3000, 143_820_060), (1500, 35_910_060)])
+    def test_stream_budget_counts_index_rows_and_temporaries(self, side, cells):
+        # on 3 axes the side^2 plane is under the budget, but each point of
+        # its interior adds 7 int64 index rows and 8 hyperplane temporaries;
+        # at side 1500 the plane and index rows alone (17.96 M cells) pass
         def never(*args):
             raise AssertionError("worked on a refused stream")
 
         with pytest.raises(
             BudgetExceeded,
-            match="^one hyperplane and its index rows = 71916028 cells exceeds the budget of 20000000$",
+            match=f"^one hyperplane, its index rows and temporaries = {cells} cells "
+            "exceeds the budget of 20000000$",
         ):
-            wavefront_fill((3000, 3000, 3), never, never, never)
+            wavefront_fill((side, side, 3), never, never, never)
+
+    @pytest.mark.parametrize("t", [80, 160])
+    def test_stream_budget_bounds_the_traced_peak(self, monkeypatch, t):
+        # 8 bytes a cell the budget counts bound what a q = 3 recurrence
+        # stream holds (about 12.7 times its plane)
+        counted = []
+        monkeypatch.setattr(numerics, "check_cells", lambda cells, what: counted.append(cells))
+        shape = (t + 1,) * 3
+        wavefront_fill(shape, _recurrence_weights, _recurrence_cell, lambda s, plane: None)
+        tracemalloc.start()
+        try:
+            wavefront_fill(shape, _recurrence_weights, _recurrence_cell, lambda s, plane: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * max(counted)
 
     def test_no_interior_no_plane(self):
         def never(s, row):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -259,6 +260,19 @@ class TestExactMin:
         ):
             rep = exact_min(8, t, large=True)
             assert (rep.kmin, rep.witness.red_mask) == (kmin, witness)
+
+    def test_n8_scan_holds_one_block(self):
+        # T (up to 3.7 MB at t = 4) and one 1 MB product block with its
+        # test rows; a whole 2^14-row weight table alone is 4.75 MB at t = 3
+        for t in range(2, 9):
+            oracle._scan(8, t)  # caches the subset masks outside the count
+            tracemalloc.start()
+            try:
+                oracle._scan(8, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 << 20, (t, peak)
 
     def test_goodman_closed_form(self):
         # Goodman (1959): k_3(n) = C(n,3) - floor((n/2) floor(((n-1)/2)^2))

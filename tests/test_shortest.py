@@ -108,7 +108,7 @@ def test_memory_is_the_output_and_one_block():
         finally:
             tracemalloc.stop()
         extras.append(peak - out.nbytes)
-    assert extras[1] <= 512 * shortest._BLOCK  # 4 MB over the 6.3 MB output
+    assert extras[1] <= 256 * shortest._BLOCK  # 2 MB over the 6.3 MB output
     assert extras[1] <= 1.05 * extras[0]
 
 
