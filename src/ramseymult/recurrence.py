@@ -10,8 +10,8 @@ boundary cells equal to 1.  Everything is carried as negLog floats, where
 the recursion becomes mu * logaddexp of the scaled neighbours; values
 like M_{400,400} ~ exp(-1.2e5) stay perfectly representable.  The same
 cell combiner generalises to q colours by folding over all q decremented
-neighbours.  Diagonal entries shrink like C^{-t^2}, and a quadratic fit
-of the diagonal negLogs estimates ln C.
+neighbours.  Diagonal entries shrink like C^{-t^2}; each reader of them
+takes t and reads the streamed :func:`diagonal`, for any q.
 """
 
 from __future__ import annotations
@@ -23,16 +23,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import BoundTable, ThresholdSequence
-from .numerics import BudgetExceeded, fit_quadratic_leading, wavefront_fill
+from .numerics import CELL_BUDGET, BudgetExceeded, fit_quadratic_leading, wavefront_fill
 
-# The largest t_max whose diagonal is streamed.  The stream holds O(t)
-# memory, so time bounds it: O(t^2), and `crosscheck --t-max 20000` takes
-# about 11 s and 36 MB on a 2-vCPU x86-64 host.
+# A q-colour diagonal is streamed to t while t^q <= STREAM_T_MAX^2, which
+# bounds its O(t^q) time; the fill's budget bounds its O(t^(q-1)) memory.
+# On a 2-vCPU x86-64 host `crosscheck --t-max 20000` takes about 11 s and
+# 36 MB, and `alpha --q 3 --t 736` about 28 s and 91 MB.
 STREAM_T_MAX = 20_000
 
 
 class WindowTooSmall(ValueError):
-    """The table is too short to carve out a usable fit window.  The
+    """The diagonal is too short to carve out a usable fit window.  The
     window is checked before any fill, so this is a refused request."""
 
 
@@ -73,31 +74,51 @@ def build_table(t_max: int, cols: int | None = None) -> BoundTable:
     return BoundTable("max", table)
 
 
-def _check_stream(t_max: int) -> None:
-    if t_max < 2:
-        raise ValueError("t_max must be at least 2")
-    if t_max > STREAM_T_MAX:
+def _check_colours(q: int) -> None:
+    """Refuse q < 2, and a q over log2(CELL_BUDGET), before any shape is
+    formed: q axes of at least 2 entries each hold more than the budget."""
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    if q > math.log2(CELL_BUDGET):
         raise BudgetExceeded(
-            f"a diagonal to t = {t_max} exceeds the streaming bound t <= {STREAM_T_MAX}"
+            f"q = {q} colours need at least 2^q cells, over the budget of {CELL_BUDGET}"
         )
 
 
-def diagonal(t_max: int) -> np.ndarray:
-    """negLog M_{t,t} for t = 0 .. t_max, equal to the diagonal of
-    :func:`build_table`'s table bit for bit.
+def _check_stream(q: int, t_max: int) -> None:
+    """Refuse t_max^q > STREAM_T_MAX^2, naming the largest t that runs."""
+    if t_max < 2:
+        raise ValueError("t_max must be at least 2")
+    bound = STREAM_T_MAX**2
+    if t_max**q > bound:
+        edge = round(bound ** (1 / q))
+        edge -= edge**q > bound  # the rounded root may overshoot by one
+        raise BudgetExceeded(
+            f"a diagonal to t = {t_max} exceeds the streaming bound t <= {edge}"
+        )
 
-    The fill streams its antidiagonals and keeps only the last one, so it
-    holds O(t_max) memory, not a table.  A t_max above ``STREAM_T_MAX``
-    raises :class:`BudgetExceeded` before any work.
+
+def diagonal(t_max: int, q: int = 2) -> np.ndarray:
+    """negLog M_{t,...,t} of q colours for t = 0 .. t_max, bit for bit the
+    diagonal of :func:`multicolor_table` (at q = 2, :func:`build_table`).
+
+    The fill streams its hyperplanes and keeps cell (u, ..., u) of
+    hyperplane q * u, so it holds O(t_max^(q-1)) memory, not a table.  A
+    refused q, a t_max^q above ``STREAM_T_MAX``^2 or a stream over the
+    fill's budget raises :class:`BudgetExceeded` before any work.
     """
-    _check_stream(t_max)
+    _check_colours(q)
+    _check_stream(q, t_max)
     diag = np.zeros(t_max + 1)
+    # entry (u, ..., u) of the first q - 1 axes in the flat plane
+    step = sum((t_max + 1) ** d for d in range(q - 1))
 
     def keep(s, plane):
-        if s % 2 == 0:
-            diag[s // 2] = plane[s // 2]
+        u, r = divmod(s, q)
+        if r == 0:
+            diag[u] = plane[u * step]
 
-    wavefront_fill((t_max + 1,) * 2, _recurrence_weights, _recurrence_cell, keep)
+    wavefront_fill((t_max + 1,) * q, _recurrence_weights, _recurrence_cell, keep)
     return diag
 
 
@@ -137,40 +158,27 @@ class ConstantEstimate(NamedTuple):
     rms_residual: float
 
 
-def _fit_window(t_max: int, window: tuple[int, int] | None) -> tuple[int, int]:
+def estimate_growth_constant(
+    t_max: int, window: tuple[int, int] | None = None
+) -> ConstantEstimate:
+    """Fit negLog M_{t,t} ~ ln(C) * t^2 over a late window of the
+    :func:`diagonal` to t_max.
+
+    t_max is refused before the window is checked, and the window before
+    the fill.  The default window is [t_max // 2, t_max]; earlier entries
+    still feel lower-order terms.  A t_max below 40 raises
+    :class:`WindowTooSmall`, as do explicit windows with fewer than four
+    points.
+    """
+    _check_stream(2, t_max)
     if window is None:
         if t_max < 40:
-            raise WindowTooSmall(
-                f"t_max={t_max} leaves no stable default fit window"
-            )
+            raise WindowTooSmall(f"t_max={t_max} leaves no stable default fit window")
         window = (t_max // 2, t_max)
     lo, hi = window
     if not (2 <= lo < hi <= t_max) or hi - lo + 1 < 4:
         raise WindowTooSmall(f"window {window} unusable for t_max={t_max}")
-    return lo, hi
-
-
-def estimate_growth_constant(
-    table: BoundTable | int, window: tuple[int, int] | None = None
-) -> ConstantEstimate:
-    """Fit negLog M_{t,t} ~ ln(C) * t^2 over a late window of the diagonal.
-
-    ``table`` is a square table, or t_max, whose diagonal :func:`diagonal`
-    then streams; either is refused before the window is checked, and the
-    window before the fill.  The default window is [t_max // 2, t_max];
-    earlier entries still feel lower-order terms.  Tables shorter than 40
-    raise :class:`WindowTooSmall`, as do explicit windows with fewer than
-    four points.
-    """
-    if isinstance(table, BoundTable):
-        if table.table.ndim != 2 or table.rows != table.cols:
-            raise ValueError("growth estimate needs a square 2-axis table")
-        lo, hi = _fit_window(table.rows, window)
-        diag = np.diagonal(table.table)
-    else:
-        _check_stream(table)
-        lo, hi = _fit_window(table, window)
-        diag = diagonal(table)
+    diag = diagonal(t_max)
     pts = [(float(t), float(diag[t])) for t in range(lo, hi + 1)]
     ln_c, resid = fit_quadratic_leading(pts)
     return ConstantEstimate(c=math.exp(ln_c), ln_c=ln_c, window=(lo, hi), rms_residual=resid)
@@ -186,32 +194,23 @@ def multicolor_table(q: int, t_max: int) -> BoundTable:
     raises :class:`BudgetExceeded`, naming its shape, before allocating
     more than ``CELL_BUDGET``.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    _check_colours(q)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     table = wavefront_fill((t_max + 1,) * q, _recurrence_weights, _recurrence_cell)
     return BoundTable("max", table)
 
 
-def alpha_estimate(q: int, t: int, table: BoundTable | None = None) -> float:
-    """negLog M_{t,...,t} normalised by q * t^2 * ln q.
+def alpha_estimate(q: int, t: int) -> float:
+    """negLog M_{t,...,t} normalised by q * t^2 * ln q, read from the
+    streamed q-colour :func:`diagonal`.
 
     As t grows this tends to the exponent constant governing q-colour
-    clique densities; at q = 2 it approaches ln(C) / (2 ln 2).  Without
-    a table, q = 2 reads the streamed :func:`diagonal` and q >= 3 fills
-    :func:`multicolor_table`.
+    clique densities; at q = 2 it approaches ln(C) / (2 ln 2).
     """
     if q < 2 or t < 2:
         raise ValueError("alpha estimate needs q >= 2 and t >= 2")
-    if table is not None:
-        # a table without q axes reaching t raises OutOfRange here
-        neglog = table.neglog(*(t,) * q)
-    elif q == 2:
-        neglog = float(diagonal(t)[t])
-    else:
-        neglog = multicolor_table(q, t).neglog(*(t,) * q)
-    return neglog / (q * t * t * math.log(q))
+    return float(diagonal(t, q)[t]) / (q * t * t * math.log(q))
 
 
 def uniform_exponents(k: int, l: int) -> tuple[int, int]:
@@ -252,18 +251,16 @@ class ClassicalBounds(NamedTuple):
     lower_recurrence: float  # M_{t,t}, optimal thresholds
 
 
-def classical_bounds(t: int, table: BoundTable | None = None) -> ClassicalBounds:
+def classical_bounds(t: int) -> ClassicalBounds:
     """Assemble the classical comparison values at one clique size;
-    M_{t,t} is read from ``table``, or else from the streamed
-    :func:`diagonal`."""
+    M_{t,t} is read from the streamed :func:`diagonal`."""
     if t < 2:
         raise ValueError("bounds defined for t >= 2")
-    neglog = float(diagonal(t)[t]) if table is None else table.neglog(t, t)
     ln2 = math.log(2.0)
     return ClassicalBounds(
         t=t,
         upper_random=(math.comb(t, 2) - 1) * ln2,
         lower_ramsey=_ln_binom_4t_choose_t(t),
         lower_uniform=(t * (t - 2) + math.comb(t + 1, 2)) * ln2,
-        lower_recurrence=neglog,
+        lower_recurrence=float(diagonal(t)[t]),
     )

@@ -57,7 +57,7 @@ def report(number, description):
 def big():
     t0 = time.perf_counter()
     table = build_table(400)
-    estimate = estimate_growth_constant(table)
+    estimate = estimate_growth_constant(400)
     seconds = time.perf_counter() - t0
     return {"table": table, "estimate": estimate, "seconds": seconds}
 
@@ -176,7 +176,7 @@ def test_criterion_7_multicolor_consistency(big):
         assert np.array_equal(mc.table, big["table"].table[:101, :101])
         m3 = multicolor_table(3, 2)
         assert math.isclose(m3.value(2, 2, 2), 1 / 9, rel_tol=1e-14)
-        alpha = alpha_estimate(2, 100, mc)
+        alpha = alpha_estimate(2, 100)
         target = big["estimate"].ln_c / (2 * math.log(2))
         assert abs(alpha - target) <= 0.02 * target, (alpha, target)
 

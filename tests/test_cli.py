@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from argparse import Namespace
 from itertools import product
@@ -381,8 +382,10 @@ class TestPinnedBytes:
     ravelled whole columns, of the ODE route's artifacts, taken before
     its records and epsilon ladder were trimmed, of the oracle, JSON and
     patch artifacts, taken while their records were still dataclasses,
-    and of the n = 8 scans, taken while the scan held its whole weight
-    table (Linux x86-64, numpy 2.4.6).  Reruns of one version agree by
+    of the n = 8 scans, taken while the scan held its whole weight
+    table, and of `alpha --q 3 --t 60`, `--q 4 --t 20` and `--q 3 --t 150
+    --format json`, taken while alpha filled the whole q-colour table
+    (Linux x86-64, numpy 2.4.6).  Reruns of one version agree by
     construction; these pins hold the bytes across versions of the
     writer, the solvers, the records and the formatter."""
 
@@ -448,11 +451,24 @@ class TestPinnedBytes:
                 ("ratios", "--t", "4", "--n-max", "8", "--large", "--out", "ratios8.csv"),
                 "a18085593b2ab47dc3dd7a83b583f43d8f4e0638176c6f72de4e74cc5d9d8c3f",
             ),
+            (
+                ("alpha", "--q", "3", "--t", "60", "--out", "alpha3.csv"),
+                "30eff5b84ac19082affe950c137edc7ad3892f78a547dc2fec31ec312a070154",
+            ),
+            (
+                ("alpha", "--q", "4", "--t", "20", "--out", "alpha4.csv"),
+                "b6c38e5c078eb073fce7ce39a971b59b65ca4c931789fe3099915b07234265ac",
+            ),
+            (
+                ("alpha", "--q", "3", "--t", "150", "--format", "json", "--out", "alpha3.json"),
+                "2778a1ce5f08a5976c527649527f257f7608b9d51410206f3db8c4021635e609",
+            ),
         ],
         ids=[
             "recurrence", "dp-optimal", "dp-patched", "ramsey", "constants", "crosscheck", "ode",
             "bruteforce-json", "ratios", "sample-json", "patch",
             "bruteforce8-json", "bruteforce8t4-json", "ratios8",
+            "alpha3", "alpha4", "alpha3-json",
         ],
     )
     def test_table_artifact_sha256(self, capsys, argv, digest):
@@ -579,6 +595,43 @@ class TestExitCodes:
             f"ramseymult {argv[0]}: invalid request: "
             "a diagonal to t = 20001 exceeds the streaming bound t <= 20000\n"
         )
+        assert not any(in_tmp.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, why",
+        [
+            ("alpha --q 3 --t 737", "a diagonal to t = 737 exceeds the streaming bound t <= 736"),
+            (
+                "alpha --q 4 --t 101",
+                "one hyperplane, its index rows and temporaries = 20061208 cells "
+                "exceeds the budget of 20000000",
+            ),
+            (
+                "multicolor --q 10000 --t-max 2",
+                "q = 10000 colours need at least 2^q cells, over the budget of 20000000",
+            ),
+            (
+                "alpha --q 10000 --t 2",
+                "q = 10000 colours need at least 2^q cells, over the budget of 20000000",
+            ),
+        ],
+        ids=["alpha --q 3 --t 737", "alpha --q 4 --t 101", "multicolor --q 10000", "alpha --q 10000"],
+    )
+    def test_every_q_is_refused_at_once(self, capsys, monkeypatch, in_tmp, argv, why):
+        # t^q <= 20000^2 bounds a stream's time (t <= 736 at q = 3); at
+        # q = 4 its memory budget binds first, at t = 101; a q of 25 or
+        # more is refused before any q-long shape or 3^q count is formed
+        def never(*args, **kwargs):
+            raise AssertionError("called back on a refused request")
+
+        monkeypatch.setattr(recurrence, "_recurrence_weights", never)
+        monkeypatch.setattr(recurrence, "_recurrence_cell", never)
+        argv = argv.split()
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"ramseymult {argv[0]}: invalid request: {why}\n"
         assert not any(in_tmp.iterdir())
 
     def test_crosscheck_past_the_cell_budget_holds_o_t_memory(self, capsys):

@@ -24,6 +24,7 @@ from ramseymult.recurrence import (
     _recurrence_cell,
     _recurrence_weights,
     build_table,
+    diagonal,
     multicolor_table,
     optimal_thresholds,
 )
@@ -84,15 +85,9 @@ class TestStreamedPlanes:
         # (t + 1)^2 plane and the index rows of its interior
         t = 80
         want = multicolor_table(3, t).table
-        diag = np.zeros(t + 1)
-
-        def keep(s, plane):
-            if s % 3 == 0:
-                diag[s // 3] = plane[s // 3 * (t + 2)]  # entry (u, u) is u * (t + 1) + u
-
         tracemalloc.start()
         try:
-            wavefront_fill((t + 1,) * 3, _recurrence_weights, _recurrence_cell, keep)
+            diag = diagonal(t, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

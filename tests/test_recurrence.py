@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ramseymult.lattice import BoundTable, OutOfRange, ThresholdSequence, dp_min_weight
-from ramseymult.numerics import BudgetExceeded
+from ramseymult.numerics import BudgetExceeded, fit_quadratic_leading
 from ramseymult import recurrence
 from ramseymult.recurrence import (
     STREAM_T_MAX,
@@ -184,10 +184,21 @@ class TestOptimalThresholds:
 
 
 class TestDiagonal:
-    @pytest.mark.parametrize("t", [2, 3, 4, 37, 500, 1000])
-    def test_equals_the_table_diagonal_bit_for_bit(self, t):
-        want = np.diagonal(build_table(t).table)
-        assert np.array_equal(diagonal(t).view(np.int64), want.view(np.int64))
+    @pytest.mark.parametrize(
+        "q, t",
+        [pytest.param(2, t, id=str(t)) for t in (2, 3, 4, 37, 500, 1000)]
+        + [
+            pytest.param(q, t, id=f"q{q}-{t}")
+            for q, t in [(3, 2), (3, 3), (3, 30), (3, 60), (4, 12), (4, 30), (5, 10)]
+        ],
+    )
+    def test_equals_the_table_diagonal_bit_for_bit(self, q, t):
+        # q = 2 against build_table, every q against multicolor_table
+        u = np.arange(t + 1)
+        tables = [build_table(t), multicolor_table(q, t)] if q == 2 else [multicolor_table(q, t)]
+        for table in tables:
+            want = table.table[(u,) * q]
+            assert np.array_equal(diagonal(t, q).view(np.int64), want.view(np.int64))
 
     def test_memory_grows_linearly(self):
         # the table would grow 4-fold from t = 1000 to 2000
@@ -211,6 +222,12 @@ class TestDiagonal:
         for read in (diagonal, estimate_growth_constant, classical_bounds, lambda t: alpha_estimate(2, t)):
             with pytest.raises(BudgetExceeded, match=f"^a diagonal to t = {STREAM_T_MAX + 1} exceeds"):
                 read(STREAM_T_MAX + 1)
+        # one bound for every q: t^q <= STREAM_T_MAX^2, so t <= 736 at q = 3
+        for read in (lambda t: diagonal(t, 3), lambda t: alpha_estimate(3, t)):
+            with pytest.raises(
+                BudgetExceeded, match="^a diagonal to t = 737 exceeds the streaming bound t <= 736$"
+            ):
+                read(737)
         # an unusable window is refused before the fill as well
         with pytest.raises(WindowTooSmall):
             estimate_growth_constant(30)
@@ -219,26 +236,28 @@ class TestDiagonal:
 
     def test_readers_without_a_table_read_it(self):
         table = build_table(120)
-        assert estimate_growth_constant(120) == estimate_growth_constant(table)
-        assert estimate_growth_constant(60, (40, 60)) == estimate_growth_constant(build_table(60), (40, 60))
-        assert classical_bounds(120) == classical_bounds(120, table)
+        for t_max, window in [(120, (60, 120)), (60, (40, 60))]:
+            pts = [(float(t), table.neglog(t, t)) for t in range(window[0], window[1] + 1)]
+            est = estimate_growth_constant(t_max, window if t_max == 60 else None)
+            assert (est.ln_c, est.rms_residual, est.window) == (*fit_quadratic_leading(pts), window)
+        assert classical_bounds(120).lower_recurrence == table.neglog(120, 120)
         alpha = alpha_estimate(2, 120)
-        assert type(alpha) is float and alpha == alpha_estimate(2, 120, table)
+        assert type(alpha) is float and alpha == table.neglog(120, 120) / (2 * 120 * 120 * math.log(2))
 
 
 class TestGrowthEstimate:
     def test_constant_in_expected_band(self):
-        est = estimate_growth_constant(build_table(120))
+        est = estimate_growth_constant(120)
         assert 2.10 <= est.c <= 2.25
         assert est.window == (60, 120)
 
     def test_c_matches_ln_c(self):
-        est = estimate_growth_constant(build_table(60))
+        est = estimate_growth_constant(60)
         assert est.c == math.exp(est.ln_c)
 
     def test_per_t_series_monotone(self):
         table = build_table(80)
-        est = estimate_growth_constant(table)
+        est = estimate_growth_constant(80)
         vals = [table.neglog(t, t) / (t * t) for t in range(2, 81)]
         assert len(vals) == 79
         assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -246,16 +265,15 @@ class TestGrowthEstimate:
 
     def test_default_window_needs_depth(self):
         with pytest.raises(WindowTooSmall):
-            estimate_growth_constant(build_table(30))
+            estimate_growth_constant(30)
 
     def test_explicit_window(self):
-        tab = build_table(60)
-        est = estimate_growth_constant(tab, window=(40, 60))
+        est = estimate_growth_constant(60, window=(40, 60))
         assert est.window == (40, 60)
         with pytest.raises(WindowTooSmall):
-            estimate_growth_constant(tab, window=(58, 60))
+            estimate_growth_constant(60, window=(58, 60))
         with pytest.raises(WindowTooSmall):
-            estimate_growth_constant(tab, window=(10, 70))
+            estimate_growth_constant(60, window=(10, 70))
 
 
 class TestMulticolor:
@@ -288,6 +306,19 @@ class TestMulticolor:
         with pytest.raises(ValueError):
             multicolor_table(1, 10)
 
+    @pytest.mark.parametrize("q", [25, 10_000, 300_000])
+    def test_huge_q_refused_before_any_shape(self, monkeypatch, q):
+        # every axis holds at least 2 entries, so q >= 25 needs more than
+        # 2^24 cells; the refusal forms no shape and no power of t
+        def never(*args, **kwargs):
+            raise AssertionError("worked on a refused q")
+
+        monkeypatch.setattr(recurrence, "wavefront_fill", never)
+        why = f"^q = {q} colours need at least 2\\^q cells, over the budget of 20000000$"
+        for read in (lambda: multicolor_table(q, 2), lambda: diagonal(2, q), lambda: alpha_estimate(q, 2)):
+            with pytest.raises(BudgetExceeded, match=why):
+                read()
+
     def test_index_validation(self):
         mc = multicolor_table(2, 5)
         with pytest.raises(ValueError):
@@ -305,10 +336,9 @@ class TestMulticolor:
                 read(2, 2, 2, 2)
         with pytest.raises(OutOfRange):
             two.value(2, 2, 2)
-        # the readers that work in two dimensions refuse a third
-        for read in (optimal_thresholds, estimate_growth_constant, lambda t: classical_bounds(3, t)):
-            with pytest.raises(ValueError):
-                read(three)
+        # the thresholds work in two dimensions and refuse a third
+        with pytest.raises(ValueError):
+            optimal_thresholds(three)
 
 
 class TestAlpha:
@@ -320,17 +350,10 @@ class TestAlpha:
         a = alpha_estimate(3, 8)
         assert 0.45 <= a <= 0.65
 
-    def test_reuses_supplied_table(self):
-        mc = multicolor_table(2, 20)
-        assert alpha_estimate(2, 20, mc) == alpha_estimate(2, 20)
-        assert alpha_estimate(2, 12, mc) == alpha_estimate(2, 12)
-
-    def test_table_mismatch(self):
-        mc = multicolor_table(2, 10)
-        with pytest.raises(ValueError):
-            alpha_estimate(3, 8, mc)
-        with pytest.raises(ValueError):
-            alpha_estimate(2, 12, mc)
+    @pytest.mark.parametrize("q, t", [(2, 20), (3, 20), (4, 8)])
+    def test_every_q_reads_the_streamed_diagonal(self, q, t):
+        want = multicolor_table(q, t).neglog(*(t,) * q) / (q * t * t * math.log(q))
+        assert alpha_estimate(q, t) == want
 
 
 class TestUniformExponents:
@@ -353,7 +376,7 @@ class TestUniformExponents:
 
 class TestClassicalBounds:
     def test_hand_values_t3(self, table50):
-        cb = classical_bounds(3, table50)
+        cb = classical_bounds(3)
         assert math.isclose(math.exp(-cb.upper_random), 0.25, rel_tol=1e-14)
         assert math.isclose(
             math.exp(-cb.lower_ramsey), 1 / math.comb(64, 3), rel_tol=1e-12
@@ -365,7 +388,7 @@ class TestClassicalBounds:
 
     def test_fields_are_neglog_floats(self, table50):
         for t in (2, 3, 17, 50):
-            cb = classical_bounds(t, table50)
+            cb = classical_bounds(t)
             for x in (
                 cb.upper_random, cb.lower_ramsey, cb.lower_uniform, cb.lower_recurrence
             ):
@@ -383,15 +406,13 @@ class TestClassicalBounds:
         # dominated by t^2 ln 4: the ratio is close to 1
         assert 0.99 <= v / (400 * 400 * math.log(4)) <= 1.0
 
-    def test_sandwich_and_improvement(self, table50):
+    def test_sandwich_and_improvement(self):
         for t in range(2, 51):
-            cb = classical_bounds(t, table50)
+            cb = classical_bounds(t)
             # negLogs: a larger negLog is a smaller density
             assert cb.lower_uniform >= cb.lower_recurrence >= cb.upper_random
             assert cb.lower_recurrence < cb.lower_ramsey
 
-    def test_validation(self, table50):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            classical_bounds(1, table50)
-        with pytest.raises(ValueError, match=r"\(60, 60\) outside 50 x 50 table"):
-            classical_bounds(60, table50)
+            classical_bounds(1)
