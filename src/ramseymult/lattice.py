@@ -74,26 +74,6 @@ class LatticePath:
             yield a, b, a == pa
 
 
-def _count_paths(k: int, l: int) -> int:
-    """Number of admissible paths ending at (k, l), by closed form.
-
-    A path starting at (a0, 1) with 2 <= a0 <= k is forced to (a0, 2) and
-    then walks freely to (k, l): binomial(k - a0 + l - 2, l - 2) routes.
-    Symmetrically for starts on the other axis; (1, 1) starts reach only
-    (1, 1) itself.
-    """
-    if k == 1 and l == 1:
-        return 1
-    if k == 1 or l == 1:
-        return 0  # cannot leave the boundary along it
-    total = 0
-    for a0 in range(2, k + 1):
-        total += math.comb(k - a0 + l - 2, l - 2)
-    for b0 in range(2, l + 1):
-        total += math.comb(l - b0 + k - 2, k - 2)
-    return total
-
-
 def enumerate_paths(k: int, l: int, cap: int = 1_000_000) -> list[LatticePath]:
     """All admissible paths to (k, l), sorted by their point sequences.
 
@@ -102,7 +82,7 @@ def enumerate_paths(k: int, l: int, cap: int = 1_000_000) -> list[LatticePath]:
     """
     if k < 2 or l < 2:
         raise ValueError("enumeration requires k >= 2 and l >= 2")
-    n = _count_paths(k, l)
+    n = math.comb(k + l - 2, l - 1)  # the routes from each start, summed (hockey stick)
     if n > cap:
         raise TooMany(f"{n} paths to ({k}, {l}) exceeds the cap of {cap}")
 

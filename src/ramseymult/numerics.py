@@ -52,6 +52,18 @@ def check_shape(shape: tuple[int, ...]) -> None:
     check_cells(math.prod(shape), " x ".join(map(str, shape)) + " table")
 
 
+def stream_cells(shape: tuple[int, ...]) -> int:
+    """Cells :func:`wavefront_fill` budgets for a stream of ``shape``: the
+    plane, plus per interior point of the first q - 1 axes, which bounds a
+    hyperplane, 2q + 1 int64 index rows (head and the np.indices
+    temporary it is built from, q - 1 rows each, then sums, order and
+    ats) and 2q + 2 hyperplane temporaries (the q gathers of below, tail,
+    and as many again for what weights and combine make of them); O(t)
+    on 2 axes, 4q + 3 times the plane's interior on more."""
+    interior = math.prod(max(n - 2, 0) for n in shape[:-1])
+    return math.prod(shape[:-1]) + (4 * len(shape) + 3) * interior
+
+
 # Cells per ``weights`` call of :func:`wavefront_fill` on 2 axes.  A band
 # takes whole hyperplanes, so one hyperplane larger than this is a band alone.
 _BAND_CELLS = 4096
@@ -100,27 +112,15 @@ def wavefront_fill(
     no table is allocated, None is returned, and memory is
     O(band + t^(q-1)).  Raises :class:`BudgetExceeded` before allocating
     a table of more than ``CELL_BUDGET`` cells, naming its shape, or a
-    ``plane`` of more, or a ``plane``, its index rows and its per-hyperplane
-    temporaries of more: 8 bytes a counted cell bound a stream's memory.
+    stream whose :func:`stream_cells` exceed it: 8 bytes a counted cell
+    bound a stream's memory.
     """
     q = len(shape)
     if each_plane is None:
         check_shape(shape)
         table = np.zeros(shape)
     else:
-        plane_cells = math.prod(shape[:-1])
-        check_cells(plane_cells, "one hyperplane")
-        # per interior point of the first q - 1 axes, which bounds a
-        # hyperplane: 2q + 1 int64 index rows (head and the np.indices
-        # temporary it is built from, q - 1 rows each, then sums, order and
-        # ats) and 2q + 2 hyperplane temporaries (the q gathers of below,
-        # tail, and as many again for what weights and combine make of
-        # them); O(t) on 2 axes, 4q + 3 times the plane's interior on more
-        interior = math.prod(max(n - 2, 0) for n in shape[:-1])
-        check_cells(
-            plane_cells + (4 * q + 3) * interior,
-            "one hyperplane, its index rows and temporaries",
-        )
+        check_cells(stream_cells(shape), "one hyperplane, its index rows and temporaries")
         table = None
     if min(shape) < 3:
         return table

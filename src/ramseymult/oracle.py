@@ -31,12 +31,19 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .numerics import NumericFailure
+
 if TYPE_CHECKING:  # imported by exact_min and ratio_series, which use it
     from fractions import Fraction
 
 
 class TooLarge(ValueError):
     """Exhaustive search beyond n = 8, or n = 8 without the opt-in flag."""
+
+
+class CheckFailed(NumericFailure, RuntimeError):
+    """A self-check of the scan, the witness or the sampler failed, so the
+    oracle cannot vouch for its number."""
 
 
 _LOW_BITS = 13  # the scan's product has one column per low part of a mask
@@ -338,7 +345,7 @@ def _scan(n: int, t: int) -> tuple[int, int]:
     each block it reads yields only its first and last achiever.  So the
     scan holds T and one product block at a time.  A block below kmin,
     or no block at kmin, would refute the symmetry argument and raises
-    RuntimeError.
+    :class:`CheckFailed`.
     """
     m = math.comb(n, 2)
     low = min(m - 1, _LOW_BITS)
@@ -376,7 +383,7 @@ def _scan(n: int, t: int) -> tuple[int, int]:
         """First and last achiever of the block at high part lo, if any."""
         counts = marks(lo, 1 << _BLOCK_BITS) @ into @ tmat
         if counts.min() < kmin:
-            raise RuntimeError("scan block beats the star-canonical minimum")
+            raise CheckFailed("scan block beats the star-canonical minimum")
         at = (counts == kmin).ravel()
         first = int(at.argmax())
         if not at[first]:
@@ -389,7 +396,7 @@ def _scan(n: int, t: int) -> tuple[int, int]:
         if found:
             break
     else:
-        raise RuntimeError("no scan block reaches the star-canonical minimum")
+        raise CheckFailed("no scan block reaches the star-canonical minimum")
     first, last = found
     for lo in reversed(starts[i + 1 :]):
         tail = hits(lo)
@@ -469,9 +476,9 @@ def exact_min(
     if t == 3:
         recounts.append(count_mono_triangles_by_degree(witness))
     if any(k != kmin for k in recounts):
-        raise RuntimeError("witness recount disagrees with scan minimum")
+        raise CheckFailed("witness recount disagrees with scan minimum")
     if t == 3 and kmin != _goodman_minimum(n):
-        raise RuntimeError("scan minimum disagrees with Goodman's closed form")
+        raise CheckFailed("scan minimum disagrees with Goodman's closed form")
     return MinimumReport(
         n=n,
         t=t,
@@ -503,7 +510,7 @@ def ratio_series(
     for n in range(t, n_max + 1):
         rep = exact_min(n, t, large=large)
         if rep.ratio < prev:
-            raise RuntimeError(
+            raise CheckFailed(
                 f"minimum ratio decreased from {prev} to {rep.ratio} at n={n}"
             )
         prev = rep.ratio
@@ -577,7 +584,7 @@ def sample_against_bounds(
     if n <= 7 or (n == 8 and large):
         floor = exact_min(n, t, large=large).kmin
         if int(counts.min()) < floor:
-            raise RuntimeError("a sample beat the exhaustive minimum")
+            raise CheckFailed("a sample beat the exhaustive minimum")
     return SampleReport(
         n=n,
         t=t,

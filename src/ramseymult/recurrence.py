@@ -23,10 +23,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import BoundTable, ThresholdSequence
-from .numerics import CELL_BUDGET, BudgetExceeded, fit_quadratic_leading, wavefront_fill
+from .numerics import (
+    CELL_BUDGET, BudgetExceeded, fit_quadratic_leading, stream_cells, wavefront_fill
+)
 
-# A q-colour diagonal is streamed to t while t^q <= STREAM_T_MAX^2, which
-# bounds its O(t^q) time; the fill's budget bounds its O(t^(q-1)) memory.
+# A q-colour diagonal streams to t while t^q <= STREAM_T_MAX^2, which bounds
+# its time, and its stream_cells, which bound its memory, fit the budget.
 # On a 2-vCPU x86-64 host `crosscheck --t-max 20000` takes about 11 s and
 # 36 MB, and `alpha --q 3 --t 736` about 28 s and 91 MB.
 STREAM_T_MAX = 20_000
@@ -86,13 +88,18 @@ def _check_colours(q: int) -> None:
 
 
 def _check_stream(q: int, t_max: int) -> None:
-    """Refuse t_max^q > STREAM_T_MAX^2, naming the largest t that runs."""
+    """Refuse a diagonal to t_max past E, the largest t that runs, and
+    name E: the time rule's edge, stepped down while the stream to E + 1
+    is over the fill's budget.  From q = 17, E = 1: no t >= 2 runs."""
+    _check_colours(q)
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
     bound = STREAM_T_MAX**2
-    if t_max**q > bound:
-        edge = round(bound ** (1 / q))
-        edge -= edge**q > bound  # the rounded root may overshoot by one
+    edge = round(bound ** (1 / q))
+    edge -= edge**q > bound  # the rounded root may overshoot by one
+    while stream_cells((edge + 1,) * q) > CELL_BUDGET:
+        edge -= 1
+    if t_max > edge:
         raise BudgetExceeded(
             f"a diagonal to t = {t_max} exceeds the streaming bound t <= {edge}"
         )
@@ -104,10 +111,9 @@ def diagonal(t_max: int, q: int = 2) -> np.ndarray:
 
     The fill streams its hyperplanes and keeps cell (u, ..., u) of
     hyperplane q * u, so it holds O(t_max^(q-1)) memory, not a table.  A
-    refused q, a t_max^q above ``STREAM_T_MAX``^2 or a stream over the
-    fill's budget raises :class:`BudgetExceeded` before any work.
+    (q, t_max) that :func:`_check_stream` refuses raises
+    :class:`BudgetExceeded` before any work.
     """
-    _check_colours(q)
     _check_stream(q, t_max)
     diag = np.zeros(t_max + 1)
     # entry (u, ..., u) of the first q - 1 axes in the flat plane
@@ -158,30 +164,21 @@ class ConstantEstimate(NamedTuple):
     rms_residual: float
 
 
-def estimate_growth_constant(
-    t_max: int, window: tuple[int, int] | None = None
-) -> ConstantEstimate:
-    """Fit negLog M_{t,t} ~ ln(C) * t^2 over a late window of the
-    :func:`diagonal` to t_max.
-
-    t_max is refused before the window is checked, and the window before
-    the fill.  The default window is [t_max // 2, t_max]; earlier entries
-    still feel lower-order terms.  A t_max below 40 raises
-    :class:`WindowTooSmall`, as do explicit windows with fewer than four
-    points.
+def estimate_growth_constant(t_max: int) -> ConstantEstimate:
+    """Fit negLog M_{t,t} ~ ln(C) * t^2 over the window [t_max // 2, t_max]
+    of the :func:`diagonal` to t_max; earlier entries still feel
+    lower-order terms.  t_max is refused before the window, and a t_max
+    below 40, which leaves too short a window, raises
+    :class:`WindowTooSmall` before the fill.
     """
     _check_stream(2, t_max)
-    if window is None:
-        if t_max < 40:
-            raise WindowTooSmall(f"t_max={t_max} leaves no stable default fit window")
-        window = (t_max // 2, t_max)
-    lo, hi = window
-    if not (2 <= lo < hi <= t_max) or hi - lo + 1 < 4:
-        raise WindowTooSmall(f"window {window} unusable for t_max={t_max}")
+    if t_max < 40:
+        raise WindowTooSmall(f"t_max={t_max} leaves no stable default fit window")
+    lo = t_max // 2
     diag = diagonal(t_max)
-    pts = [(float(t), float(diag[t])) for t in range(lo, hi + 1)]
+    pts = [(float(t), float(diag[t])) for t in range(lo, t_max + 1)]
     ln_c, resid = fit_quadratic_leading(pts)
-    return ConstantEstimate(c=math.exp(ln_c), ln_c=ln_c, window=(lo, hi), rms_residual=resid)
+    return ConstantEstimate(c=math.exp(ln_c), ln_c=ln_c, window=(lo, t_max), rms_residual=resid)
 
 
 def multicolor_table(q: int, t_max: int) -> BoundTable:

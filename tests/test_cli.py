@@ -496,6 +496,7 @@ class TestExitCodes:
             (lattice.TooMany, 2),
             (lattice.OutOfRange, 2),
             (oracle.TooLarge, 2),
+            (oracle.CheckFailed, 3),
             (analytic.InvalidEpsilon, 2),
             (numerics.BudgetExceeded, 2),
             (numerics.SingularField, 3),
@@ -526,6 +527,17 @@ class TestExitCodes:
         # R[k,l] = 2**(k+l-3) leaves float range inside the 600 x 600 table
         code, _, err = run(capsys, "ramsey", "--k", "600", "--l", "600")
         assert code == 3 and "numeric failure" in err
+
+    def test_oracle_self_check_exits_three(self, capsys, monkeypatch, in_tmp):
+        # a failed self-check leaves a minimum the oracle cannot vouch for
+        monkeypatch.setattr(oracle, "_goodman_minimum", lambda n: -1)
+        code, out, err = run(capsys, "bruteforce", "--n", "5", "--t", "3")
+        assert (code, out) == (3, "")
+        assert err == (
+            "ramseymult bruteforce: numeric failure: "
+            "scan minimum disagrees with Goodman's closed form\n"
+        )
+        assert not any(in_tmp.iterdir())
 
     @pytest.mark.parametrize("t_max", ["2", "39"])
     def test_unrunnable_fit_window_exits_two_before_the_fill(
@@ -601,11 +613,9 @@ class TestExitCodes:
         "argv, why",
         [
             ("alpha --q 3 --t 737", "a diagonal to t = 737 exceeds the streaming bound t <= 736"),
-            (
-                "alpha --q 4 --t 101",
-                "one hyperplane, its index rows and temporaries = 20061208 cells "
-                "exceeds the budget of 20000000",
-            ),
+            ("alpha --q 4 --t 101", "a diagonal to t = 101 exceeds the streaming bound t <= 100"),
+            ("alpha --q 4 --t 142", "a diagonal to t = 142 exceeds the streaming bound t <= 100"),
+            ("alpha --q 17 --t 2", "a diagonal to t = 2 exceeds the streaming bound t <= 1"),
             (
                 "multicolor --q 10000 --t-max 2",
                 "q = 10000 colours need at least 2^q cells, over the budget of 20000000",
@@ -615,12 +625,20 @@ class TestExitCodes:
                 "q = 10000 colours need at least 2^q cells, over the budget of 20000000",
             ),
         ],
-        ids=["alpha --q 3 --t 737", "alpha --q 4 --t 101", "multicolor --q 10000", "alpha --q 10000"],
+        ids=[
+            "alpha --q 3 --t 737",
+            "alpha --q 4 --t 101",
+            "alpha --q 4 --t 142",
+            "alpha --q 17 --t 2",
+            "multicolor --q 10000",
+            "alpha --q 10000",
+        ],
     )
     def test_every_q_is_refused_at_once(self, capsys, monkeypatch, in_tmp, argv, why):
-        # t^q <= 20000^2 bounds a stream's time (t <= 736 at q = 3); at
-        # q = 4 its memory budget binds first, at t = 101; a q of 25 or
-        # more is refused before any q-long shape or 3^q count is formed
+        # t^q <= 20000^2 bounds a stream's time (t <= 736 at q = 3); from
+        # q = 4 its memory budget binds first, and the one refusal names
+        # the edge of both (t <= 100 at q = 4, no t >= 2 from q = 17); a
+        # q of 25 or more is refused before any q-long shape or 3^q count
         def never(*args, **kwargs):
             raise AssertionError("called back on a refused request")
 

@@ -251,8 +251,10 @@ class TestEnumeration:
         assert pts == sorted(pts)
 
     def test_cap(self):
-        with pytest.raises(TooMany):
-            enumerate_paths(7, 7, cap=100)
+        # C(12, 6) = 924 paths reach (7, 7)
+        assert len(enumerate_paths(7, 7, cap=924)) == 924
+        with pytest.raises(TooMany, match="^924 paths to"):
+            enumerate_paths(7, 7, cap=923)
 
     def test_rejects_boundary_targets(self):
         with pytest.raises(ValueError):

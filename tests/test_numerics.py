@@ -18,6 +18,7 @@ from ramseymult.numerics import (
     bisect,
     fit_quadratic_leading,
     integrate,
+    stream_cells,
     wavefront_fill,
 )
 from ramseymult.recurrence import (
@@ -99,8 +100,12 @@ class TestStreamedPlanes:
         def never(*args):
             raise AssertionError("worked on a refused stream")
 
+        # the 25010001-cell plane alone is over the budget; the one count
+        # adds 15 cells a point of its 4999 x 4999 interior
         with pytest.raises(
-            BudgetExceeded, match="one hyperplane = 25010001 cells exceeds the budget of 20000000"
+            BudgetExceeded,
+            match="^one hyperplane, its index rows and temporaries = 399860016 cells "
+            "exceeds the budget of 20000000$",
         ):
             wavefront_fill((5001, 5001, 3), never, never, never)
 
@@ -120,11 +125,9 @@ class TestStreamedPlanes:
             wavefront_fill((side, side, 3), never, never, never)
 
     @pytest.mark.parametrize("t", [80, 160])
-    def test_stream_budget_bounds_the_traced_peak(self, monkeypatch, t):
+    def test_stream_budget_bounds_the_traced_peak(self, t):
         # 8 bytes a cell the budget counts bound what a q = 3 recurrence
         # stream holds (about 12.7 times its plane)
-        counted = []
-        monkeypatch.setattr(numerics, "check_cells", lambda cells, what: counted.append(cells))
         shape = (t + 1,) * 3
         wavefront_fill(shape, _recurrence_weights, _recurrence_cell, lambda s, plane: None)
         tracemalloc.start()
@@ -133,7 +136,7 @@ class TestStreamedPlanes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * max(counted)
+        assert peak <= 8 * stream_cells(shape)
 
     def test_no_interior_no_plane(self):
         def never(s, row):

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from ramseymult.lattice import BoundTable, OutOfRange, ThresholdSequence, dp_min_weight
-from ramseymult.numerics import BudgetExceeded, fit_quadratic_leading
+from ramseymult.numerics import CELL_BUDGET, BudgetExceeded, fit_quadratic_leading, stream_cells
 from ramseymult import recurrence
 from ramseymult.recurrence import (
     STREAM_T_MAX,
     WindowTooSmall,
+    _check_stream,
     _ln_binom_4t_choose_t,
     alpha_estimate,
     build_table,
@@ -231,14 +232,36 @@ class TestDiagonal:
         # an unusable window is refused before the fill as well
         with pytest.raises(WindowTooSmall):
             estimate_growth_constant(30)
-        with pytest.raises(WindowTooSmall):
-            estimate_growth_constant(60, window=(10, 70))
+
+    def test_every_refusal_names_a_t_that_runs(self, monkeypatch):
+        # the edge E named by a refusal passes both the time rule and the
+        # stream budget, and E + 1 is refused naming E; from q = 17 E = 1
+        def never(*args, **kwargs):
+            raise AssertionError("filled while checking a stream")
+
+        monkeypatch.setattr(recurrence, "wavefront_fill", never)
+        edges = []
+        for q in range(2, 25):
+            with pytest.raises(BudgetExceeded) as refused:
+                _check_stream(q, 10**6)
+            edge = int(str(refused.value).rpartition("t <= ")[2])
+            edges.append(edge)
+            if edge >= 2:
+                _check_stream(q, edge)
+                assert edge**q <= STREAM_T_MAX**2
+                assert stream_cells((edge + 1,) * q) <= CELL_BUDGET
+            with pytest.raises(
+                BudgetExceeded,
+                match=f"^a diagonal to t = {edge + 1} exceeds the streaming bound t <= {edge}$",
+            ):
+                _check_stream(q, edge + 1)
+        assert edges == [20000, 736, 100, 31, 15, 10, 7, 5, 4, 4, 3, 3, 2, 2, 2] + [1] * 8
 
     def test_readers_without_a_table_read_it(self):
         table = build_table(120)
-        for t_max, window in [(120, (60, 120)), (60, (40, 60))]:
+        for t_max, window in [(120, (60, 120)), (60, (30, 60))]:
             pts = [(float(t), table.neglog(t, t)) for t in range(window[0], window[1] + 1)]
-            est = estimate_growth_constant(t_max, window if t_max == 60 else None)
+            est = estimate_growth_constant(t_max)
             assert (est.ln_c, est.rms_residual, est.window) == (*fit_quadratic_leading(pts), window)
         assert classical_bounds(120).lower_recurrence == table.neglog(120, 120)
         alpha = alpha_estimate(2, 120)
@@ -266,14 +289,6 @@ class TestGrowthEstimate:
     def test_default_window_needs_depth(self):
         with pytest.raises(WindowTooSmall):
             estimate_growth_constant(30)
-
-    def test_explicit_window(self):
-        est = estimate_growth_constant(60, window=(40, 60))
-        assert est.window == (40, 60)
-        with pytest.raises(WindowTooSmall):
-            estimate_growth_constant(60, window=(58, 60))
-        with pytest.raises(WindowTooSmall):
-            estimate_growth_constant(60, window=(10, 70))
 
 
 class TestMulticolor:
