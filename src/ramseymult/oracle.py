@@ -18,16 +18,18 @@ third time for triangles by Goodman's degree identity.  The exhaustive
 scan is another: float32 matrix products over mask halves.  The
 bit-sliced counter holds colourings as C(n, 2) edge planes of uint64
 words, one colouring per bit lane, so every word operation advances 64
-colourings; the sampler packs its draw into such planes a block at a
-time and counts all samples in one recursion per colour.
+colourings; the sampler draws such planes directly as random words and
+counts all samples in one recursion per colour.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from functools import lru_cache
 from itertools import accumulate, combinations
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +54,7 @@ _BLOCK_BITS = 5  # log2 of the high parts per product block (1 MB float32)
 _CHUNK_BITS = math.comb(8, 2) - 1 - _LOW_BITS - _BLOCK_BITS
 # cap on samples x C(n, 2), the edge draws of a request: 32 MiB of packed planes
 _SAMPLE_DRAWS = 2**28
-_SAMPLE_BLOCK = 4096  # samples drawn and packed per batch; a multiple of 64
+_DRAW_WORDS = 2**16  # uint64 words per randbytes call: 512 KB temporaries
 _LEAF_WORDS = 2**14  # the clique counter's leaf buffer: 128 KB of uint64
 
 
@@ -533,16 +535,19 @@ class SampleReport(NamedTuple):
     exact_floor: int | None  # exhaustive kmin when available
 
 
-def _sample_blocks(seed: int, samples: int, m: int) -> Iterator[np.ndarray]:
-    """The uniform (samples, m) 0/1 uint8 draw of ``seed``, _SAMPLE_BLOCK
-    rows at a time.  The generator packs four uint8 draws into each 32-bit
-    word and drops the unused rest of a word at the end of a call, so the
-    blocks concatenate to the one-shot draw only because every block but
-    the last holds a multiple of four entries."""
-    rng = np.random.default_rng(seed)
-    for lo in range(0, samples, _SAMPLE_BLOCK):
-        rows = min(_SAMPLE_BLOCK, samples - lo)
-        yield rng.integers(0, 2, size=(rows, m), dtype=np.uint8)
+def _sample_planes(seed: int, samples: int, m: int) -> np.ndarray:
+    """(m, W) edge planes of ``samples`` uniform colourings: one
+    ``random.Random(seed).randbytes(8 m W)`` draw read as little-endian
+    uint64, with the lanes at or past ``samples`` cleared.  It is drawn
+    _DRAW_WORDS words at a time; draws of whole words concatenate."""
+    rng = random.Random(seed)
+    planes = np.empty((m, -(-samples // 64)), dtype="<u8")
+    flat = planes.reshape(-1)
+    for lo in range(0, len(flat), _DRAW_WORDS):
+        words = flat[lo : lo + _DRAW_WORDS]
+        words[:] = np.frombuffer(rng.randbytes(8 * len(words)), dtype="<u8")
+    planes &= _valid_lanes(samples)
+    return planes
 
 
 def sample_against_bounds(
@@ -556,10 +561,11 @@ def sample_against_bounds(
     """Sample colourings of K_n uniformly and compare mono-K_t fractions
     with the random-colouring expectation 2^(1 - C(t,2)).
 
-    ``complement`` flips every drawn mask; the statistics are invariant
-    under that pairing, which makes a cheap symmetry test.  When the
-    exhaustive minimum is in reach it is computed and no sample may fall
-    below it.
+    ``seed`` (an integer >= 0) names the ``random.Random(seed)`` byte
+    stream of :func:`_sample_planes`.  ``complement`` flips every drawn
+    mask; the statistics are invariant under that pairing, which makes a
+    cheap symmetry test.  When the exhaustive minimum is in reach it is
+    computed and no sample may fall below it.
     """
     if not 2 <= t <= n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
@@ -567,6 +573,9 @@ def sample_against_bounds(
         raise ValueError("sampling supports n <= 64")
     if samples < 2:
         raise ValueError("need at least two samples for a spread")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     m = math.comb(n, 2)
     if samples * m > _SAMPLE_DRAWS:
         raise ValueError(
@@ -574,7 +583,7 @@ def sample_against_bounds(
             f"sampling budget of {_SAMPLE_DRAWS} (one bit each: "
             f"{_SAMPLE_DRAWS // (8 << 20)} MiB of packed planes)"
         )
-    planes = _edge_planes(_sample_blocks(seed, samples, m), samples, m)
+    planes = _sample_planes(seed, samples, m)
     if complement:
         planes ^= _valid_lanes(samples)
     counts = np.add(*_red_blue(planes, n, t, samples))

@@ -385,9 +385,10 @@ class TestPinnedBytes:
     of the n = 8 scans, taken while the scan held its whole weight
     table, and of `alpha --q 3 --t 60`, `--q 4 --t 20` and `--q 3 --t 150
     --format json`, taken while alpha filled the whole q-colour table
-    (Linux x86-64, numpy 2.4.6).  Reruns of one version agree by
-    construction; these pins hold the bytes across versions of the
-    writer, the solvers, the records and the formatter."""
+    (Linux x86-64, numpy 2.4.6); the sample artifact's pin is of the
+    random.Random word stream (CPython 3.11).  Reruns of one version
+    agree by construction; these pins hold the bytes across versions of
+    the writer, the solvers, the records and the formatter."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -433,7 +434,8 @@ class TestPinnedBytes:
                     "sample", "--n", "10", "--t", "3", "--samples", "2000", "--seed", "1",
                     "--format", "json", "--out", "sample.json",
                 ),
-                "670ea544309e7989b2596580ebd144b007e0274dd46fd0fbeab5b9d3846a47a0",
+                # 670ea544…a47a0 while numpy's generator drew one uint8 per edge
+                "8a4318361e7081a668df5db39a7c893122e8314576ea9246671e80b2f902c83b",
             ),
             (
                 ("patch", "--t-max", "100", "--out", "patch.csv"),
@@ -822,6 +824,16 @@ class TestExitCodes:
         assert code == 2 and "403200000 edge draws" in err and "32 MiB of packed planes" in err
         assert not any(in_tmp.iterdir())
 
+    def test_negative_seed_exits_two_before_drawing(self, capsys, in_tmp):
+        # random.Random would fold -1 onto 1; the sampler refuses it instead
+        code, out, err = run(capsys, "sample", "--n", "10", "--t", "3", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "ramseymult sample: invalid request: "
+            "seed must be a non-negative integer, got -1\n"
+        )
+        assert not any(in_tmp.iterdir())
+
     @pytest.mark.parametrize(
         "out, why", [(".", "is a directory"), ("missing/x.csv", "no directory missing")]
     )
@@ -957,13 +969,21 @@ class TestStartup:
         [
             (
                 ["bruteforce", "--n", "5", "--t", "3"],
-                {"ramseymult.analytic", "ramseymult.lattice", "ramseymult.recurrence"},
+                {
+                    "ramseymult.analytic", "ramseymult.lattice", "ramseymult.recurrence",
+                    "numpy.random",
+                },
             ),
             (["constants", "--eps-min", "1e-3"], {"ramseymult.oracle", "ramseymult.lattice"}),
             # np.unique would import numpy.ma, about 11 ms of the call
             (["crosscheck", "--t-max", "60"], {"ramseymult.oracle", "numpy.ma"}),
-            # no exhaustive floor at n > 8, so no Fraction and no decimal
-            (["sample", "--n", "10", "--t", "3"], {"fractions", "decimal"}),
+            # no exhaustive floor at n > 8, so no Fraction and no decimal; the
+            # planes are random.Random words, so no numpy.random, whose
+            # import loads secrets and with it hashlib and OpenSSL
+            (
+                ["sample", "--n", "10", "--t", "3"],
+                {"fractions", "decimal", "numpy.random", "secrets", "hashlib"},
+            ),
             # integer texts are trimmed without np.strings
             (["dp", "--k", "20", "--l", "20"], {"numpy.strings"}),
         ],

@@ -1,5 +1,6 @@
 """Exhaustive minima, dual clique counters, and sampling statistics."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -13,9 +14,12 @@ from ramseymult import oracle
 from ramseymult.oracle import (
     ColoringRecord,
     TooLarge,
+    _edge_planes,
     _mono_counts,
-    _sample_blocks,
+    _red_blue,
+    _sample_planes,
     _subset_masks,
+    _valid_lanes,
     count_mono_cliques,
     count_mono_cliques_fast,
     count_mono_triangles_by_degree,
@@ -385,7 +389,7 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "n, t, samples, mean, stderr, min_count",
-        [  # sample_against_bounds(n, t, samples, seed=7) of the per-lane counter
+        [  # the per-lane counter on np.random.default_rng(7)'s uint8 draw
             (2, 2, 2, 1.0, 0.0, 1),
             (2, 2, 65, 1.0, 0.0, 1),
             (2, 2, 4097, 1.0, 0.0, 1),
@@ -405,25 +409,72 @@ class TestSampling:
     )
     @pytest.mark.parametrize("complement", [False, True])
     def test_pinned_statistics(self, n, t, samples, mean, stderr, min_count, complement):
-        # 2, 65 and 4097 samples leave 2, 1 and 1 lanes in the last word
+        # the counter's pins, on the uint8 draw the sampler took before it
+        # drew words; 2, 65 and 4097 samples leave 2, 1 and 1 lanes in the
+        # last word
+        m = math.comb(n, 2)
+        bits = np.random.default_rng(7).integers(0, 2, (samples, m), np.uint8)
+        planes = _edge_planes([bits], samples, m)
+        if complement:
+            planes ^= _valid_lanes(samples)
+        counts = np.add(*_red_blue(planes, n, t, samples))
+        fractions = counts / math.comb(n, t)
+        got = fractions.mean(), fractions.std(ddof=1) / math.sqrt(samples), counts.min()
+        assert got == (mean, stderr, min_count)
+
+    @pytest.mark.parametrize(
+        "n, t, samples, mean, stderr, min_count",
+        [  # sample_against_bounds(n, t, samples, seed=7) on the word stream
+            (2, 2, 2, 1.0, 0.0, 1),
+            (2, 2, 65, 1.0, 0.0, 1),
+            (2, 2, 4097, 1.0, 0.0, 1),
+            (8, 3, 2, 0.2589285714285714, 0.008928571428571423, 14),
+            (8, 3, 65, 0.2532967032967033, 0.007520212368727656, 9),
+            (8, 3, 4097, 0.2507627532340737, 0.0009013534780929827, 8),
+            (12, 5, 2, 0.0, 0.0, 0),
+            (12, 5, 65, 0.0027195027195027195, 0.0006259672951266342, 0),
+            (12, 5, 4097, 0.002059587823561463, 5.631567767948813e-05, 0),
+            (20, 4, 2, 0.04468524251805986, 0.0011351909184726496, 211),
+            (20, 4, 65, 0.03080415972056839, 0.0009462152546003524, 93),
+            (20, 4, 4097, 0.03121310289463987, 0.00010578745103168408, 79),
+            (64, 3, 2, 0.2540802611367128, 0.0018481182795699045, 10509),
+            (64, 3, 65, 0.24991654850525818, 0.00024227912383351636, 10222),
+            (64, 3, 4097, 0.24999097232923417, 3.326433660483356e-05, 10146),
+        ],
+    )
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_pinned_stream_statistics(
+        self, n, t, samples, mean, stderr, min_count, complement
+    ):
         rep = sample_against_bounds(n, t, samples=samples, seed=7, complement=complement)
         assert (rep.mean_fraction, rep.stderr, rep.min_count) == (mean, stderr, min_count)
 
-    def test_block_fills_whole_words(self):
-        # every block but the last packs into whole 64-lane words
-        assert oracle._SAMPLE_BLOCK % 64 == 0
+    @pytest.mark.parametrize("samples", [2, 63, 64, 65, 4097])
+    @pytest.mark.parametrize("m", [1, 28, 2016])
+    def test_planes_are_one_word_draw(self, samples, m):
+        # 4097 samples x C(64, 2) edges span two randbytes calls
+        words = -(-samples // 64)
+        assert (m * words > oracle._DRAW_WORDS) == ((samples, m) == (4097, 2016))
+        for seed in (0, 7):
+            draw = random.Random(seed).randbytes(8 * m * words)
+            whole = np.frombuffer(draw, "<u8").reshape(m, words)
+            got = _sample_planes(seed, samples, m)
+            assert np.array_equal(got, whole & _valid_lanes(samples))
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 6, 8, 10, 12, 20, 64])
-    def test_blocks_concatenate_to_one_draw(self, n):
-        m = math.comb(n, 2)
-        for samples in (2, 7, 4095, 4096, 4097, 10000):
-            for seed in (0, 1, 12345):
-                blocks = list(_sample_blocks(seed, samples, m))
-                assert all(len(b) == oracle._SAMPLE_BLOCK for b in blocks[:-1])
-                whole = np.random.default_rng(seed).integers(
-                    0, 2, size=(samples, m), dtype=np.uint8
-                )
-                assert np.array_equal(np.concatenate(blocks), whole)
+    def test_planes_pinned_sha256(self):
+        # random.Random's byte stream (CPython 3.11, little-endian): a
+        # release that changed randbytes would move every sample artifact
+        planes = _sample_planes(7, 4097, 28)
+        assert hashlib.sha256(planes.tobytes()).hexdigest() == (
+            "94a924965c31a882ed7b40aeeb5b2415f8b22c83fa9ee9f2c71a2d437ca1b2df"
+        )
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            sample_against_bounds(10, 3, seed=-1)
+        with pytest.raises(TypeError):
+            sample_against_bounds(10, 3, seed=1.5)
+        assert sample_against_bounds(10, 3, samples=64, seed=np.int64(3)).seed == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
