@@ -24,7 +24,6 @@ _SOURCES = {
         "build_patch_sequence",
         "constant_from_limit",
         "default_patch_width",
-        "elementary_ratio",
         "estimate_limit_constants",
         "find_seed",
         "solve_threshold_ode",
@@ -64,12 +63,10 @@ _SOURCES = {
         "sample_against_bounds",
     ),
     "recurrence": (
-        "ClassicalBounds",
         "ConstantEstimate",
         "WindowTooSmall",
         "alpha_estimate",
         "build_table",
-        "classical_bounds",
         "estimate_growth_constant",
         "multicolor_table",
         "optimal_thresholds",

@@ -32,7 +32,7 @@ from .numerics import (
     integrate,
 )
 
-if TYPE_CHECKING:  # lattice is imported by the two functions that use it
+if TYPE_CHECKING:  # lattice is imported by the one function that uses it
     from .lattice import ThresholdSequence
 
 _DENOMINATOR_FLOOR = -1e-12
@@ -133,34 +133,6 @@ def estimate_limit_constants(eps_min: float = 1e-7, tol: float = 1e-10) -> Analy
         c=constant_from_limit(t1_limit),
         error_bar=max(tail) - min(tail),
     )
-
-
-def elementary_ratio(a: int, b: int, thresholds: ThresholdSequence) -> float:
-    """Ratio of adjacent weighted threshold products at cell (a, b).
-
-    Equals t_{a-1,b}^(a-1) * (1 - t_{a,b})^a / (t_{a,b}^a *
-    (1 - t_{a,b-1})^a); near 1 wherever the table is locally consistent
-    with the ODE profile.  Needs column b - 1, so b >= 2, and a > b keeps
-    all three lookups on the lower wedge.
-    """
-    from .lattice import OutOfRange
-
-    if b < 2:
-        raise ValueError("ratio needs b >= 2")
-    if a <= b:
-        raise ValueError("ratio defined below the diagonal: a > b")
-    if a > thresholds.size:
-        raise OutOfRange(f"({a}, {b}) outside table of size {thresholds.size}")
-    # the three cells in one checked read
-    i, j = np.array([a, a - 1, a]), np.array([b, b, b - 1])
-    t_ab, t_up, t_left = thresholds._evaluate(i, j).tolist()
-    ln_r = (
-        (a - 1) * math.log(t_up)
-        + a * math.log1p(-t_ab)
-        - a * math.log(t_ab)
-        - a * math.log1p(-t_left)
-    )
-    return math.exp(ln_r)
 
 
 class PatchSequence(NamedTuple):

@@ -171,10 +171,6 @@ class ThresholdSequence:
         the diagonal it is 1/2 exactly."""
         return cls(size, "erdos-szekeres", lambda i, j: j / (i + j))
 
-    @property
-    def has_column_one(self) -> bool:
-        return not np.isnan(self.at(2, 1))
-
     def _evaluate(self, i, j) -> np.ndarray:
         """t_{i,j} on index arrays inside [1, size]^2 off cell (1, 1): ``at``
         on the lower wedge, every value checked, the upper wedge reflected."""

@@ -29,7 +29,7 @@ import operator
 import random
 from functools import lru_cache
 from itertools import accumulate, combinations
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -102,10 +102,6 @@ class ColoringRecord:
         return [
             e for i, e in enumerate(edge_list(self.n)) if self.red_mask >> i & 1
         ]
-
-    def complement(self) -> "ColoringRecord":
-        flipped = self.red_mask ^ ((1 << self.edge_count) - 1)
-        return ColoringRecord(self.n, flipped)
 
 
 def count_mono_cliques(coloring: ColoringRecord, t: int) -> tuple[int, int]:
@@ -242,17 +238,13 @@ def _clique_counts(
     return lanes
 
 
-def _edge_planes(blocks: Iterable[np.ndarray], samples: int, m: int) -> np.ndarray:
-    """(m, W) edge planes of ``samples`` colourings given as consecutive
-    (rows, m) 0/1 uint8 blocks, each but the last a multiple of 64 rows:
-    bit s of word w of plane e is edge e of colouring 64 w + s."""
+def _edge_planes(bits: np.ndarray) -> np.ndarray:
+    """(m, W) edge planes of the colourings given as (B, m) 0/1 uint8 rows:
+    bit s of word w of plane e is edge e of row 64 w + s."""
+    samples, m = bits.shape
     planes = np.zeros((m, -(-samples // 64)), dtype="<u8")
-    lane_bytes = planes.view(np.uint8)
-    lo = 0
-    for bits in blocks:
-        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-        lane_bytes[:, lo // 8 : lo // 8 + packed.shape[1]] = packed
-        lo += len(bits)
+    packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+    planes.view(np.uint8)[:, : packed.shape[1]] = packed
     return planes
 
 
@@ -277,7 +269,7 @@ def _red_blue(
 
 def _mono_counts(bits: np.ndarray, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (red, blue) K_t counts of (B, C(n, 2)) 0/1 edge bits."""
-    return _red_blue(_edge_planes([bits], len(bits), bits.shape[1]), n, t, len(bits))
+    return _red_blue(_edge_planes(bits), n, t, len(bits))
 
 
 def count_mono_cliques_fast(coloring: ColoringRecord, t: int) -> tuple[int, int]:
@@ -443,7 +435,7 @@ def _check_reach(n: int, large: bool) -> None:
     if n > 8:
         raise TooLarge(f"n={n} is beyond exhaustive reach (max 8)")
     if n == 8 and not large:
-        raise TooLarge("n=8 scans 2^27 colourings; opt in with large=True")
+        raise TooLarge("n=8 scans 2^27 colourings; opt in with large=True (--large)")
 
 
 def exact_min(

@@ -222,42 +222,3 @@ def uniform_exponents(k: int, l: int) -> tuple[int, int]:
     blue = l * (k - 2) + math.comb(l + 1, 2)
     return red, blue
 
-
-def _ln_binom_4t_choose_t(t: int) -> float:
-    """ln C(4^t, t), stable for t far beyond direct evaluation.
-
-    Expanding the falling factorial: sum_i ln(4^t - i) = t^2 ln 4 +
-    sum_i log1p(-i * 4^-t); the naive lgamma difference cancels
-    catastrophically once 4^t dwarfs t.
-    """
-    four_pow = 4.0 ** -t if t < 540 else 0.0  # underflow is exact here
-    s = t * t * math.log(4.0)
-    for i in range(t):
-        s += math.log1p(-i * four_pow)
-    return s - math.lgamma(t + 1)
-
-
-class ClassicalBounds(NamedTuple):
-    """The four comparable densities for monochromatic t-cliques, as negLog
-    floats: a larger negLog is a smaller density."""
-
-    t: int
-    upper_random: float  # 2^(1 - C(t,2)), from uniformly random colourings
-    lower_ramsey: float  # 1 / C(4^t, t), via Ramsey number bounds
-    lower_uniform: float  # 2^-(t(t-2) + C(t+1,2)), uniform thresholds
-    lower_recurrence: float  # M_{t,t}, optimal thresholds
-
-
-def classical_bounds(t: int) -> ClassicalBounds:
-    """Assemble the classical comparison values at one clique size;
-    M_{t,t} is read from the streamed :func:`diagonal`."""
-    if t < 2:
-        raise ValueError("bounds defined for t >= 2")
-    ln2 = math.log(2.0)
-    return ClassicalBounds(
-        t=t,
-        upper_random=(math.comb(t, 2) - 1) * ln2,
-        lower_ramsey=_ln_binom_4t_choose_t(t),
-        lower_uniform=(t * (t - 2) + math.comb(t + 1, 2)) * ln2,
-        lower_recurrence=float(diagonal(t)[t]),
-    )

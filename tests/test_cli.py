@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: files, summaries, exit codes."""
 
+import ast
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ramseymult
 from ramseymult import analytic, cli, lattice, numerics, oracle, recurrence
 from ramseymult.cli import (
     _BLOCK_ROWS,
@@ -483,7 +485,9 @@ class TestExitCodes:
         code, _, err = run(capsys, "bruteforce", "--n", "9", "--t", "3")
         assert code == 2 and "invalid request" in err
         code, _, err = run(capsys, "bruteforce", "--n", "8", "--t", "3")
-        assert code == 2
+        assert code == 2 and "--large" in err  # the flag a user can type
+        code, _, err = run(capsys, "ratios", "--t", "3", "--n-max", "8")
+        assert code == 2 and "--large" in err
         code, _, err = run(capsys, "ode", "--epsilon", "2.0")
         assert code == 2
         code, _, err = run(capsys, "multicolor", "--q", "4", "--t-max", "100")
@@ -1026,6 +1030,22 @@ class TestStartup:
         )
         extra = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
         assert _fresh_python(probe, extra) == f"True {caller}\n"
+
+
+class TestPublicSurface:
+    def test_every_public_name_is_read(self):
+        # each public name serves a subcommand, a solver or an acceptance
+        # criterion: some module or criterion reads it in code, not only in a
+        # docstring or a comment, and a definition or import is no read
+        files = [p for p in Path(SRC, "ramseymult").glob("*.py") if p.name != "__init__.py"]
+        read = set()
+        for path in [*files, Path(__file__).with_name("test_acceptance.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+        assert sorted(set(ramseymult.__all__) - read) == []
 
 
 class TestLadder:

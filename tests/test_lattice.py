@@ -179,10 +179,12 @@ class TestLazyTables:
     def test_optimal(self, t):
         table = build_table(t)
         thr = optimal_thresholds(table)
-        assert thr.provenance == "optimal" and not thr.has_column_one
+        assert thr.provenance == "optimal"
         assert_reads_equal(thr, optimal_square(table), 2)
         with pytest.raises(OutOfRange):
             thr.wedge(1)
+        with pytest.raises(OutOfRange):
+            thr.lookup(2, 1)
 
     @pytest.mark.parametrize("t, w", [(40, 5), (200, None)])
     def test_patched(self, t, w):
@@ -267,7 +269,7 @@ class TestThresholdSequence:
         assert u.lookup(3, 2) == 0.5
         assert u.lookup(3, 1) == 0.5
         assert u.lookup(2, 5) == 0.5
-        assert u.has_column_one
+        assert 0.0 < u.lookup(2, 1) < 1.0
 
     def test_erdos_szekeres_values(self):
         es = ThresholdSequence.erdos_szekeres(10)
@@ -296,7 +298,8 @@ class TestThresholdSequence:
             thr.lookup(1, 1)
         with pytest.raises(OutOfRange):
             thr.lookup(4, 1)  # column 1 not generated for this table
-        assert not thr.has_column_one
+        with pytest.raises(OutOfRange):
+            thr.lookup(2, 1)
 
     def test_rejects_values_outside_open_interval(self):
         with pytest.raises(ValueError):

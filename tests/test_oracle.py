@@ -45,10 +45,15 @@ class TestColoringRecord:
             ColoringRecord(n=1, red_mask=0)
 
     def test_complement_involution(self):
+        # flipping every edge twice gives the record back, and the flipped
+        # record's red edges are the original's blue ones
+        full = (1 << 10) - 1
         rec = ColoringRecord(n=5, red_mask=PENTAGON)
-        comp = rec.complement()
-        assert comp.red_mask == PENTAGON ^ ((1 << 10) - 1)
-        assert comp.complement().red_mask == rec.red_mask
+        comp = ColoringRecord(n=5, red_mask=rec.red_mask ^ full)
+        back = ColoringRecord(n=5, red_mask=comp.red_mask ^ full)
+        assert back.red_mask == PENTAGON and back.red_edges() == rec.red_edges()
+        red = set(rec.red_edges())
+        assert comp.red_edges() == [e for e in edge_list(5) if e not in red]
 
     def test_red_edges_order(self):
         rec = ColoringRecord(n=4, red_mask=0b000101)
@@ -73,10 +78,12 @@ class TestCounting:
         rng = random.Random(7)
         for _ in range(50):
             n = rng.randint(3, 6)
-            rec = ColoringRecord(n=n, red_mask=rng.getrandbits(math.comb(n, 2)))
+            m = math.comb(n, 2)
+            mask = rng.getrandbits(m)
             t = rng.randint(2, n)
-            red, blue = count_mono_cliques(rec, t)
-            assert count_mono_cliques(rec.complement(), t) == (blue, red)
+            red, blue = count_mono_cliques(ColoringRecord(n, mask), t)
+            flipped = ColoringRecord(n, mask ^ ((1 << m) - 1))
+            assert count_mono_cliques(flipped, t) == (blue, red)
 
     def test_dual_counters_agree(self):
         rng = random.Random(8)
@@ -123,7 +130,7 @@ class TestCounting:
         # all-blue padding would hold every clique; valid lanes mask it off
         n, t = 6, 3
         bits = np.random.default_rng(batch).integers(0, 2, (batch, 15), np.uint8)
-        planes = oracle._edge_planes([bits], batch, 15)
+        planes = oracle._edge_planes(bits)
         valid = oracle._valid_lanes(batch)
         words = -(-batch // 64)
         assert planes.shape == (15, words) and valid.shape == (words,)
@@ -414,7 +421,7 @@ class TestSampling:
         # last word
         m = math.comb(n, 2)
         bits = np.random.default_rng(7).integers(0, 2, (samples, m), np.uint8)
-        planes = _edge_planes([bits], samples, m)
+        planes = _edge_planes(bits)
         if complement:
             planes ^= _valid_lanes(samples)
         counts = np.add(*_red_blue(planes, n, t, samples))

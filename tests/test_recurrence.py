@@ -15,10 +15,8 @@ from ramseymult.recurrence import (
     STREAM_T_MAX,
     WindowTooSmall,
     _check_stream,
-    _ln_binom_4t_choose_t,
     alpha_estimate,
     build_table,
-    classical_bounds,
     diagonal,
     estimate_growth_constant,
     multicolor_table,
@@ -138,7 +136,8 @@ class TestOptimalThresholds:
 
     def test_no_column_one(self, table50):
         thr = optimal_thresholds(table50)
-        assert not thr.has_column_one
+        with pytest.raises(OutOfRange):
+            thr.lookup(2, 1)
         with pytest.raises(OutOfRange):
             thr.lookup(5, 1)
 
@@ -220,7 +219,7 @@ class TestDiagonal:
         monkeypatch.setattr(recurrence, "wavefront_fill", never)
         with pytest.raises(ValueError, match="t_max must be at least 2"):
             diagonal(1)
-        for read in (diagonal, estimate_growth_constant, classical_bounds, lambda t: alpha_estimate(2, t)):
+        for read in (diagonal, estimate_growth_constant, lambda t: alpha_estimate(2, t)):
             with pytest.raises(BudgetExceeded, match=f"^a diagonal to t = {STREAM_T_MAX + 1} exceeds"):
                 read(STREAM_T_MAX + 1)
         # one bound for every q: t^q <= STREAM_T_MAX^2, so t <= 736 at q = 3
@@ -263,7 +262,6 @@ class TestDiagonal:
             pts = [(float(t), table.neglog(t, t)) for t in range(window[0], window[1] + 1)]
             est = estimate_growth_constant(t_max)
             assert (est.ln_c, est.rms_residual, est.window) == (*fit_quadratic_leading(pts), window)
-        assert classical_bounds(120).lower_recurrence == table.neglog(120, 120)
         alpha = alpha_estimate(2, 120)
         assert type(alpha) is float and alpha == table.neglog(120, 120) / (2 * 120 * 120 * math.log(2))
 
@@ -391,43 +389,46 @@ class TestUniformExponents:
 
 class TestClassicalBounds:
     def test_hand_values_t3(self, table50):
-        cb = classical_bounds(3)
-        assert math.isclose(math.exp(-cb.upper_random), 0.25, rel_tol=1e-14)
-        assert math.isclose(
-            math.exp(-cb.lower_ramsey), 1 / math.comb(64, 3), rel_tol=1e-12
-        )
-        assert math.isclose(math.exp(-cb.lower_uniform), 2.0 ** -9, rel_tol=1e-12)
-        assert math.isclose(
-            math.exp(-cb.lower_recurrence), table50.value(3, 3), rel_tol=1e-14
-        )
+        # random colouring 2^(1 - 3) = 1/4, uniform thresholds 2^-9,
+        # Erdos 1 / C(64, 3), and the recurrence's M_{3,3}
+        neglog = float(diagonal(3)[3])
+        assert math.isclose(math.exp(-(math.comb(3, 2) - 1) * math.log(2.0)), 0.25, rel_tol=1e-14)
+        assert 2.0 ** -uniform_exponents(3, 3)[0] == 2.0 ** -9
+        assert math.isclose(math.exp(-neglog), table50.value(3, 3), rel_tol=1e-14)
+        assert 2.0 ** -9 < math.exp(-neglog) < 0.25
+        assert 1 / math.comb(64, 3) < math.exp(-neglog)
 
     def test_fields_are_neglog_floats(self, table50):
+        diag = diagonal(50)
         for t in (2, 3, 17, 50):
-            cb = classical_bounds(t)
-            for x in (
-                cb.upper_random, cb.lower_ramsey, cb.lower_uniform, cb.lower_recurrence
-            ):
-                assert type(x) is float and 0.0 <= x < math.inf, (t, x)
-            assert cb.lower_recurrence == table50.neglog(t, t)
+            neglog = float(diag[t])
+            assert 0.0 <= neglog < math.inf, t
+            assert neglog == table50.neglog(t, t)
 
-    def test_ln_binomial_against_exact(self):
-        for t in range(2, 9):
-            exact = math.log(math.comb(4 ** t, t))
-            assert math.isclose(_ln_binom_4t_choose_t(t), exact, rel_tol=1e-12)
+    def test_readme_figures_at_t400(self):
+        # the comparison the README states: negLog M_{400,400} against
+        # Erdos's ln C(4^400, 400)
+        assert round(float(diagonal(400)[400])) == 124669
+        assert round(math.log(math.comb(4**400, 400))) == 219807
 
-    def test_ln_binomial_large_t_finite(self):
-        v = _ln_binom_4t_choose_t(400)
-        assert math.isfinite(v)
-        # dominated by t^2 ln 4: the ratio is close to 1
-        assert 0.99 <= v / (400 * 400 * math.log(4)) <= 1.0
+    def test_gap_widens_toward_ln4_minus_ln_c(self):
+        # (ln C(4^t, t) - negLog M_{t,t}) / t^2 grows with t, toward
+        # ln 4 - ln C, the paper's improvement in the exponent
+        diag = diagonal(400)
+        gaps = [
+            (math.log(math.comb(4**t, t)) - float(diag[t])) / t**2
+            for t in (25, 50, 100, 200, 400)
+        ]
+        assert all(a < b for a, b in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < math.log(4.0) - estimate_growth_constant(400).ln_c
 
     def test_sandwich_and_improvement(self):
+        # negLogs, a larger negLog is a smaller density: M_{t,t} lies between
+        # the uniform thresholds' bound and the random colouring's
+        # 2^(1 - C(t,2)), and beats Erdos's 1 / C(4^t, t), taken exactly
+        diag = diagonal(50)
+        ln2 = math.log(2.0)
         for t in range(2, 51):
-            cb = classical_bounds(t)
-            # negLogs: a larger negLog is a smaller density
-            assert cb.lower_uniform >= cb.lower_recurrence >= cb.upper_random
-            assert cb.lower_recurrence < cb.lower_ramsey
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            classical_bounds(1)
+            neglog = float(diag[t])
+            assert (math.comb(t, 2) - 1) * ln2 <= neglog <= uniform_exponents(t, t)[0] * ln2
+            assert neglog < math.log(math.comb(4**t, t))
