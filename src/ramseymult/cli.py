@@ -32,10 +32,11 @@ from argparse import ArgumentParser, Namespace
 from typing import Callable, NamedTuple
 
 # Each CLI process is short-lived, and an idle OpenBLAS worker thread
-# spins beside the main one for most of it; only the n = 8 scan calls
-# BLAS at all.  So one thread, unless the caller's environment says
-# otherwise.  OpenBLAS reads the variable once, when numpy first loads
-# it, so the default is removed again and no child process inherits it.
+# would spin beside the main one for most of it, while the BLAS calls
+# (the oracle's float32 products, crosscheck's least squares) are small.
+# So one thread, unless the caller's environment says otherwise.
+# OpenBLAS reads the variable once, when numpy first loads it, so the
+# default is removed again and no child process inherits it.
 _BLAS_DEFAULT = "OPENBLAS_NUM_THREADS" not in os.environ
 if _BLAS_DEFAULT:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -49,7 +50,6 @@ from .numerics import NumericFailure, check_cells
 
 _SPAN_ROWS = 1 << 18  # rows whose equal values share one text
 _BLOCK_ROWS = 8192  # rows assembled and written at a time
-_PAD = 0xFF  # pads text matrices, masked out; UTF-8 never holds this byte
 _JSON_FLOATS = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"-inf", b"-Infinity"))
 # (row open, cell separator, row close, row separator) as bytes
 _ROW_LAYOUT = {
@@ -58,28 +58,13 @@ _ROW_LAYOUT = {
 }
 
 
-def _fmt(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 class _Axis(NamedTuple):
-    """The 1-based index column of one axis of a table of ``shape``, its
-    cells read in row-major order: row r holds (r // stride) % length + 1."""
+    """The 1-based index column of one axis of a table of ``size`` cells,
+    read in row-major order: row r holds (r // stride) % length + 1."""
 
-    shape: tuple[int, ...]
-    axis: int
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-    @property
-    def length(self) -> int:
-        return self.shape[self.axis]
-
-    @property
-    def stride(self) -> int:
-        return math.prod(self.shape[self.axis + 1 :])
+    size: int
+    length: int
+    stride: int
 
 
 class _Decoded(NamedTuple):
@@ -95,21 +80,12 @@ def _length(col) -> int:
     return len(col) if isinstance(col, list) else col.size
 
 
-def _pad_nuls(mat: np.ndarray) -> None:
-    """Turn the NUL padding of a text matrix into ``_PAD`` in place: 0 - 1
-    wraps to 0xFF, and every other byte loses 0."""
-    np.subtract(mat, (mat == 0).view(np.uint8), out=mat)
-
-
 def _padded(texts: np.ndarray) -> np.ndarray:
     """A bytes array of texts without NULs as a matrix, one row per text,
-    trimmed to the longest and padded with ``_PAD``.  The texts are
-    left-aligned, so the longest ends at the last column any text
-    reaches."""
+    NUL-padded and trimmed to the longest.  The texts are left-aligned,
+    so the longest ends at the last column any text reaches."""
     mat = texts.view(np.uint8).reshape(len(texts), -1)
-    mat = mat[:, : np.count_nonzero(mat.any(axis=0))].copy()
-    _pad_nuls(mat)
-    return mat
+    return mat[:, : np.count_nonzero(mat.any(axis=0))].copy()
 
 
 def _float_texts(x: np.ndarray, decode: Callable | None, fmt: str) -> np.ndarray:
@@ -130,7 +106,6 @@ def _float_texts(x: np.ndarray, decode: Callable | None, fmt: str) -> np.ndarray
                 texts[texts == text] = json_text
         while width < WIDTH and rows[:, width].any():  # texts are left-aligned
             width += 1
-        _pad_nuls(rows)
     # each row moves down to its trimmed place, read before it is overwritten
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
@@ -157,12 +132,8 @@ def _span_texts(col, lo: int, hi: int, fmt: str):
             lambda a, b: (np.arange(a, b) // stride - first) % length
         )
     if isinstance(col, list):
-        raw = [s.encode() for s in map(_fmt if fmt == "csv" else json.dumps, col[lo:hi])]
-        lengths = np.fromiter(map(len, raw), np.intp, len(raw))
-        # padded by length, not by content: a NUL in a text is kept
-        mat = np.full((len(raw), lengths.max()), _PAD, np.uint8)
-        mat[np.arange(mat.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(raw), np.uint8)
-        return mat, lambda a, b: np.arange(a - lo, b - lo)
+        raw = [s.encode() for s in map(str if fmt == "csv" else json.dumps, col[lo:hi])]
+        return _padded(np.array(raw)), lambda a, b: np.arange(a - lo, b - lo)
     array, decode = (col.array, col.decode) if isinstance(col, _Decoded) else (col, None)
     floats = array.dtype == np.float64
 
@@ -198,7 +169,7 @@ def _write_rows(f, data: list, fmt: str) -> None:
         for c, width in enumerate(widths):
             template += cell_sep if c else b""
             starts.append(len(template))
-            template += bytes([_PAD]) * width
+            template += bytes(width)
         template += closing + row_sep
         block = np.tile(np.frombuffer(template, np.uint8), (min(_BLOCK_ROWS, end - span), 1))
         for lo in range(span, end, _BLOCK_ROWS):
@@ -206,7 +177,7 @@ def _write_rows(f, data: list, fmt: str) -> None:
             for (mat, rows_of), start, width in zip(texts, starts, widths):
                 block[: hi - lo, start : start + width] = mat.take(rows_of(lo, hi), axis=0)
             part = block[: hi - lo]
-            out = part[part != _PAD]
+            out = part[part != 0]
             if hi == n:  # the last row takes no separator
                 out = out[: len(out) - len(row_sep)]
             f.write(out)
@@ -225,7 +196,7 @@ def _emit(cfg: Namespace, columns: list[str], data: list, extras: dict) -> str:
     if cfg.format == "csv":
         lines = [f"# config = {json.dumps(config, sort_keys=True)}"]
         for key in sorted(extras):
-            lines.append(f"# {key} = {_fmt(extras[key])}")
+            lines.append(f"# {key} = {extras[key]}")
         lines.append(",".join(columns))
         head, tail = "\n".join(lines) + "\n", ""
     else:
@@ -284,14 +255,12 @@ def _threshold_table(cfg: Namespace):
         from . import recurrence
 
         return recurrence.optimal_thresholds(recurrence.build_table(size, min(cfg.k, cfg.l)))
-    if kind == "patched":
-        from . import analytic
+    from . import analytic  # patched, the last of the parser's choices
 
-        if cfg.w is not None and not 1 <= cfg.w < size:
-            # dp has no --t-max, so the bound is named by the options it has
-            raise ValueError(f"patch width {cfg.w} must satisfy 1 <= w < max(k, l, 2) = {size}")
-        return analytic.assemble_patched_thresholds(cfg.epsilon, size, cfg.w, cfg.tol)
-    raise ValueError(f"unknown threshold kind {kind!r}")
+    if cfg.w is not None and not 1 <= cfg.w < size:
+        # dp has no --t-max, so the bound is named by the options it has
+        raise ValueError(f"patch width {cfg.w} must satisfy 1 <= w < max(k, l, 2) = {size}")
+    return analytic.assemble_patched_thresholds(cfg.epsilon, size, cfg.w, cfg.tol)
 
 
 def _table_columns(table) -> list:
@@ -299,7 +268,9 @@ def _table_columns(table) -> list:
     cells of a ``BoundTable``, without the padding index 0 of any axis:
     one ``_Axis`` per axis and a view of the table, nothing copied."""
     values = table.table[(slice(1, None),) * table.table.ndim]
-    return [*(_Axis(values.shape, a) for a in range(values.ndim)), values]
+    shape = values.shape
+    axes = [_Axis(values.size, n, math.prod(shape[a + 1 :])) for a, n in enumerate(shape)]
+    return [*axes, values]
 
 
 def _cmd_recurrence(cfg: Namespace) -> tuple[list, list, dict, str]:
@@ -490,18 +461,10 @@ def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
         complement=cfg.complement,
         large=cfg.large,
     )
-    row = (
-        rep.n,
-        rep.t,
-        rep.samples,
-        rep.mean_fraction,
-        rep.expected_fraction,
-        rep.stderr,
-        rep.min_count,
-    )
+    columns = ["n", "t", "samples", "mean_fraction", "expected_fraction", "stderr", "min_count"]
     return (
-        ["n", "t", "samples", "mean_fraction", "expected_fraction", "stderr", "min_count"],
-        [[v] for v in row],
+        columns,
+        [[getattr(rep, name)] for name in columns],
         {"report": rep._asdict()} if cfg.format == "json" else {},
         f"sampled mono fraction {rep.mean_fraction:.6f} vs expected "
         f"{rep.expected_fraction:.6f} (stderr {rep.stderr:.2e})",
@@ -528,32 +491,21 @@ def _cmd_crosscheck(cfg: Namespace) -> tuple[list, list, dict, str]:
     return (["route", "c", "ln_c"], data, extras, summary)
 
 
-_HANDLERS = {
-    "recurrence": _cmd_recurrence,
-    "thresholds": _cmd_thresholds,
-    "dp": _cmd_dp,
-    "ramsey": _cmd_ramsey,
-    "ode": _cmd_ode,
-    "constants": _cmd_constants,
-    "patch": _cmd_patch,
-    "multicolor": _cmd_multicolor,
-    "alpha": _cmd_alpha,
-    "bruteforce": _cmd_bruteforce,
-    "ratios": _cmd_ratios,
-    "sample": _cmd_sample,
-    "crosscheck": _cmd_crosscheck,
-}
-
-
 _INT, _FLOAT, _FLAG = {"type": int}, {"type": float}, {"action": "store_true"}
-# subcommand: (help, its options beyond --out and --format)
+# subcommand: (handler, help, its options beyond --out and --format)
 _SUBCOMMANDS = {
-    "recurrence": ("optimal-threshold recurrence table", {"--t-max": {**_INT, "default": 400}}),
+    "recurrence": (
+        _cmd_recurrence,
+        "optimal-threshold recurrence table",
+        {"--t-max": {**_INT, "default": 400}},
+    ),
     "thresholds": (
+        _cmd_thresholds,
         "optimal thresholds implied by the recurrence",
         {"--t-max": {**_INT, "default": 400}},
     ),
     "dp": (
+        _cmd_dp,
         "minimum path-weight dynamic program",
         {
             "--k": {**_INT, "required": True},
@@ -570,6 +522,7 @@ _SUBCOMMANDS = {
         },
     ),
     "ramsey": (
+        _cmd_ramsey,
         "max-form Ramsey-number bound table",
         {
             "--k": {**_INT, "required": True},
@@ -578,14 +531,17 @@ _SUBCOMMANDS = {
         },
     ),
     "ode": (
+        _cmd_ode,
         "threshold profile trajectory",
         {"--epsilon": {**_FLOAT, "default": 1e-3}, "--tol": {**_FLOAT, "default": 1e-10}},
     ),
     "constants": (
+        _cmd_constants,
         "profile limit and growth constant",
         {"--eps-min": {**_FLOAT, "default": 1e-7}, "--tol": {**_FLOAT, "default": 1e-10}},
     ),
     "patch": (
+        _cmd_patch,
         "assembled threshold table (ODE profile + patch)",
         {
             "--epsilon": {**_FLOAT, "default": 1e-3},
@@ -595,22 +551,27 @@ _SUBCOMMANDS = {
         },
     ),
     "multicolor": (
+        _cmd_multicolor,
         "q-colour recurrence table",
         {"--q": {**_INT, "default": 2}, "--t-max": {**_INT, "default": 20}},
     ),
     "alpha": (
+        _cmd_alpha,
         "normalised q-colour diagonal exponent",
         {"--q": {**_INT, "default": 2}, "--t": {**_INT, "default": 100}},
     ),
     "bruteforce": (
+        _cmd_bruteforce,
         "exhaustive minimum over colourings of K_n",
         {"--n": {**_INT, "required": True}, "--t": {**_INT, "required": True}, "--large": _FLAG},
     ),
     "ratios": (
+        _cmd_ratios,
         "exhaustive minimum ratios across n",
         {"--t": {**_INT, "default": 3}, "--n-max": {**_INT, "default": 7}, "--large": _FLAG},
     ),
     "sample": (
+        _cmd_sample,
         "random-colouring statistics against expectations",
         {
             "--n": {**_INT, "required": True},
@@ -622,6 +583,7 @@ _SUBCOMMANDS = {
         },
     ),
     "crosscheck": (
+        _cmd_crosscheck,
         "compare recurrence and ODE growth constants",
         {
             "--t-max": {**_INT, "default": 400},
@@ -649,7 +611,7 @@ def build_parser(subcommand: str | None = None) -> ArgumentParser:
         names, metavar = [subcommand], "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = p.add_subparsers(dest="subcommand", required=True, metavar=metavar)
     for name in names:
-        help_, options = _SUBCOMMANDS[name]
+        _, help_, options = _SUBCOMMANDS[name]
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--out", default=None, help="output path (default <subcommand>.<format>)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -665,7 +627,7 @@ def main(argv=None) -> int:
     try:
         _check_limits(cfg)
         _check_out(cfg.out)
-        columns, data, extras, summary = _HANDLERS[cfg.subcommand](cfg)
+        columns, data, extras, summary = _SUBCOMMANDS[cfg.subcommand][0](cfg)
         path = _emit(cfg, columns, data, extras)
     except OSError as exc:  # from _emit: the handlers touch no file
         msg = f"ramseymult {cfg.subcommand}: cannot write --out {cfg.out}: {exc}"

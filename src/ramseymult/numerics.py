@@ -215,7 +215,6 @@ _A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11
 _E1, _E2, _E3, _E4 = 71 / 57600, 0.0, -71 / 16695, 71 / 1920
 _E5, _E6, _E7 = -17253 / 339200, 22 / 525, -1 / 40
 
-_MIN_STEP = 1e-14
 _MAX_STEPS = 5_000_000
 
 
@@ -231,9 +230,9 @@ def integrate(
     Steps are accepted when the embedded error estimate per unit step is
     at most ``tol`` (absolute; the callers all keep y of order one).  Step
     sizes follow a PI controller.  A non-finite field value, or a step
-    forced below 1e-14, raises :class:`SingularField`.  A stage that
-    raises :class:`SingularField` inside a step retries it at a quarter
-    of the step.
+    forced below 32 units in the last place of x, raises
+    :class:`SingularField`.  A stage that raises :class:`SingularField`
+    inside a step retries it at a quarter of the step.
     """
     if not (x0 < x1):
         raise ValueError("integration interval must satisfy x0 < x1")
@@ -257,7 +256,9 @@ def integrate(
         if x >= x1:
             break
         h = min(h, x1 - x)
-        if h < _MIN_STEP:
+        # below 32 ulps the rounded stage abscissae swamp the error
+        # estimate, and a step no longer resolves the field
+        if h < 32 * math.ulp(x):
             raise SingularField(
                 f"step size underflow ({h!r}) at x={x!r}; field is too stiff here"
             )

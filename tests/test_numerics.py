@@ -233,7 +233,7 @@ def tableau_integrate(field, x0, y0, x1, tol):
         if x >= x1:
             break
         h = min(h, x1 - x)
-        if h < numerics._MIN_STEP:
+        if h < 32 * math.ulp(x):
             raise SingularField(
                 f"step size underflow ({h!r}) at x={x!r}; field is too stiff here"
             )
@@ -290,11 +290,16 @@ class TestUnrolledStep:
             (threshold_field, 0.0, 1e-2, 1.0, 1e-10),
             (threshold_field, 0.0, 1e-5, 1.0, 1e-10),
             (threshold_field, 0.0, 1e-9, 1.0, 1e-10),
+            (threshold_field, 0.0, 1e-11, 1.0, 1e-10),
+            (threshold_field, 0.0, 1e-12, 1.0, 1e-10),
             (lambda x, y: -y, 0.0, 1.0, 1.0, 1e-8),
             (lambda x, y: y * math.cos(x), 0.0, 1.0, 10.0, 1e-9),
             (_undershoot, 0.0, 2.0, 1.0, 1e-9),
         ],
-        ids=["threshold-1e-2", "threshold-1e-5", "threshold-1e-9", "decay", "y-cos", "interior-raise"],
+        ids=[
+            "threshold-1e-2", "threshold-1e-5", "threshold-1e-9", "threshold-1e-11",
+            "threshold-1e-12", "decay", "y-cos", "interior-raise",
+        ],
     )
     def test_matches_the_tableau_loop_bit_for_bit(self, field, x0, y0, x1, tol):
         want = tableau_integrate(field, x0, y0, x1, tol)
@@ -316,15 +321,15 @@ class TestUnrolledStep:
         assert raised  # stages raised, and the solve still reached x1
 
     @pytest.mark.parametrize(
-        "field, y0",
-        [(threshold_field, 1e-11), (lambda x, y: 1.0 / (0.5 - x), 0.0)],
-        ids=["threshold-1e-11", "pole"],
+        "field, y0, tol",
+        [(threshold_field, 1e-3, 1e-16), (lambda x, y: 1.0 / (0.5 - x), 0.0, 1e-10)],
+        ids=["threshold-1e-3-tol-1e-16", "pole"],
     )
-    def test_same_step_underflow_message(self, field, y0):
+    def test_same_step_underflow_message(self, field, y0, tol):
         with pytest.raises(SingularField) as want:
-            tableau_integrate(field, 0.0, y0, 1.0, 1e-10)
+            tableau_integrate(field, 0.0, y0, 1.0, tol)
         with pytest.raises(SingularField) as got:
-            integrate(field, 0.0, y0, 1.0, 1e-10)
+            integrate(field, 0.0, y0, 1.0, tol)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("step size underflow (")
 
