@@ -14,7 +14,11 @@ carry that split: every refusal is a ``ValueError``, every numeric failure
 a ``numerics.NumericFailure`` (or Python's ``OverflowError``).
 
 A call builds the parser of its own subcommand alone, and each handler
-imports the solver modules it runs, so a call loads only those.
+imports the solver modules it runs, so a call loads only those.  A process
+that enters through ``main()`` without argv (``python -m ramseymult.cli``,
+the ``ramseymult`` script) first freezes what the imports made, so neither
+the collector nor the exit-time sweep walks that heap again; a library
+call ``main([...])`` leaves the caller's heap as it is.
 
 Handlers return columns, and a filled table as it is: each index column
 is the range of one axis (``_Axis``), the value column a view of the
@@ -24,6 +28,7 @@ the table a call holds only temporaries bounded by the span.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -621,7 +626,11 @@ def build_parser(subcommand: str | None = None) -> ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    if argv is None:  # this process's own command line
+        # most of the heap is numpy's import; the permanent generation
+        # keeps it out of every collection, the ones at exit included
+        gc.freeze()
+        argv = sys.argv[1:]
     cfg = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     cfg.out = cfg.out or f"{cfg.subcommand}.{cfg.format}"
     try:

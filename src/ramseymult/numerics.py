@@ -230,8 +230,9 @@ def integrate(
     Steps are accepted when the embedded error estimate per unit step is
     at most ``tol`` (absolute; the callers all keep y of order one).  Step
     sizes follow a PI controller.  A non-finite field value, or a step
-    forced below 32 units in the last place of x, raises
-    :class:`SingularField`.  A stage that raises :class:`SingularField`
+    forced below 32 units in the last place of max(|x|, (x1 - x0) * 2**-52),
+    raises :class:`SingularField`; the second term keeps the refused step a
+    normal float near x = 0.  A stage that raises :class:`SingularField`
     inside a step retries it at a quarter of the step.
     """
     if not (x0 < x1):
@@ -249,6 +250,7 @@ def integrate(
     ys = [y0]
     x, y = x0, y0
     h = (x1 - x0) / 1000.0
+    x_tiny = (x1 - x0) * 2.0**-52  # ulp(0.0) is 5e-324
     k1 = eval_field(x, y)
     err_prev = 1.0  # normalized error of the previous accepted step
 
@@ -258,7 +260,7 @@ def integrate(
         h = min(h, x1 - x)
         # below 32 ulps the rounded stage abscissae swamp the error
         # estimate, and a step no longer resolves the field
-        if h < 32 * math.ulp(x):
+        if h < 32 * math.ulp(max(abs(x), x_tiny)):
             raise SingularField(
                 f"step size underflow ({h!r}) at x={x!r}; field is too stiff here"
             )

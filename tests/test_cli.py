@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: files, summaries, exit codes."""
 
 import ast
+import gc
 import hashlib
 import json
 import math
@@ -975,14 +976,37 @@ class TestOneSubparser:
         assert "{" + ",".join(cli._SUBCOMMANDS) + "}" in shown
 
 
-def _fresh_python(code: str, env_extra: dict | None = None) -> str:
-    """stdout of ``code`` in a new interpreter on the source tree, with no
-    ``OPENBLAS_NUM_THREADS`` unless ``env_extra`` sets it."""
+def _python(code: str, *args: str, env_extra: dict | None = None):
+    """``code`` run in a new interpreter on the source tree with ``args``
+    as ``sys.argv[1:]``, with no ``OPENBLAS_NUM_THREADS`` unless
+    ``env_extra`` sets it."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(PYTHONPATH=SRC, **(env_extra or {}))
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+def _fresh_python(code: str, env_extra: dict | None = None) -> str:
+    """stdout of ``code`` in a new interpreter, which must exit 0."""
+    done = _python(code, env_extra=env_extra)
+    done.check_returncode()
+    return done.stdout
+
+
+# The two ways a process enters the CLI, each printing the freeze count
+# of the collector as the process exits: the ``ramseymult`` console script
+# (the wrapper that setuptools writes calls ``sys.exit(main())``) and
+# ``python -m ramseymult.cli``, whose ``__main__`` block runs as runpy runs it.
+_ENTRY = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+    "sys.argv[0] = 'ramseymult'\n"
+)
+_ENTRIES = {
+    "script": _ENTRY + "from ramseymult.cli import main\nsys.exit(main())\n",
+    "module": _ENTRY + "import runpy\nrunpy.run_module('ramseymult.cli', run_name='__main__')\n",
+}
 
 
 class TestStartup:
@@ -1048,6 +1072,58 @@ class TestStartup:
         )
         extra = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
         assert _fresh_python(probe, extra) == f"True {caller}\n"
+
+    def test_library_call_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert run(capsys, "ramsey", "--k", "10", "--l", "10")[0] == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("entry", list(_ENTRIES))
+    @pytest.mark.parametrize(
+        "argv",
+        [["ramsey", "--k", "10", "--l", "10"], ["bruteforce", "--n", "6", "--t", "3"]],
+        ids=["ramsey", "bruteforce"],
+    )
+    def test_process_entry_freezes_and_writes_the_same_bytes(self, capsys, in_tmp, entry, argv):
+        done = _python(_ENTRIES[entry], *argv)
+        *summary, frozen = done.stdout.splitlines(keepends=True)
+        assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+        artifact = in_tmp / f"{argv[0]}.csv"
+        script_bytes = artifact.read_bytes()
+        artifact.unlink()
+        assert (done.returncode, "".join(summary), done.stderr) == run(capsys, *argv)
+        assert artifact.read_bytes() == script_bytes
+
+    @pytest.mark.parametrize("entry", list(_ENTRIES))
+    @pytest.mark.parametrize(
+        "argv",
+        [["dp", "--bogus", "1"], ["nope"], ["bruteforce", "--n", "8", "--t", "3"]],
+        ids=["unknown-option", "unknown-subcommand", "refused-size"],
+    )
+    def test_process_entry_refuses_with_the_same_text(self, capsys, in_tmp, entry, argv):
+        done = _python(_ENTRIES[entry], *argv)
+        try:
+            want = run(capsys, *argv)
+        except SystemExit as exc:  # argparse's refusal
+            out = capsys.readouterr()
+            want = exc.code, out.out, out.err
+        assert want[0] == 2 and want[2].startswith(("usage: ramseymult", "ramseymult "))
+        assert (done.returncode, done.stdout.split("frozen ")[0], done.stderr) == want
+        assert not any(in_tmp.iterdir())
+
+    def test_console_script_is_cli_main(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        project = tomllib.loads(Path(SRC).with_name("pyproject.toml").read_text())["project"]
+        assert project["scripts"] == {"ramseymult": "ramseymult.cli:main"}
+
+    def test_module_entry_calls_main_without_argv(self):
+        # main() freezes the heap only when it reads the process's own argv
+        tree = ast.parse(Path(SRC, "ramseymult", "cli.py").read_text())
+        (block,) = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [ast.unparse(node) for node in block.body] == ["sys.exit(main())"]
 
 
 class TestPublicSurface:
