@@ -20,6 +20,14 @@ bit-sliced counter holds colourings as C(n, 2) edge planes of uint64
 words, one colouring per bit lane, so every word operation advances 64
 colourings; the sampler draws such planes directly as random words and
 counts all samples in one recursion per colour.
+
+Both kernels hold a block, not their space.  The scan keeps T's
+canonical columns, a low-part table of 2^10 columns and one product at a
+time: at n = 8 its tracemalloc peak is 1.0-1.4 MiB over t = 2..8.  The
+counter keeps one run of pair planes, at most 2 MB: at the sampling
+budget's edge, n = 64 with 133 000 samples, a CLI call peaks at 72 MB of
+max RSS for t = 3 and 71-74 MB for t = 4 (``os.wait4``), of which the
+edge planes are 33.5 MB.
 """
 
 from __future__ import annotations
@@ -49,13 +57,15 @@ class CheckFailed(NumericFailure, RuntimeError):
 
 
 _LOW_BITS = 13  # the scan's product has one column per low part of a mask
-_BLOCK_BITS = 5  # log2 of the high parts per product block (1 MB float32)
+_BLOCK_BITS = 5  # log2 of the high parts per product block
+_COLUMN_BITS = 10  # log2 of the low parts per column chunk (128 KB float32)
 # Read by perfbench/tracecall.py: log2 of the product blocks at n = 8.
 _CHUNK_BITS = math.comb(8, 2) - 1 - _LOW_BITS - _BLOCK_BITS
 # cap on samples x C(n, 2), the edge draws of a request: 32 MiB of packed planes
 _SAMPLE_DRAWS = 2**28
 _DRAW_WORDS = 2**16  # uint64 words per randbytes call: 512 KB temporaries
 _LEAF_WORDS = 2**14  # the clique counter's leaf buffer: 128 KB of uint64
+_PAIR_WORDS = 2**18  # the pair planes it holds at once: 2 MB of uint64
 
 
 def edge_list(n: int) -> list[tuple[int, int]]:
@@ -148,16 +158,17 @@ def _carry_save(acc: list[np.ndarray], planes: np.ndarray) -> None:
 @lru_cache(maxsize=4)
 def _colex(n: int) -> tuple[np.ndarray, ...]:
     """Pairs a < b and triples a < b < c of range(n) in colex order, so
-    those within range(k) come first: (pair_a, pair_b, tri_b, tri_c,
-    tri_ab, tri_ac), the last two being the pair numbers of (a, b) and
-    (a, c).  Cached, so read-only."""
+    those within range(k) come first and those whose largest vertex lies
+    in range(j, k) form one contiguous run: (pair_a, pair_b, tri_a, tri_b,
+    tri_ac, tri_bc), the last two being the pair numbers of (a, c) and
+    (b, c).  Cached, so read-only."""
     v = np.arange(n)
     pair_b = np.repeat(v, v)  # C(b, 2) pairs precede b's first
     pair_a = np.arange(len(pair_b)) - pair_b * (pair_b - 1) // 2
     c = np.repeat(v, v * (v - 1) // 2)  # C(c, 3) triples precede c's first
     pair = np.arange(len(c)) - c * (c - 1) * (c - 2) // 6
-    a, b = pair_a[pair], pair_b[pair]
-    out = pair_a, pair_b, b, c, b * (b - 1) // 2 + a, c * (c - 1) // 2 + a
+    a, b, first = pair_a[pair], pair_b[pair], c * (c - 1) // 2
+    out = pair_a, pair_b, a, b, first + a, first + b
     for x in out:
         x.flags.writeable = False
     return out
@@ -176,13 +187,19 @@ def _clique_counts(
     vertices left to choose, the live rows are paired (rows u, v and edge
     (u, v) ANDed) and, for three, the pairs joined into triples; those
     planes go through a leaf buffer into a carry-save tree of lane sums.
+    Triples a < b < c are taken by their largest vertex c, a run of c at
+    a time, as pairs (a, c) and (b, c) ANDed with edge (a, b).  In colex
+    order a run's pairs and triples are contiguous, so a node holds the
+    pair planes of one run, at most max(_PAIR_WORDS, (k - 1) W) words;
+    all C(k, 2) W of them would be as large as the edge planes.
     """
     m, words = planes.shape
     first = [0, *accumulate(range(n - 1, 0, -1))]  # u's edges: first[u]..
     edge_at = np.zeros((n, n), dtype=np.intp)
     edge_at[np.triu_indices(n, 1)] = np.arange(m)
-    pair_a, pair_b, tri_b, tri_c, tri_ab, tri_ac = _colex(n)
+    pair_a, pair_b, tri_a, tri_b, tri_ac, tri_bc = _colex(n)
     leaf = np.empty((max(1, _LEAF_WORDS // words), words), dtype="<u8")
+    pair_rows = max(1, _PAIR_WORDS // words)
     fill = 0
     acc: list[np.ndarray] = []
 
@@ -222,12 +239,22 @@ def _clique_counts(
         if depth == 2:
             emit(len(us), *paired)
             return
-        pairs = np.empty((len(us), words), dtype="<u8")
-        for i in range(0, len(us), len(leaf)):
-            gather(pairs[i : i + len(leaf)], i, paired)
-        k3 = k * (k - 1) * (k - 2) // 6
-        ends = edge_at[live[tri_b[:k3]], live[tri_c[:k3]]]
-        emit(k3, (pairs, tri_ab[:k3]), (pairs, tri_ac[:k3]), (planes, ends))
+        # triples by their largest live vertex c, a run of c at a time:
+        # the pairs (a, c) and (b, c) of the run joined with edge (a, b)
+        held = np.empty((min(len(us), max(pair_rows, k - 1)), words), dtype="<u8")
+        c = 2
+        while c < k:
+            end = c + 1
+            while end < k and (end + 1) * end // 2 - c * (c - 1) // 2 <= pair_rows:
+                end += 1
+            p0 = c * (c - 1) // 2
+            pairs = held[: end * (end - 1) // 2 - p0]
+            for i in range(0, len(pairs), len(leaf)):
+                gather(pairs[i : i + len(leaf)], p0 + i, paired)
+            run = slice(c * (c - 1) * (c - 2) // 6, end * (end - 1) * (end - 2) // 6)
+            ab = edge_at[live[tri_a[run]], live[tri_b[run]]]
+            emit(len(ab), (pairs, tri_ac[run] - p0), (pairs, tri_bc[run] - p0), (planes, ab))
+            c = end
 
     grow(np.tile(valid, (n, 1)), 0, t)
     _carry_save(acc, leaf[:fill])
@@ -326,35 +353,48 @@ def _scan(n: int, t: int) -> tuple[int, int]:
     W is never held whole: each product block builds its own rows from
     0/1 tests [h & q == want], want = q for red and 0 for blue, times
     ``into``, which adds each distinct test to the groups that use it.
-    The first pass multiplies the tests by ``into`` @ T at once.
+    Neither is T: the first pass takes its columns at the canonical x
+    only, and the second factorises it by column chunk.  Writing
+    x = a + c with c below the chunk width, x covers p exactly when a
+    covers p's chunk bits and c covers the rest, and misses it likewise,
+    so chunk a of T is T_lo, the table of c against p's low bits, with
+    each row scaled by a's 0/1 factor, and a block's chunk a is
+    (W * factor_a) @ T_lo.
 
     Two passes read these products.  The first takes kmin over the
     columns of :func:`_canonical_columns` only: relabelling vertices
     1..n-1 and swapping colours carry every colouring to one whose star
     at vertex 0 is canonical, with the same count.  The second finds the
     witness, min(first achiever, complement of last achiever), the
-    lexicographic minimum: it multiplies full-width row blocks in
-    ascending r up to the first block that reaches kmin, then descending
-    down to the first such block, never below where the ascent stopped;
-    each block it reads yields only its first and last achiever.  So the
-    scan holds T and one product block at a time.  A block below kmin,
-    or no block at kmin, would refute the symmetry argument and raises
+    lexicographic minimum: it reads row blocks in ascending r up to the
+    first block that reaches kmin, then descending down to the first
+    such block, never below where the ascent stopped.  A block is read
+    chunk by chunk from the end it is searched from; once a chunk holds
+    an achiever, the chunks left need only the rows before it (after it,
+    descending), and none once no row is left.  So the scan holds
+    T_lo, the canonical columns of T and one product chunk at a time: at
+    n = 8 a traced peak of at most 2 MiB.  A chunk below kmin, or no
+    block at kmin, would refute the symmetry argument and raises
     :class:`CheckFailed`.
     """
     m = math.comb(n, 2)
     low = min(m - 1, _LOW_BITS)
-    highs = 1 << (m - 1 - low)
+    width = m - 1 - low  # bits of a high part
+    highs = 1 << width
     subsets = np.array(_subset_masks(n, t), dtype=np.int64)
     pats, group = np.unique((subsets >> 1) & ((1 << low) - 1), return_inverse=True)
     groups = len(pats)
-    # a test is keyed q * 2^16 + want (n <= 8: q < 2^14); only subsets
+    # a test is keyed q * 2^width + want (q, want < 2^width); only subsets
     # that avoid edge (0,1) have a blue test.  Key 0, [h & 0 == 0], counts
     # nowhere unless a subset uses it, and keeps two tests or more: numpy's
     # matmul takes a slow loop on an inner dimension of 1 (t = n)
     high = subsets >> (low + 1)
     blue = subsets & 1 == 0
-    keys, test = np.unique(np.r_[0, high << 16 | high, high[blue] << 16], return_inverse=True)
-    qs, wants = (keys >> 16).astype(np.int32), (keys & 0xFFFF).astype(np.int32)
+    keys, test = np.unique(
+        np.r_[0, high << width | high, high[blue] << width], return_inverse=True
+    )
+    qs = (keys >> width).astype(np.int32)
+    wants = (keys & (highs - 1)).astype(np.int32)
     into = np.zeros((len(keys), 2 * groups), dtype=np.float32)
     np.add.at(into, (test[1:], np.r_[group, groups + group[blue]]), 1)
 
@@ -363,39 +403,51 @@ def _scan(n: int, t: int) -> tuple[int, int]:
         h = np.arange(lo, min(lo + rows, highs), dtype=np.int32)[:, None]
         return ((h & qs) == wants).astype(np.float32)
 
-    xs = np.arange(1 << low)
-    tmat = np.empty((2 * groups, len(xs)), dtype=np.float32)
-    for g, p in enumerate(pats.tolist()):
-        tmat[g] = (xs & p) == p
-        tmat[groups + g] = (xs & p) == 0
+    def table(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        """T's rows for patterns ps at low parts xs: [x covers p], then
+        [x misses p]."""
+        common = xs & ps[:, None]
+        return np.concatenate((common == ps[:, None], common == 0), dtype=np.float32)
 
-    canon = into @ tmat[:, _canonical_columns(n, low)]
+    canon = into @ table(_canonical_columns(n, low), pats)
     rows = max(1, (1 << (_LOW_BITS + _BLOCK_BITS)) // canon.shape[1])
     kmin = min((marks(lo, rows) @ canon).min() for lo in range(0, highs, rows))
 
-    def hits(lo: int) -> tuple[int, int] | None:
-        """First and last achiever of the block at high part lo, if any."""
-        counts = marks(lo, 1 << _BLOCK_BITS) @ into @ tmat
-        if counts.min() < kmin:
-            raise CheckFailed("scan block beats the star-canonical minimum")
-        at = (counts == kmin).ravel()
-        first = int(at.argmax())
-        if not at[first]:
-            return None
-        return (lo << low) + first, (lo << low) + len(at) - 1 - int(at[::-1].argmax())
+    span = min(low, _COLUMN_BITS)  # bits of c
+    t_lo = table(np.arange(1 << span), pats & ((1 << span) - 1))
+    factors = table(np.arange(0, 1 << low, 1 << span), pats >> span << span)
 
-    starts = range(0, highs, 1 << _BLOCK_BITS)
-    for i, lo in enumerate(starts):
-        found = hits(lo)
-        if found:
+    def achiever(lo: int, last: bool) -> int | None:
+        """First (or last) achiever of the block at high part lo, if any."""
+        weights = marks(lo, 1 << _BLOCK_BITS) @ into
+        top, bottom = 0, len(weights)  # the rows still able to improve
+        found = None
+        chunks = range(factors.shape[1])
+        for a in reversed(chunks) if last else chunks:
+            if top == bottom:
+                break
+            counts = (weights[top:bottom] * factors[:, a]) @ t_lo
+            if counts.min() < kmin:
+                raise CheckFailed("scan block beats the star-canonical minimum")
+            at = (counts == kmin).ravel()
+            k = len(at) - 1 - int(at[::-1].argmax()) if last else int(at.argmax())
+            if at[k]:
+                i, c = divmod(k, counts.shape[1])
+                i += top
+                found = ((lo + i) << low) + (a << span) + c
+                top, bottom = (i + 1, bottom) if last else (top, i)
+        return found
+
+    blocks = range(0, highs, 1 << _BLOCK_BITS)
+    for i, lo in enumerate(blocks):
+        first = achiever(lo, last=False)
+        if first is not None:
             break
     else:
         raise CheckFailed("no scan block reaches the star-canonical minimum")
-    first, last = found
-    for lo in reversed(starts[i + 1 :]):
-        tail = hits(lo)
-        if tail:
-            last = tail[1]
+    for lo in reversed(blocks[i:]):
+        last = achiever(lo, last=True)
+        if last is not None:
             break
     return int(kmin), min((first << 1) | 1, ((1 << m) - 1) ^ ((last << 1) | 1))
 
@@ -446,13 +498,13 @@ def exact_min(
     Blocked matrix products over the reduced colourings find the minimum
     and then the witness (see :func:`_scan`): the minimum from the
     colourings whose star at vertex 0 is canonical, the witness from as
-    few row blocks at each end as reach it, every block read checked
+    few row blocks at each end as reach it, every product read checked
     against the minimum.  n = 8 (2^27 reduced colourings) requires
     ``large=True`` and n > 8 always raises :class:`TooLarge`.  Both
     clique counters recount the witness, and at t = 3 so does Goodman's
     degree identity, while the minimum must equal Goodman's closed form
-    (:func:`_goodman_minimum`): the witness search checks only the blocks
-    it reads, so a wrong canonical selection could otherwise pass.  ``workers`` is ignored; perfbench/run.py passes it.
+    (:func:`_goodman_minimum`): the witness search checks only the
+    products it reads, so a wrong canonical selection could otherwise pass.  ``workers`` is ignored; perfbench/run.py passes it.
     """
     from fractions import Fraction
 

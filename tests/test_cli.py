@@ -9,13 +9,13 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from argparse import Namespace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 import ramseymult
 from ramseymult import analytic, cli, lattice, numerics, oracle, recurrence
@@ -323,12 +323,8 @@ class TestColumnWriter:
         for t in (300, 600):
             table = recurrence.build_table(t)
             cfg = Namespace(subcommand="x", format="csv", out=str(tmp_path / f"{t}.csv"))
-            tracemalloc.start()
-            try:
-                _emit(cfg, ["k", "l", "v"], _table_columns(table), {})
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(lambda: _emit(cfg, ["k", "l", "v"], _table_columns(table), {}))
+            peaks.append(peak)
         assert peaks[1] <= 1.1 * peaks[0]
 
     @pytest.mark.parametrize(
@@ -348,12 +344,8 @@ class TestColumnWriter:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
         small = [argv[0]] + [a if a.startswith("-") else "20" for a in argv[1:]]
         assert main(small) == 0  # imports and constant tables, outside the count
-        tracemalloc.start()
-        try:
-            assert main(list(argv)) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, list(argv))
+        assert code == 0
         assert peak <= 1.5 * 8 * math.prod(shape)
 
 
@@ -682,12 +674,7 @@ class TestExitCodes:
         # (4472 + 1)^2 cells, the first square past the budget, would be a
         # 160 MB table; the streamed fill holds a few antidiagonals
         assert run(capsys, "crosscheck", "--t-max", "60")[0] == 0  # imports, outside the count
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, "crosscheck", "--t-max", "4472")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, err), peak = traced_peak(run, capsys, "crosscheck", "--t-max", "4472")
         assert code == 0 and err == "" and out.startswith("C(recurrence) = ")
         assert peak <= 1000 * 4472
 

@@ -4,11 +4,11 @@ brute-force enumeration and closed forms."""
 import math
 import random
 import re
-import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from ramseymult.lattice import (
     EXPONENT_MODES,
@@ -413,12 +413,7 @@ class TestThresholdSequence:
     )
     def test_dp_allocates_its_own_cells_only(self, fill, k, l, kind):
         thr = KINDS[kind](max(k, l))  # built before tracing starts
-        tracemalloc.start()
-        try:
-            table = fill(k, l, thr).table
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        table, peak = traced_peak(lambda: fill(k, l, thr).table)
         # the fill's O(k + l) index arrays set the floor of a thin table;
         # a (4001 x 4001) square alone would be 128 MB
         assert peak < max(1.25 * table.nbytes, 4 * 2**20), (peak, table.nbytes)

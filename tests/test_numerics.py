@@ -2,10 +2,10 @@
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from ramseymult import numerics
 from ramseymult.analytic import assemble_patched_thresholds, threshold_field
@@ -87,12 +87,7 @@ class TestStreamedPlanes:
         # (t + 1)^2 plane and the index rows of its interior
         t = 80
         want = multicolor_table(3, t).table
-        tracemalloc.start()
-        try:
-            diag = diagonal(t, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        diag, peak = traced_peak(diagonal, t, 3)
         u = np.arange(t + 1)
         assert np.array_equal(diag.view(np.int64), want[u, u, u].view(np.int64))
         assert peak <= want.nbytes / 4
@@ -131,12 +126,9 @@ class TestStreamedPlanes:
         # stream holds (about 12.7 times its plane)
         shape = (t + 1,) * 3
         wavefront_fill(shape, _recurrence_weights, _recurrence_cell, lambda s, plane: None)
-        tracemalloc.start()
-        try:
-            wavefront_fill(shape, _recurrence_weights, _recurrence_cell, lambda s, plane: None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            wavefront_fill, shape, _recurrence_weights, _recurrence_cell, lambda s, plane: None
+        )
         assert peak <= 8 * stream_cells(shape)
 
     def test_no_interior_no_plane(self):

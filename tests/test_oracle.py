@@ -3,12 +3,12 @@
 import hashlib
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from ramseymult import oracle
 from ramseymult.oracle import (
@@ -142,6 +142,29 @@ class TestCounting:
         assert not red[batch:].any() and not blue[batch:].any()
         assert np.array_equal(flipped, blue)
 
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_pair_runs_count_the_same(self, monkeypatch, t):
+        # 130 colourings fill 3 words: the default bound holds all 2016
+        # pairs of K_64 in one run, 120 words hold runs of up to 40 pairs
+        # (several c each) and 1 word leaves each c a run of its own
+        bits = np.random.default_rng(t).integers(0, 2, (130, 2016), np.uint8)
+        planes, valid = _edge_planes(bits), _valid_lanes(130)
+        whole = oracle._clique_counts(planes, 64, t, valid)
+        assert whole[:130].all() and not whole[130:].any()
+        for words in (120, 1):
+            monkeypatch.setattr(oracle, "_PAIR_WORDS", words)
+            assert np.array_equal(oracle._clique_counts(planes, 64, t, valid), whole)
+
+    def test_pair_planes_held_are_bounded(self):
+        # 2^15 colourings: every pair plane of K_64 would be 7.9 MiB beside
+        # 7.9 MiB of edge planes; a run holds at most 2 MiB of them
+        samples = 1 << 15
+        planes, valid = _sample_planes(1, samples, 2016), _valid_lanes(samples)
+        oracle._clique_counts(planes[:, :1], 64, 3, valid[:1])  # caches _colex(64)
+        counts, peak = traced_peak(oracle._clique_counts, planes, 64, 3, valid)
+        assert np.array_equal(counts[:64], oracle._clique_counts(planes[:, :1], 64, 3, valid[:1]))
+        assert peak <= 2 * 8 * oracle._PAIR_WORDS, peak
+
     def test_goodman_identity(self):
         # Goodman (1959): mono triangles = C(n,3) - (1/2) sum_v r_v (n-1-r_v)
         rng = random.Random(9)
@@ -260,7 +283,11 @@ class TestExactMin:
                 rep = exact_min(n, t)
                 assert (rep.kmin, rep.witness.red_mask) == reference_scan(n, t), (n, t)
 
-    def test_n8_pinned(self):
+    @pytest.mark.parametrize("low", range(9, 14))
+    def test_n8_pinned(self, monkeypatch, low):
+        # a test key is q * 2^w + want with w = 27 - low high-part bits;
+        # keys shifted by a fixed 16 bits collided at low = 9 and 10
+        monkeypatch.setattr(oracle, "_LOW_BITS", low)
         for t, kmin, witness in (
             (3, 8, 0xF3E78),
             (4, 0, 0x4D08C0),
@@ -270,20 +297,16 @@ class TestExactMin:
             (8, 0, 0x1),
         ):
             rep = exact_min(8, t, large=True)
-            assert (rep.kmin, rep.witness.red_mask) == (kmin, witness)
+            assert (rep.kmin, rep.witness.red_mask) == (kmin, witness), t
 
     def test_n8_scan_holds_one_block(self):
-        # T (up to 3.7 MB at t = 4) and one 1 MB product block with its
-        # test rows; a whole 2^14-row weight table alone is 4.75 MB at t = 3
+        # T_lo (at most 467 KB, at t = 4), T's 512 canonical columns and
+        # one 1 MB product block of the first pass; the whole T (3.7 MB at
+        # t = 4) or 2^14-row weight table (4.75 MB at t = 3) would not fit
         for t in range(2, 9):
             oracle._scan(8, t)  # caches the subset masks outside the count
-            tracemalloc.start()
-            try:
-                oracle._scan(8, t)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 6 << 20, (t, peak)
+            _, peak = traced_peak(oracle._scan, 8, t)
+            assert peak <= 2 << 20, (t, peak)
 
     def test_goodman_closed_form(self):
         # Goodman (1959): k_3(n) = C(n,3) - floor((n/2) floor(((n-1)/2)^2))

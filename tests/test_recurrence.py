@@ -1,12 +1,12 @@
 """Recurrence tables, optimal thresholds, growth fits, multicolour."""
 
 import math
-import tracemalloc
 from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from ramseymult.lattice import BoundTable, OutOfRange, ThresholdSequence, dp_min_weight
 from ramseymult.numerics import CELL_BUDGET, BudgetExceeded, fit_quadratic_leading, stream_cells
@@ -204,12 +204,7 @@ class TestDiagonal:
         # the table would grow 4-fold from t = 1000 to 2000
         peaks = []
         for t in (1000, 2000):
-            tracemalloc.start()
-            try:
-                diagonal(t)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(diagonal, t)[1])
         assert peaks[1] <= 2 * peaks[0]
 
     def test_refused_before_the_fill(self, monkeypatch):

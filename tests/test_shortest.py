@@ -1,10 +1,10 @@
 """The vectorised float formatter against ``repr``, byte for byte."""
 
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from ramseymult import shortest
 from ramseymult.shortest import WIDTH, float_reprs
@@ -101,12 +101,7 @@ def test_memory_is_the_output_and_one_block():
     extras = []
     for n in (1 << 15, 1 << 18):
         x = from_bits(np.random.default_rng(3).integers(0, 2**64, n, dtype=np.uint64))
-        tracemalloc.start()
-        try:
-            out = float_reprs(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(float_reprs, x)
         extras.append(peak - out.nbytes)
     assert extras[1] <= 256 * shortest._BLOCK  # 2 MB over the 6.3 MB output
     assert extras[1] <= 1.05 * extras[0]
