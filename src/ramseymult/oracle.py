@@ -504,7 +504,8 @@ def exact_min(
     clique counters recount the witness, and at t = 3 so does Goodman's
     degree identity, while the minimum must equal Goodman's closed form
     (:func:`_goodman_minimum`): the witness search checks only the
-    products it reads, so a wrong canonical selection could otherwise pass.  ``workers`` is ignored; perfbench/run.py passes it.
+    products it reads, so a wrong canonical selection could otherwise
+    pass.  ``workers`` is ignored; perfbench/run.py passes it.
     """
     from fractions import Fraction
 

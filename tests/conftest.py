@@ -1,6 +1,11 @@
 """Helpers shared by the test modules."""
 
+import os
 import tracemalloc
+
+# one BLAS thread, as the CLI sets for itself: a test module that loads numpy
+# before ramseymult.cli would otherwise run the n = 8 scans on every core
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def traced_peak(fn, *args, **kwargs):

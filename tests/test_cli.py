@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-import ramseymult
 from ramseymult import analytic, cli, lattice, numerics, oracle, recurrence
 from ramseymult.cli import (
     _BLOCK_ROWS,
@@ -1115,18 +1114,30 @@ class TestStartup:
 
 class TestPublicSurface:
     def test_every_public_name_is_read(self):
-        # each public name serves a subcommand, a solver or an acceptance
-        # criterion: some module or criterion reads it in code, not only in a
-        # docstring or a comment, and a definition or import is no read
+        # each public name, a def, class or assigned name at a module's top
+        # level, serves a subcommand, a solver or an acceptance criterion:
+        # some module or criterion reads it in code, not only in a docstring
+        # or a comment, and a definition, assignment or import is no read
         files = [p for p in Path(SRC, "ramseymult").glob("*.py") if p.name != "__init__.py"]
-        read = set()
+        public, read = {}, set()
+        for path in files:
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    public[node.name] = path.stem
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for name in (n for t in targets for n in ast.walk(t)):
+                        if isinstance(name, ast.Name):
+                            public[name.id] = path.stem
         for path in [*files, Path(__file__).with_name("test_acceptance.py")]:
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     read.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
-        assert sorted(set(ramseymult.__all__) - read) == []
+        public = {name: module for name, module in public.items() if not name.startswith("_")}
+        assert set(public.values()) == {p.stem for p in files}  # no module is skipped
+        assert sorted(f"{public[name]}.{name}" for name in set(public) - read) == []
 
 
 class TestLadder:
