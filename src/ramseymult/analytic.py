@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .numerics import (
+    Estimate,
     NoBracket,
     NumericFailure,
     SingularField,
@@ -36,11 +37,13 @@ if TYPE_CHECKING:  # lattice is imported by the one function that uses it
     from .lattice import ThresholdSequence
 
 _DENOMINATOR_FLOOR = -1e-12
+_EPSILON_FLOOR = -_DENOMINATOR_FLOOR  # at x = 0 the field's denominator is -epsilon
 _SEED_TOL = 1e-12
 
 
 class InvalidEpsilon(ValueError):
-    """Initial condition outside (0, 1]."""
+    """Initial condition outside [``_EPSILON_FLOOR``, 1]; below the floor
+    the solve would fail on its first field value."""
 
 
 class Overflow(NumericFailure):
@@ -51,14 +54,15 @@ def epsilon_ladder(eps_min: float) -> tuple[float, ...]:
     """Decades from 1e-2 down to, and including, eps_min; each is 1 / 10**d,
     the same double as the literal 1e-d.  Cheap, so callers refuse a ladder
     before other work: one rung, from an eps_min not clearly below 1e-2,
-    has no spread to report and raises :class:`InvalidEpsilon`."""
-    if not 0.0 < eps_min < 1.0:
-        raise ValueError(f"eps-min must lie in (0, 1), got {eps_min!r}")
+    has no spread to report and raises :class:`InvalidEpsilon`, as does an
+    eps_min below ``_EPSILON_FLOOR``, which no solve can start from."""
+    if not _EPSILON_FLOOR <= eps_min < 1.0:
+        raise InvalidEpsilon(f"eps-min must lie in [{_EPSILON_FLOOR!r}, 1), got {eps_min!r}")
     d = 2
     while 1 / 10**d > eps_min * (1.0 + 1e-9):
         d += 1
     if d == 2:
-        raise InvalidEpsilon("epsilon ladder needs at least two rungs for an error bar, got 1")
+        raise InvalidEpsilon("epsilon ladder needs at least two rungs for a spread, got 1")
     return tuple(1 / 10**e for e in range(2, d)) + (eps_min,)
 
 
@@ -87,8 +91,8 @@ def solve_threshold_ode(epsilon: float, tol: float = 1e-10) -> Trajectory:
     The returned trajectory is checked sample by sample: values must stay
     in (0, 1] and rise monotonically (up to integrator noise of 10*tol).
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise InvalidEpsilon(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    if not _EPSILON_FLOOR <= epsilon <= 1.0:
+        raise InvalidEpsilon(f"epsilon must lie in [{_EPSILON_FLOOR!r}, 1], got {epsilon!r}")
     traj = integrate(threshold_field, 0.0, epsilon, 1.0, tol)
     ys = traj.ys
     if np.any(ys <= 0.0) or np.any(ys > 1.0 + 10.0 * tol):
@@ -105,34 +109,21 @@ def constant_from_limit(t1: float) -> float:
     return (t1 * (1.0 - t1)) ** -0.5
 
 
-class AnalyticConstants(NamedTuple):
-    """Limit study of t_eps(1) over a ladder of shrinking epsilons."""
+def estimate_limit_constants(eps_min: float = 1e-7, tol: float = 1e-10) -> tuple[Estimate, tuple]:
+    """Solve the ODE along :func:`epsilon_ladder` of ``eps_min``; returns
+    C from the endpoint at the smallest epsilon, and the (epsilon, t1) rows.
 
-    epsilon_series: tuple[tuple[float, float], ...]  # (epsilon, t_eps(1))
-    t1_limit: float  # endpoint at the smallest epsilon
-    c: float
-    error_bar: float  # spread of the last <= 3 endpoints
-
-
-def estimate_limit_constants(eps_min: float = 1e-7, tol: float = 1e-10) -> AnalyticConstants:
-    """Solve the ODE along :func:`epsilon_ladder` of ``eps_min`` and report
-    the limit and C.
-
-    The error bar is the spread of the last three endpoints; by 1e-5 it
-    sits near the integrator noise floor rather than the true epsilon
-    sensitivity.
+    Its terms are that endpoint, ``t1_limit``, and ``t1_spread``, the spread
+    of the last three endpoints in t1 units, with no term for tol; by 1e-5
+    it sits near the integrator noise floor, not the epsilon sensitivity.
     """
     series = tuple(
         (e, solve_threshold_ode(e, tol).final_value) for e in epsilon_ladder(eps_min)
     )
     tail = [t1 for _, t1 in series[-3:]]
-    t1_limit = series[-1][1]
-    return AnalyticConstants(
-        epsilon_series=series,
-        t1_limit=t1_limit,
-        c=constant_from_limit(t1_limit),
-        error_bar=max(tail) - min(tail),
-    )
+    t1 = series[-1][1]
+    c = constant_from_limit(t1)
+    return Estimate(c, math.log(c), {"t1_limit": t1, "t1_spread": max(tail) - min(tail)}), series
 
 
 class PatchSequence(NamedTuple):

@@ -361,18 +361,13 @@ def _cmd_ode(cfg: Namespace) -> tuple[list, list, dict, str]:
 def _cmd_constants(cfg: Namespace) -> tuple[list, list, dict, str]:
     from . import analytic
 
-    est = analytic.estimate_limit_constants(cfg.eps_min, cfg.tol)
-    extras = {
-        "t1_limit": est.t1_limit,
-        "c": est.c,
-        "error_bar": est.error_bar,
-    }
+    est, series = analytic.estimate_limit_constants(cfg.eps_min, cfg.tol)
     return (
         ["epsilon", "t1"],
-        [list(col) for col in zip(*est.epsilon_series)],
-        extras,
-        f"profile limit t1 = {est.t1_limit!r}, C = {est.c!r} "
-        f"(spread {est.error_bar:.2e})",
+        [list(col) for col in zip(*series)],
+        {"c": est.c, **est.terms},
+        f"profile limit t1 = {est.terms['t1_limit']!r}, C = {est.c!r} "
+        f"(spread {est.terms['t1_spread']:.2e})",
     )
 
 
@@ -480,20 +475,19 @@ def _cmd_crosscheck(cfg: Namespace) -> tuple[list, list, dict, str]:
     from . import analytic, recurrence
 
     analytic.epsilon_ladder(cfg.eps_min)  # refuses a bad ladder before the fill
-    rec_est = recurrence.estimate_growth_constant(cfg.t_max)  # a streamed diagonal
-    ode_est = analytic.estimate_limit_constants(cfg.eps_min, cfg.tol)
-    diff = abs(rec_est.c - ode_est.c)
-    data = [
-        ["recurrence", "ode"],
-        [rec_est.c, ode_est.c],
-        [rec_est.ln_c, math.log(ode_est.c)],
-    ]
-    extras = {"abs_diff": diff, "max_diff": cfg.max_diff}
-    summary = (
-        f"C(recurrence) = {rec_est.c!r}, C(ode) = {ode_est.c!r}, "
-        f"|diff| = {diff:.2e} (allowed {cfg.max_diff})"
+    routes = {
+        "recurrence": recurrence.estimate_growth_constant(cfg.t_max),  # a streamed diagonal
+        "ode": analytic.estimate_limit_constants(cfg.eps_min, cfg.tol)[0],
+    }
+    cs = [est.c for est in routes.values()]
+    diff = max(cs) - min(cs)  # the largest gap between two routes
+    summary = ", ".join(f"C({name}) = {est.c!r}" for name, est in routes.items())
+    return (
+        ["route", "c", "ln_c"],
+        [list(routes), cs, [est.ln_c for est in routes.values()]],
+        {"abs_diff": diff, "max_diff": cfg.max_diff},
+        f"{summary}, |diff| = {diff:.2e} (allowed {cfg.max_diff})",
     )
-    return (["route", "c", "ln_c"], data, extras, summary)
 
 
 _INT, _FLOAT, _FLAG = {"type": int}, {"type": float}, {"action": "store_true"}

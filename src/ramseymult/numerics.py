@@ -1,5 +1,6 @@
 """Shared numeric kernels: the wavefront table fill, an adaptive ODE
-solver, bisection, and quadratic growth fits.
+solver, bisection, and quadratic growth fits, plus :class:`Estimate`, the
+one record every route to the growth constant returns.
 
 Everything downstream manipulates quantities that shrink like 2^(-t^2), so
 every density is carried as a plain float negLog, -ln(x), which stays exact
@@ -9,7 +10,7 @@ long after x itself underflows.  A larger negLog is a smaller density.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -363,3 +364,13 @@ def fit_quadratic_leading(
     coeffs = np.polyfit(ts - shift, vs, 2)
     resid = float(np.sqrt(np.mean((np.polyval(coeffs, ts - shift) - vs) ** 2)))
     return float(coeffs[0]), resid
+
+
+class Estimate(NamedTuple):
+    """One route's growth constant C: ``c`` and ``ln_c`` each as the route
+    computes it (a fit of ln C takes exp, a limit of C takes log), and
+    ``terms``, the numbers the route reports beside C, by name."""
+
+    c: float
+    ln_c: float
+    terms: dict[str, float]

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import BoundTable, ThresholdSequence
 from .numerics import (
-    CELL_BUDGET, BudgetExceeded, fit_quadratic_leading, stream_cells, wavefront_fill
+    CELL_BUDGET, BudgetExceeded, Estimate, fit_quadratic_leading, stream_cells, wavefront_fill
 )
 
 # A q-colour diagonal streams to t while t^q <= STREAM_T_MAX^2, which bounds
@@ -155,21 +154,13 @@ def optimal_thresholds(table: BoundTable) -> ThresholdSequence:
     return ThresholdSequence(table.rows, "optimal", at)
 
 
-class ConstantEstimate(NamedTuple):
-    """Growth-constant fit: diagonal negLogs against t^2."""
-
-    c: float
-    ln_c: float
-    window: tuple[int, int]
-    rms_residual: float
-
-
-def estimate_growth_constant(t_max: int) -> ConstantEstimate:
+def estimate_growth_constant(t_max: int) -> Estimate:
     """Fit negLog M_{t,t} ~ ln(C) * t^2 over the window [t_max // 2, t_max]
     of the :func:`diagonal` to t_max; earlier entries still feel
-    lower-order terms.  t_max is refused before the window, and a t_max
-    below 40, which leaves too short a window, raises
-    :class:`WindowTooSmall` before the fill.
+    lower-order terms.  The one term is the fit's ``rms_residual``.
+    t_max is refused before the window, and a t_max below 40, which
+    leaves too short a window, raises :class:`WindowTooSmall` before the
+    fill.
     """
     _check_stream(2, t_max)
     if t_max < 40:
@@ -178,7 +169,7 @@ def estimate_growth_constant(t_max: int) -> ConstantEstimate:
     diag = diagonal(t_max)
     pts = [(float(t), float(diag[t])) for t in range(lo, t_max + 1)]
     ln_c, resid = fit_quadratic_leading(pts)
-    return ConstantEstimate(c=math.exp(ln_c), ln_c=ln_c, window=(lo, t_max), rms_residual=resid)
+    return Estimate(math.exp(ln_c), ln_c, {"rms_residual": resid})
 
 
 def multicolor_table(q: int, t_max: int) -> BoundTable:

@@ -13,7 +13,6 @@ from scipy.interpolate import PchipInterpolator
 
 from ramseymult import analytic
 from ramseymult.analytic import (
-    AnalyticConstants,
     InvalidEpsilon,
     Overflow,
     _edge_slope,
@@ -100,38 +99,41 @@ class TestSolve:
         assert 0.65 <= t1 <= 0.75
 
     def test_invalid_epsilon(self):
-        for eps in (0.0, -0.1, 1.5):
+        for eps in (0.0, -0.1, 1.5, 1e-13):  # below 1e-12, x = 0 is singular
             with pytest.raises(InvalidEpsilon):
                 solve_threshold_ode(eps)
 
 
 @pytest.fixture(scope="module")
-def est():
+def limit():
     return estimate_limit_constants()
 
 
 class TestLimitConstants:
-    def test_default_ladder_recorded(self, est):
-        assert tuple(e for e, _ in est.epsilon_series) == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+    def test_default_ladder_recorded(self, limit):
+        _, series = limit
+        assert tuple(e for e, _ in series) == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
-    def test_limit_band(self, est):
-        assert 0.65 <= est.t1_limit <= 0.75
+    def test_limit_band(self, limit):
+        est, _ = limit
+        assert 0.65 <= est.terms["t1_limit"] <= 0.75
         assert 2.15 <= est.c <= 2.21
 
-    def test_formula_lock(self, est):
-        assert est.c == constant_from_limit(est.t1_limit)
-        assert math.isclose(
-            est.c, (est.t1_limit * (1 - est.t1_limit)) ** -0.5, rel_tol=1e-15
-        )
+    def test_formula_lock(self, limit):
+        est, _ = limit
+        t1 = est.terms["t1_limit"]
+        assert est.c == constant_from_limit(t1)
+        assert math.isclose(est.c, (t1 * (1 - t1)) ** -0.5, rel_tol=1e-15)
 
-    def test_convergence_of_endpoint(self, est):
-        t1s = [t1 for _, t1 in est.epsilon_series]
+    def test_convergence_of_endpoint(self, limit):
+        est, series = limit
+        t1s = [t1 for _, t1 in series]
         diffs = [abs(b - a) for a, b in zip(t1s, t1s[1:])]
         assert diffs[0] < 1e-4
         for a, b in zip(diffs, diffs[1:]):
             # successive refinements shrink until integrator noise
             assert b < a or b < 1e-8
-        assert est.error_bar < 1e-6
+        assert est.terms["t1_spread"] < 1e-6
 
     def test_one_rung_ladder_refused_before_any_solve(self, monkeypatch):
         def no_solve(*args):
@@ -143,10 +145,8 @@ class TestLimitConstants:
                 with pytest.raises(InvalidEpsilon, match="at least two rungs"):
                     estimate_limit_constants(eps_min)
         # two rungs are a spread of two endpoints, still allowed
-        est = estimate_limit_constants(1e-3)
-        assert est.error_bar == abs(
-            est.epsilon_series[0][1] - est.epsilon_series[1][1]
-        ) > 0.0
+        est, series = estimate_limit_constants(1e-3)
+        assert est.terms["t1_spread"] == abs(series[0][1] - series[1][1]) > 0.0
 
     def test_constant_from_limit_values(self):
         assert constant_from_limit(0.5) == 2.0

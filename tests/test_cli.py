@@ -169,6 +169,26 @@ class TestArtifacts:
         assert code == 0
         assert "|diff|" in out
 
+    def test_crosscheck_writes_each_routes_estimate(self, capsys):
+        # each route keeps c and ln_c as it computes them: the fit of ln C
+        # takes exp, the ODE's C from t(1) takes log
+        rec = recurrence.estimate_growth_constant(80)
+        ode, _ = analytic.estimate_limit_constants(1e-4, 1e-9)
+        assert rec.c == math.exp(rec.ln_c)
+        assert ode.ln_c == math.log(ode.c)
+        assert ode.c == analytic.constant_from_limit(ode.terms["t1_limit"])
+        code, _, _ = run(
+            capsys, "crosscheck", "--t-max", "80", "--eps-min", "1e-4", "--tol", "1e-9"
+        )
+        assert code == 0
+        lines = Path("crosscheck.csv").read_text().splitlines()
+        routes = {"recurrence": rec, "ode": ode}
+        assert lines[-3:] == ["route,c,ln_c"] + [
+            f"{name},{est.c!r},{est.ln_c!r}" for name, est in routes.items()
+        ]
+        gaps = [abs(a.c - b.c) for a in routes.values() for b in routes.values()]
+        assert f"# abs_diff = {max(gaps)!r}" in lines
+
 
 def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
@@ -384,7 +404,9 @@ class TestPinnedBytes:
     table, and of `alpha --q 3 --t 60`, `--q 4 --t 20` and `--q 3 --t 150
     --format json`, taken while alpha filled the whole q-colour table
     (Linux x86-64, numpy 2.4.6); the sample artifact's pin is of the
-    random.Random word stream (CPython 3.11).  Reruns of one version
+    random.Random word stream (CPython 3.11), and the constants pin is of
+    its extras after ``error_bar`` was renamed ``t1_spread``, the spread of
+    t1 in t1 units rather than a bar on C.  Reruns of one version
     agree by construction; these pins hold the bytes across versions of
     the writer, the solvers, the records and the formatter."""
 
@@ -409,7 +431,8 @@ class TestPinnedBytes:
             ),
             (
                 ("constants", "--out", "constants.csv"),
-                "8023be4b5f52dc50562fd6701b17c399f48d953e84d655cbfc005f76dc736bd6",
+                # 8023be4b…736bd6 while the t1 spread was named error_bar
+                "503ea8d1fe10bc6a5ced4ca11307cbba208fd34c84e75b49ef3863931a1b5a5c",
             ),
             (
                 ("crosscheck", "--t-max", "400", "--out", "crosscheck.csv"),
@@ -543,7 +566,7 @@ class TestExitCodes:
             assert abs(t1(epsilon) - reference) <= 1e-12
         # from 1e-13 the field's denominator floor refuses the start
         code, _, err = run(capsys, "ode", "--epsilon", "1e-13")
-        assert code == 3 and "numeric failure" in err
+        assert code == 2 and "invalid request" in err
 
     def test_oracle_self_check_exits_three(self, capsys, monkeypatch, in_tmp):
         # a failed self-check leaves a minimum the oracle cannot vouch for
@@ -590,20 +613,29 @@ class TestExitCodes:
         assert "at least two rungs" in err
         assert not any(in_tmp.iterdir())
 
-    @pytest.mark.parametrize("eps_min", ["0.05", "1e-2"])
+    @pytest.mark.parametrize(
+        "eps_min, why",
+        [
+            ("0.05", "at least two rungs"),
+            ("1e-2", "at least two rungs"),
+            # no solve starts below the field's denominator floor
+            ("1e-13", "eps-min must lie in [1e-12, 1), got 1e-13"),
+        ],
+        ids=["0.05", "1e-2", "1e-13"],
+    )
     def test_crosscheck_refuses_its_ladder_before_the_fill(
-        self, capsys, in_tmp, monkeypatch, eps_min
+        self, capsys, in_tmp, monkeypatch, eps_min, why
     ):
         def diagonal(*args):
             raise AssertionError("streamed the diagonal before checking the ladder")
 
         monkeypatch.setattr(recurrence, "diagonal", diagonal)
         code, out, err = run(capsys, "crosscheck", "--t-max", "3000", "--eps-min", eps_min)
-        assert code == 2 and out == "" and "at least two rungs" in err
+        assert code == 2 and out == "" and why in err
         assert not any(in_tmp.iterdir())
 
     def test_crosscheck_budget_still_comes_before_the_ode(self, capsys, in_tmp):
-        # a ladder that runs but whose ODE would fail leaves the bound first
+        # the streaming bound refuses before any solve of a ladder that runs
         code, _, err = run(capsys, "crosscheck", "--t-max", "20001", "--eps-min", "1e-11")
         assert code == 2 and "exceeds the streaming bound t <= 20000" in err
         assert not any(in_tmp.iterdir())
@@ -1158,7 +1190,7 @@ class TestLadder:
     def test_one_rung_refused(self, eps_min):
         with pytest.raises(
             analytic.InvalidEpsilon,
-            match=r"^epsilon ladder needs at least two rungs for an error bar, got 1$",
+            match=r"^epsilon ladder needs at least two rungs for a spread, got 1$",
         ):
             analytic.epsilon_ladder(eps_min)
 
@@ -1173,3 +1205,6 @@ class TestLadder:
     def test_validation(self):
         with pytest.raises(ValueError):
             analytic.epsilon_ladder(0.0)
+        with pytest.raises(analytic.InvalidEpsilon, match=r"^eps-min must lie in \[1e-12, 1\)"):
+            analytic.epsilon_ladder(1e-13)
+        assert analytic.epsilon_ladder(1e-12)[-1] == 1e-12
