@@ -458,7 +458,6 @@ def _cmd_sample(cfg: Namespace) -> tuple[list, list, dict, str]:
         cfg.t,
         samples=cfg.samples,
         seed=cfg.seed,
-        complement=cfg.complement,
         large=cfg.large,
     )
     columns = ["n", "t", "samples", "mean_fraction", "expected_fraction", "stderr", "min_count"]
@@ -577,7 +576,6 @@ _SUBCOMMANDS = {
             "--t": {**_INT, "required": True},
             "--samples": {**_INT, "default": 10_000},
             "--seed": {**_INT, "default": 0},
-            "--complement": _FLAG,
             "--large": _FLAG,
         },
     ),

@@ -101,7 +101,7 @@ class ColoringRecord:
             raise ValueError("need at least two vertices")
         m = math.comb(n, 2)
         if not 0 <= red_mask < 1 << m:
-            raise ValueError(f"mask must use exactly {m} bits")
+            raise ValueError(f"mask {red_mask} is not in [0, 2^{m}) for the {m} edges of K_{n}")
         self.n, self.red_mask = n, red_mask
 
     @property
@@ -572,7 +572,6 @@ class SampleReport(NamedTuple):
     t: int
     samples: int
     seed: int
-    complemented: bool
     mean_fraction: float
     expected_fraction: float  # 2^(1 - C(t,2))
     stderr: float
@@ -600,17 +599,13 @@ def sample_against_bounds(
     t: int,
     samples: int = 10_000,
     seed: int = 0,
-    complement: bool = False,
     large: bool = False,
 ) -> SampleReport:
     """Sample colourings of K_n uniformly and compare mono-K_t fractions
     with the random-colouring expectation 2^(1 - C(t,2)).
 
-    ``seed`` (an integer >= 0) names the ``random.Random(seed)`` byte
-    stream of :func:`_sample_planes`.  ``complement`` flips every drawn
-    mask; the statistics are invariant under that pairing, which makes a
-    cheap symmetry test.  When the exhaustive minimum is in reach it is
-    computed and no sample may fall below it.
+    ``seed`` (an integer >= 0) seeds :func:`_sample_planes`.  No sample may
+    fall below the exhaustive minimum, which is computed when in reach.
     """
     if not 2 <= t <= n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
@@ -629,8 +624,6 @@ def sample_against_bounds(
             f"{_SAMPLE_DRAWS // (8 << 20)} MiB of packed planes)"
         )
     planes = _sample_planes(seed, samples, m)
-    if complement:
-        planes ^= _valid_lanes(samples)
     counts = np.add(*_red_blue(planes, n, t, samples))
 
     fractions = counts / math.comb(n, t)
@@ -644,7 +637,6 @@ def sample_against_bounds(
         t=t,
         samples=samples,
         seed=seed,
-        complemented=complement,
         mean_fraction=float(fractions.mean()),
         expected_fraction=2.0 ** (1 - math.comb(t, 2)),
         stderr=float(fractions.std(ddof=1) / math.sqrt(samples)),

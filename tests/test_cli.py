@@ -455,8 +455,9 @@ class TestPinnedBytes:
                     "sample", "--n", "10", "--t", "3", "--samples", "2000", "--seed", "1",
                     "--format", "json", "--out", "sample.json",
                 ),
-                # 670ea544…a47a0 while numpy's generator drew one uint8 per edge
-                "8a4318361e7081a668df5db39a7c893122e8314576ea9246671e80b2f902c83b",
+                # 670ea544…a47a0 while numpy's generator drew one uint8 per edge,
+                # 8a431836…2c83b while the report echoed a complement flag
+                "ea0258aa206b86cdffaae24e5ea1b8be9965ce00e671c47f8ad65ade0cdf5a81",
             ),
             (
                 ("patch", "--t-max", "100", "--out", "patch.csv"),
@@ -921,7 +922,7 @@ _VALID = {
     "alpha": ["--q", "2", "--t", "5"],
     "bruteforce": ["--n", "5", "--t", "3", "--large"],
     "ratios": ["--t", "3", "--n-max", "5"],
-    "sample": ["--n", "6", "--t", "3", "--samples", "50", "--complement"],
+    "sample": ["--n", "6", "--t", "3", "--samples", "50"],
     "crosscheck": ["--t-max", "60", "--max-diff", "0.1"],
 }
 
@@ -1170,6 +1171,84 @@ class TestPublicSurface:
         public = {name: module for name, module in public.items() if not name.startswith("_")}
         assert set(public.values()) == {p.stem for p in files}  # no module is skipped
         assert sorted(f"{public[name]}.{name}" for name in set(public) - read) == []
+
+    # one base call per store_true option; with the flag added, the call
+    # must end otherwise: in its exit code, its stdout or its artifact
+    _FLAG_CALLS = {
+        ("bruteforce", "--large"): ["--n", "8", "--t", "2"],
+        ("ratios", "--large"): ["--t", "2", "--n-max", "8"],
+        ("sample", "--large"): ["--n", "8", "--t", "3", "--samples", "64", "--format", "json"],
+    }
+
+    def test_every_flag_has_a_call(self):
+        flags = {
+            (name, flag)
+            for name, (_, _, options) in cli._SUBCOMMANDS.items()
+            for flag, kwargs in options.items()
+            if kwargs.get("action") == "store_true"
+        }
+        assert set(self._FLAG_CALLS) == flags
+
+    @pytest.mark.parametrize("name, flag", list(_FLAG_CALLS))
+    def test_every_flag_changes_an_outcome(self, capsys, name, flag):
+        def leaves(doc, path=()):
+            items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+            for key, value in items:
+                if isinstance(value, (dict, list)):
+                    yield from leaves(value, (*path, key))
+                else:
+                    yield (*path, key), value
+
+        def outcome(*extra):
+            # the artifact's values without its config, which echoes every option
+            out = Path("flag.out")
+            code, stdout, _ = run(capsys, name, *self._FLAG_CALLS[name, flag], *extra,
+                                  "--out", str(out))
+            doc = []
+            if out.exists():
+                text = out.read_text()
+                out.unlink()
+                if text.startswith("{"):
+                    doc = json.loads(text)
+                    del doc["config"]
+                else:
+                    doc = [line for line in text.splitlines() if not line.startswith("# config = ")]
+            return code, stdout, dict(leaves(doc))
+
+        (code, stdout, plain), (flag_code, flag_stdout, flagged) = outcome(), outcome(flag)
+        changed = {(plain.get(k), flagged.get(k)) for k in plain.keys() | flagged.keys()
+                   if plain.get(k) != flagged.get(k)}
+        # a field that reads False without the flag and True with it is its echo
+        assert (code, stdout) != (flag_code, flag_stdout) or changed - {(False, True)}
+
+    # perfbench passes or reads them; ROADMAP item 3
+    _UNREAD_PARAMETERS = {
+        ("oracle", "exact_min", "workers"),
+        ("oracle", "_worker_count", "requested"),
+        ("oracle", "_worker_count", "chunks"),
+    }
+
+    def test_every_parameter_is_read(self):
+        # a parameter no body reads leaves every result unchanged
+        unread = set()
+        for path in Path(SRC, "ramseymult").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                read = {
+                    name.id
+                    for stmt in node.body
+                    for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+                }
+                unread |= {
+                    (path.stem, node.name, arg.arg)
+                    for arg in params
+                    if arg is not None and arg.arg not in read
+                }
+        assert unread == self._UNREAD_PARAMETERS
 
 
 class TestLadder:

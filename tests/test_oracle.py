@@ -37,9 +37,9 @@ class TestColoringRecord:
     def test_mask_bounds(self):
         ColoringRecord(n=4, red_mask=0)
         ColoringRecord(n=4, red_mask=(1 << 6) - 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mask 64 is not in \[0, 2\^6\) for the 6 edges of K_4$"):
             ColoringRecord(n=4, red_mask=1 << 6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mask -1 is not in \[0, 2\^6\) for the 6 edges of K_4$"):
             ColoringRecord(n=4, red_mask=-1)
         with pytest.raises(ValueError):
             ColoringRecord(n=1, red_mask=0)
@@ -405,13 +405,6 @@ class TestSampling:
         c = sample_against_bounds(12, 3, samples=300, seed=6)
         assert c.mean_fraction != a.mean_fraction
 
-    def test_complement_invariance(self):
-        plain = sample_against_bounds(14, 3, samples=400, seed=2)
-        flipped = sample_against_bounds(14, 3, samples=400, seed=2, complement=True)
-        assert plain.mean_fraction == flipped.mean_fraction
-        assert plain.stderr == flipped.stderr
-        assert plain.min_count == flipped.min_count
-
     def test_exhaustive_floor_enforced(self):
         rep = sample_against_bounds(6, 3, samples=500, seed=3)
         assert rep.exact_floor == 2
@@ -476,8 +469,17 @@ class TestSampling:
     def test_pinned_stream_statistics(
         self, n, t, samples, mean, stderr, min_count, complement
     ):
-        rep = sample_against_bounds(n, t, samples=samples, seed=7, complement=complement)
-        assert (rep.mean_fraction, rep.stderr, rep.min_count) == (mean, stderr, min_count)
+        if complement:
+            # the same stream with its colours swapped: red + blue, and so
+            # every statistic, must not move
+            planes = _sample_planes(7, samples, math.comb(n, 2)) ^ _valid_lanes(samples)
+            counts = np.add(*_red_blue(planes, n, t, samples))
+            fractions = counts / math.comb(n, t)
+            got = fractions.mean(), fractions.std(ddof=1) / math.sqrt(samples), counts.min()
+        else:
+            rep = sample_against_bounds(n, t, samples=samples, seed=7)
+            got = rep.mean_fraction, rep.stderr, rep.min_count
+        assert got == (mean, stderr, min_count)
 
     @pytest.mark.parametrize("samples", [2, 63, 64, 65, 4097])
     @pytest.mark.parametrize("m", [1, 28, 2016])
