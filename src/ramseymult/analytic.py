@@ -109,21 +109,27 @@ def constant_from_limit(t1: float) -> float:
     return (t1 * (1.0 - t1)) ** -0.5
 
 
+def limit_constant(epsilon: float, tol: float = 1e-10) -> Estimate:
+    """C from the endpoint ``t1_limit`` of one solve from t(0) = epsilon."""
+    t1 = solve_threshold_ode(epsilon, tol).final_value
+    c = constant_from_limit(t1)
+    return Estimate(c, math.log(c), {"t1_limit": t1})
+
+
 def estimate_limit_constants(eps_min: float = 1e-7, tol: float = 1e-10) -> tuple[Estimate, tuple]:
     """Solve the ODE along :func:`epsilon_ladder` of ``eps_min``; returns
-    C from the endpoint at the smallest epsilon, and the (epsilon, t1) rows.
+    :func:`limit_constant` at the smallest epsilon, and the (epsilon, t1) rows.
 
     Its terms are that endpoint, ``t1_limit``, and ``t1_spread``, the spread
     of the last three endpoints in t1 units, with no term for tol; by 1e-5
     it sits near the integrator noise floor, not the epsilon sensitivity.
     """
-    series = tuple(
-        (e, solve_threshold_ode(e, tol).final_value) for e in epsilon_ladder(eps_min)
-    )
+    *ladder, last = epsilon_ladder(eps_min)
+    series = tuple((e, solve_threshold_ode(e, tol).final_value) for e in ladder)
+    est = limit_constant(last, tol)
+    series += ((last, est.terms["t1_limit"]),)
     tail = [t1 for _, t1 in series[-3:]]
-    t1 = series[-1][1]
-    c = constant_from_limit(t1)
-    return Estimate(c, math.log(c), {"t1_limit": t1, "t1_spread": max(tail) - min(tail)}), series
+    return est._replace(terms={**est.terms, "t1_spread": max(tail) - min(tail)}), series
 
 
 class PatchSequence(NamedTuple):

@@ -127,8 +127,11 @@ def _span_texts(col, lo: int, hi: int, fmt: str):
     distinct value of the span: floats, told apart by bit pattern (so -0.0
     keeps its sign and every NaN reads "nan"), by ``float_reprs``,
     integers by numpy's conversion, which gives ``repr``'s digits.  One
-    sorted copy of the span finds them; each block then finds its cells'
-    rows by ``searchsorted``.  A list is formatted cell by cell."""
+    sort of the span's copy finds them, and its permutation scatters each
+    cell's rank among them into an int32 inverse (a span holds at most
+    2^18 rows), so a block's rows are a slice of it.  The sorted copy and
+    the permutation are freed before any text is formatted; the distinct
+    values and the inverse stay.  A list is formatted cell by cell."""
     if isinstance(col, _Axis):
         length, stride = col.length, col.stride
         first = lo // stride
@@ -141,23 +144,26 @@ def _span_texts(col, lo: int, hi: int, fmt: str):
         return _padded(np.array(raw)), lambda a, b: np.arange(a - lo, b - lo)
     array, decode = (col.array, col.decode) if isinstance(col, _Decoded) else (col, None)
     floats = array.dtype == np.float64
-
-    def keys(a: int, b: int) -> np.ndarray:  # a copy of cells a to b
-        cells = array.flat[a:b]
-        return cells.view(np.int64) if floats else cells
-
-    distinct = keys(lo, hi)
-    distinct.sort()
-    new = np.empty(len(distinct), bool)
+    # each row's rank among the distinct values; made first, so that the
+    # sort's temporaries lie above it on the heap, which shrinks once they go
+    inv = np.empty(hi - lo, np.int32)
+    keys = array.flat[lo:hi]  # a copy
+    if floats:
+        keys = keys.view(np.int64)
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.empty(len(keys), bool)
     new[0] = True
-    np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
-    distinct = distinct[new]
-    del new
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    distinct = keys[new]
+    del keys
+    inv[order] = np.cumsum(new, dtype=np.int32) - 1
+    del order, new
     if floats:
         mat = _float_texts(distinct.view(np.float64), decode, fmt)
     else:
         mat = _padded(distinct.astype("S21"))
-    return mat, lambda a, b: np.searchsorted(distinct, keys(a, b))
+    return mat, lambda a, b: inv[a - lo : b - lo]
 
 
 def _write_rows(f, data: list, fmt: str) -> None:
@@ -476,7 +482,7 @@ def _cmd_crosscheck(cfg: Namespace) -> tuple[list, list, dict, str]:
     analytic.epsilon_ladder(cfg.eps_min)  # refuses a bad ladder before the fill
     routes = {
         "recurrence": recurrence.estimate_growth_constant(cfg.t_max),  # a streamed diagonal
-        "ode": analytic.estimate_limit_constants(cfg.eps_min, cfg.tol)[0],
+        "ode": analytic.limit_constant(cfg.eps_min, cfg.tol),
     }
     cs = [est.c for est in routes.values()]
     diff = max(cs) - min(cs)  # the largest gap between two routes

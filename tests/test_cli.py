@@ -20,7 +20,9 @@ from conftest import traced_peak
 from ramseymult import analytic, cli, lattice, numerics, oracle, recurrence
 from ramseymult.cli import (
     _BLOCK_ROWS,
+    _Decoded,
     _emit,
+    _span_texts,
     _table_columns,
     _threshold_table,
     build_parser,
@@ -346,6 +348,19 @@ class TestColumnWriter:
             peaks.append(peak)
         assert peaks[1] <= 1.1 * peaks[0]
 
+    def test_memory_of_one_default_span(self, tmp_path):
+        # a 500 x 500 table is one span at the default sizes; with a sorted
+        # copy searched block by block the writer's traced peak was 5.61 MiB,
+        # and the span's int32 inverse (about 1 MiB) is all that may add to
+        # it: an np.unique inverse with its int64 temporaries adds about 7
+        cfg = Namespace(subcommand="x", format="csv", out=str(tmp_path / "x.csv"))
+        columns = ["k", "l", "v"]
+        _emit(cfg, columns, _table_columns(recurrence.build_table(20)), {})  # loads the formatter
+        table = recurrence.build_table(500)
+        assert table.table[1:, 1:].size <= cli._SPAN_ROWS
+        _, peak = traced_peak(_emit, cfg, columns, _table_columns(table), {})
+        assert peak <= (5.61 + 1.25) * 2**20
+
     @pytest.mark.parametrize(
         "argv, shape",  # shape with index 0 of each axis
         [
@@ -366,6 +381,61 @@ class TestColumnWriter:
         code, peak = traced_peak(main, list(argv))
         assert code == 0
         assert peak <= 1.5 * 8 * math.prod(shape)
+
+
+class TestSpanTexts:
+    # one span of several default blocks, the last one short, read from a
+    # strided view so its cells are read in row-major order
+    lo = 5
+    hi = lo + 3 * _BLOCK_ROWS + 7
+
+    def column(self, pool):
+        rng = np.random.default_rng(3)
+        grid = np.zeros((self.hi, 3), pool.dtype)
+        grid[:, 1:] = pool[rng.integers(0, len(pool), (self.hi, 2))]
+        return grid[:, 1:]
+
+    def texts_by_block(self, mat, rows_of):
+        for a in range(self.lo, self.hi, _BLOCK_ROWS):
+            rows = rows_of(a, min(a + _BLOCK_ROWS, self.hi))
+            assert rows.dtype == np.int32
+            yield [bytes(row).rstrip(b"\0").decode() for row in mat[rows]]
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["plain", "decoded"])
+    def test_floats_one_text_per_bit_pattern(self, decoded):
+        other_nan = np.array([0xFFF8_0000_0000_0001], np.uint64).view(np.float64)[0]
+        pool = np.concatenate([
+            [0.0, -0.0, np.nan, other_nan, np.inf, 5e-324],
+            np.random.default_rng(4).standard_normal(500),
+        ])
+        col = self.column(pool)
+        cells = col.ravel()[self.lo : self.hi]
+        bits = set(cells.view(np.int64).tolist())
+        assert set(pool[:4].view(np.int64).tolist()) <= bits  # both zeros, both NaNs
+        seen = []
+
+        def decode(x):
+            seen.extend(x.view(np.int64).tolist())
+            return -x
+
+        arg = _Decoded(col, decode) if decoded else col
+        mat, rows_of = _span_texts(arg, self.lo, self.hi, "csv")
+        assert len(mat) == len(bits)
+        if decoded:  # each distinct value decoded once
+            assert sorted(seen) == sorted(bits)
+            cells = -cells
+        blocks = list(self.texts_by_block(mat, rows_of))
+        assert len(blocks) == 4
+        assert sum(blocks, []) == [repr(v) for v in cells.tolist()]
+
+    def test_integers_one_text_per_value(self):
+        pool = np.random.default_rng(5).integers(-(2**62), 2**62, 300)
+        col = self.column(pool)
+        cells = col.ravel()[self.lo : self.hi]
+        mat, rows_of = _span_texts(col, self.lo, self.hi, "csv")
+        assert len(mat) == len(set(cells.tolist()))
+        blocks = list(self.texts_by_block(mat, rows_of))
+        assert sum(blocks, []) == [str(v) for v in cells.tolist()]
 
 
 class TestConfig:
@@ -1272,6 +1342,23 @@ class TestLadder:
             match=r"^epsilon ladder needs at least two rungs for a spread, got 1$",
         ):
             analytic.epsilon_ladder(eps_min)
+
+    @pytest.mark.parametrize("eps_min", ["1e-4", "1e-7"])
+    def test_crosscheck_solves_one_ode(self, capsys, monkeypatch, eps_min):
+        # crosscheck writes only the last rung's C; constants writes each rung
+        solves, solve = [], analytic.solve_threshold_ode
+
+        def counted(epsilon, tol):
+            solves.append(epsilon)
+            return solve(epsilon, tol)
+
+        monkeypatch.setattr(analytic, "solve_threshold_ode", counted)
+        flags = ["--eps-min", eps_min, "--tol", "1e-9"]
+        assert run(capsys, "crosscheck", "--t-max", "80", *flags)[0] == 0
+        assert solves == [float(eps_min)]
+        solves.clear()
+        assert run(capsys, "constants", *flags)[0] == 0
+        assert solves == list(analytic.epsilon_ladder(float(eps_min)))
 
     def test_constants_writes_the_literals(self, capsys):
         code, _, _ = run(capsys, "constants", "--tol", "1e-9")
