@@ -127,7 +127,9 @@ class ThresholdSequence:
     a cell undefined (column 1 of the optimal-recurrence table).  Every
     constructor yields exactly 1/2 on the diagonal; the upper wedge is
     served by the structural reflection t_{j,i} = 1 - t_{i,j}.  Each read
-    checks the cells it returns.
+    checks the cells it returns.  The DPs and :func:`path_weight` read
+    only the lower wedge and price an upper-wedge step by swapping its
+    mirror's two step costs (:func:`_step_costs`).
     """
 
     __slots__ = ("size", "provenance", "at")
@@ -171,14 +173,20 @@ class ThresholdSequence:
         the diagonal it is 1/2 exactly."""
         return cls(size, "erdos-szekeres", lambda i, j: j / (i + j))
 
-    def _evaluate(self, i, j) -> np.ndarray:
-        """t_{i,j} on index arrays inside [1, size]^2 off cell (1, 1): ``at``
-        on the lower wedge, every value checked, the upper wedge reflected."""
+    def _lower(self, i, j) -> np.ndarray:
+        """t at (max(i, j), min(i, j)), the lower-wedge cell of each of the
+        index arrays inside [1, size]^2 off cell (1, 1), every value checked."""
         rows = np.maximum(i, j)
         lower = self.at(rows, np.minimum(i, j))
         if not np.all((lower > 0.0) & (lower < 1.0)):  # NaN fails both
             _check_interval(rows, lower)
             raise OutOfRange(f"the {self.provenance} table leaves cells undefined")
+        return lower
+
+    def _evaluate(self, i, j) -> np.ndarray:
+        """t_{i,j} on index arrays inside [1, size]^2 off cell (1, 1): ``at``
+        on the lower wedge, every value checked, the upper wedge reflected."""
+        lower = self._lower(i, j)
         return np.where(j > i, 1.0 - lower, lower)
 
     def lookup(self, i: int, j: int) -> float:
@@ -260,6 +268,18 @@ def _step_exponent(mode: str, a, b):
     return 1
 
 
+def _step_costs(thresholds: ThresholdSequence, a, b, log=np.log):
+    """(-log t_{a,b}, -log(1 - t_{a,b})), the costs of a b-step and of an
+    a-step through cells (a, b), before the exponent.  Both are taken from
+    the lower-wedge threshold t = t_{max(a,b), min(a,b)} as -log(t) and
+    -log(1 - t), and swapped above the diagonal, so a cell and its mirror
+    price their two steps alike, bit for bit."""
+    t = thresholds._lower(a, b)
+    cost_b, cost_a = -log(t), -log(1.0 - t)
+    up = b > a
+    return np.where(up, cost_a, cost_b), np.where(up, cost_b, cost_a)
+
+
 def path_weight(
     path: LatticePath, thresholds: ThresholdSequence, exponent: str = "max"
 ) -> float:
@@ -267,8 +287,9 @@ def path_weight(
     exponent.
 
     s_i is t_{a_i,b_i} for a b-increment and 1 - t_{a_i,b_i} for an
-    a-increment, all read in one call.  A path with no steps has weight
-    exactly 1, negLog 0.0.
+    a-increment, priced as the DPs price them (:func:`_step_costs`), all
+    read in one call.  A path with no steps has weight exactly 1,
+    negLog 0.0.
     """
     if exponent not in EXPONENT_MODES:
         raise ValueError(f"unknown exponent mode {exponent!r}")
@@ -277,9 +298,8 @@ def path_weight(
     if max(path.endpoint) > thresholds.size:
         raise OutOfRange(f"{path.endpoint} needs thresholds beyond size {thresholds.size}")
     a, b, b_inc = np.array(list(path.steps())).T
-    t = thresholds._evaluate(a, b)
-    s = np.where(b_inc, t, 1.0 - t)
-    return float(np.sum(_step_exponent(exponent, a, b) * -np.log(s)))
+    cost_b, cost_a = _step_costs(thresholds, a, b)
+    return float(np.sum(_step_exponent(exponent, a, b) * np.where(b_inc, cost_b, cost_a)))
 
 
 def check_corner(k: int, l: int) -> None:
@@ -298,21 +318,27 @@ def _max_plus_fill(
     from (i-1, j), factor (1-t)^e, with boundary cells at 0 (weight 1).
     ``mode`` sets the exponent e; mode "ramsey" counts in bits, the
     others in nats.  The thresholds and both step costs are computed one
-    band of antidiagonals at a time, before the table is read."""
+    band of antidiagonals at a time, before the table is read, each cell's
+    from the lower-wedge threshold (:func:`_step_costs`).  So in modes
+    "max" and "ramsey", whose exponent is symmetric too, a cell and its
+    mirror take the same floats, and a square table is filled on its
+    lower wedge and mirrored; modes "a" and "b", each the other's
+    transpose, fill every cell."""
     check_corner(k, l)
     if k > thresholds.size or l > thresholds.size:
         raise OutOfRange(f"({k}, {l}) needs thresholds beyond size {thresholds.size}")
     log = np.log2 if mode == "ramsey" else np.log
 
     def weights(idx):
-        t = thresholds._evaluate(*idx)
+        cost_b, cost_a = _step_costs(thresholds, *idx, log)
         e = _step_exponent(mode, *idx)
-        return e * -log(t), e * -log(1.0 - t)
+        return e * cost_b, e * cost_a
 
     def combine(w, below):
         return np.maximum(w[0] + below[1], w[1] + below[0])
 
-    return BoundTable(mode, wavefront_fill((k + 1, l + 1), weights, combine))
+    table = wavefront_fill((k + 1, l + 1), weights, combine, symmetric=mode in ("max", "ramsey"))
+    return BoundTable(mode, table)
 
 
 def dp_min_weight(

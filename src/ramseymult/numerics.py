@@ -87,6 +87,7 @@ def wavefront_fill(
     weights: Callable[[tuple[np.ndarray, ...]], Sequence[np.ndarray]],
     combine: Callable[[tuple[np.ndarray, ...], list[np.ndarray]], np.ndarray],
     each_plane: Callable[[int, np.ndarray], None] | None = None,
+    symmetric: bool = False,
 ) -> np.ndarray | None:
     """Allocate a table of ``shape`` and fill every entry whose indices are
     all >= 2; entries with an index below 2 are the boundary, 0.
@@ -115,6 +116,17 @@ def wavefront_fill(
     a table of more than ``CELL_BUDGET`` cells, naming its shape, or a
     stream whose :func:`stream_cells` exceed it: 8 bytes a counted cell
     bound a stream's memory.
+
+    ``symmetric`` states that the kernel is symmetric in the two axes
+    bit for bit: from mirrored neighbours, cell (j, i) takes the value of
+    cell (i, j).  A square 2-axis fill then computes, and hands
+    ``weights``, only the lower wedge i >= j of each antidiagonal, so a
+    band holds twice as many antidiagonals.  Before an even antidiagonal
+    s = 2i it copies the one mirror neighbour, ``plane[i - 1] =
+    plane[i]``; a table takes each antidiagonal as two strided writes,
+    the lower cells and the mirror cells reversed, and ``each_plane``
+    may read only the entries h >= s / 2.  Other shapes fill every cell
+    whatever ``symmetric`` says.
     """
     q = len(shape)
     if each_plane is None:
@@ -133,8 +145,11 @@ def wavefront_fill(
     order = np.argsort(sums, kind="stable")
     head, sums = head[:, order], sums[order]
     planes = np.arange(2 * q, sum(shape) - q + 1)
-    # the last index s - sum must lie in [2, last - 1]
-    starts = np.searchsorted(sums, planes - last + 1)
+    # the last index s - sum must lie in [2, last - 1]; a mirror fill
+    # starts each antidiagonal at its lower wedge, i >= s - i
+    mirror = symmetric and q == 2 and shape[0] == last
+    lowest = planes - last + 1
+    starts = np.searchsorted(sums, np.maximum(lowest, (planes + 1) // 2) if mirror else lowest)
     sizes = np.searchsorted(sums, planes - 1) - starts
     plane_of, start_of, size_of = planes.tolist(), starts.tolist(), sizes.tolist()
     # the neighbours of entry h are entries h - e_d and, down the last
@@ -162,6 +177,8 @@ def wavefront_fill(
         for s, a, n in zip(plane_of[p:r], start_of[p:r], size_of[p:r]):
             if q == 2:
                 i = a + 2  # head[0, a]
+                if mirror and s == 2 * i:
+                    plane[i - 1] = plane[i]  # (i - 1, i) is the mirror of (i, i - 1)
                 at = slice(i, i + n)
                 below = [plane[i - 1 : i - 1 + n], plane[at]]
             else:
@@ -173,6 +190,9 @@ def wavefront_fill(
                 each_plane(s, plane)
             elif q == 2:
                 flat[s + i * stride : s + (i + n - 1) * stride + 1 : stride] = v
+                if mirror:  # the mirror (s - i, i) of cell (i, s - i)
+                    end = s * last - i * stride
+                    flat[end - (n - 1) * stride : end + 1 : stride] = v[::-1]
             else:
                 flat[at * last + tail[o : o + n]] = v
             o += n

@@ -28,8 +28,8 @@ from .numerics import (
 
 # A q-colour diagonal streams to t while t^q <= STREAM_T_MAX^2, which bounds
 # its time, and its stream_cells, which bound its memory, fit the budget.
-# On a 2-vCPU x86-64 host `crosscheck --t-max 20000` takes about 11 s and
-# 36 MB, and `alpha --q 3 --t 736` about 28 s and 91 MB.
+# On a 2-vCPU x86-64 host `crosscheck --t-max 20000` takes about 7 s and
+# 37 MB, and `alpha --q 3 --t 736` about 28 s and 91 MB.
 STREAM_T_MAX = 20_000
 
 
@@ -62,16 +62,19 @@ def build_table(t_max: int, cols: int | None = None) -> BoundTable:
     Returns a mode-"max" table of negLog values; boundary rows are 0
     (value 1).  One vectorised step per anti-diagonal.  mu is the larger
     index of each cell itself, so a thin table is the top-left block of
-    the square one, bit for bit.  The fill raises
-    :class:`BudgetExceeded`, naming the shape, before allocating more
-    than ``CELL_BUDGET`` cells.
+    the square one, bit for bit.  The two-colour cell is symmetric bit
+    for bit, so a square table is filled on its lower wedge and
+    mirrored.  The fill raises :class:`BudgetExceeded`, naming the
+    shape, before allocating more than ``CELL_BUDGET`` cells.
     """
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
     cols = t_max if cols is None else cols
     if not 1 <= cols <= t_max:
         raise ValueError(f"cols must lie in [1, t_max], got {cols}")
-    table = wavefront_fill((t_max + 1, cols + 1), _recurrence_weights, _recurrence_cell)
+    table = wavefront_fill(
+        (t_max + 1, cols + 1), _recurrence_weights, _recurrence_cell, symmetric=True
+    )
     return BoundTable("max", table)
 
 
@@ -109,7 +112,9 @@ def diagonal(t_max: int, q: int = 2) -> np.ndarray:
     diagonal of :func:`multicolor_table` (at q = 2, :func:`build_table`).
 
     The fill streams its hyperplanes and keeps cell (u, ..., u) of
-    hyperplane q * u, so it holds O(t_max^(q-1)) memory, not a table.  A
+    hyperplane q * u, so it holds O(t_max^(q-1)) memory, not a table; at
+    q = 2, whose cell is symmetric bit for bit, it fills only the lower
+    wedge of each antidiagonal, whose first cell is (u, u).  A
     (q, t_max) that :func:`_check_stream` refuses raises
     :class:`BudgetExceeded` before any work.
     """
@@ -123,7 +128,9 @@ def diagonal(t_max: int, q: int = 2) -> np.ndarray:
         if r == 0:
             diag[u] = plane[u * step]
 
-    wavefront_fill((t_max + 1,) * q, _recurrence_weights, _recurrence_cell, keep)
+    wavefront_fill(
+        (t_max + 1,) * q, _recurrence_weights, _recurrence_cell, keep, symmetric=q == 2
+    )
     return diag
 
 
@@ -185,7 +192,9 @@ def multicolor_table(q: int, t_max: int) -> BoundTable:
     _check_colours(q)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    table = wavefront_fill((t_max + 1,) * q, _recurrence_weights, _recurrence_cell)
+    table = wavefront_fill(
+        (t_max + 1,) * q, _recurrence_weights, _recurrence_cell, symmetric=q == 2
+    )
     return BoundTable("max", table)
 
 

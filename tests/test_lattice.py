@@ -91,16 +91,19 @@ def read_rect(thr, k, l):
 
 
 def dense_reference(thr, k, l, mode):
-    """The DP tables as they were once filled: every threshold of the
-    corner read into one NaN-padded (k + 1, l + 1) array, both step costs
-    computed over it, then the kernel gathers them cell by cell."""
-    t = np.full((k + 1, l + 1), np.nan)
-    t[2:, 2:] = read_rect(thr, k, l)
+    """The DP tables as a dense fill: the lower-wedge threshold t_{max, min}
+    of every cell of the corner read into one NaN-padded (k + 1, l + 1)
+    array, both step costs -log(t) and -log(1 - t) computed over it and
+    swapped above the diagonal, then the kernel gathers them cell by
+    cell."""
     i, j = np.ogrid[: k + 1, : l + 1]
+    t = np.full((k + 1, l + 1), np.nan)
+    t[2:, 2:] = thr._evaluate(np.maximum(i, j)[2:, 2:], np.minimum(i, j)[2:, 2:])
     e = {"a": i, "b": j, "max": np.maximum(i, j), "ramsey": 1}[mode]
     log = np.log2 if mode == "ramsey" else np.log
-    cost_b = e * -log(t)
-    cost_a = e * -log(1.0 - t)
+    up = j > i
+    cost_b = e * np.where(up, -log(1.0 - t), -log(t))
+    cost_a = e * np.where(up, -log(t), -log(1.0 - t))
 
     def cell(idx, below):
         return np.maximum(cost_b[idx] + below[1], cost_a[idx] + below[0])
@@ -502,6 +505,23 @@ class TestMinWeightDP:
         thr = assemble_patched_thresholds(1e-3, 500)
         table = dp_min_weight(500, 500, thr).table.view(np.int64)
         assert np.array_equal(table, table.T)
+
+    @pytest.mark.parametrize("kind", ["optimal", "erdos-szekeres", "random"])
+    def test_square_symmetric_bit_for_bit(self, kind):
+        # a cell and its mirror read one lower-wedge threshold and swap its
+        # two step costs, so modes max and ramsey mirror exactly
+        thr = KINDS[kind](300)
+        for table in (dp_min_weight(300, 300, thr).table, ramsey_table(300, 300, thr).table):
+            bits = table.view(np.int64)
+            assert np.array_equal(bits, bits.T)
+
+    @pytest.mark.parametrize("k, l", [(60, 60), (60, 23), (23, 60)])
+    @pytest.mark.parametrize("kind", ["optimal", "erdos-szekeres", "random"])
+    def test_mode_a_is_mode_b_transposed(self, kind, k, l):
+        thr = KINDS[kind](max(k, l))
+        a = dp_min_weight(k, l, thr, "a").table
+        b = dp_min_weight(l, k, thr, "b").table
+        assert np.array_equal(a.view(np.int64), b.T.view(np.int64))
 
     def test_neglog_monotone_in_target(self):
         thr = random_thresholds(10, seed=12)

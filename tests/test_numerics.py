@@ -138,6 +138,51 @@ class TestStreamedPlanes:
         assert wavefront_fill((2, 9), lambda idx: idx, _index_weighted_paths, never) is None
 
 
+class TestMirrorFill:
+    @pytest.mark.parametrize("band", [1, 5, 4096])
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 40])
+    def test_equals_full_fill(self, monkeypatch, n, band):
+        monkeypatch.setattr(numerics, "_BAND_CELLS", band)
+        want = wavefront_fill((n, n), lambda idx: idx, _index_weighted_paths)
+        got = wavefront_fill((n, n), lambda idx: idx, _index_weighted_paths, symmetric=True)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("band", [1, 5, 4096])
+    def test_weights_see_the_lower_wedge_once(self, monkeypatch, band):
+        monkeypatch.setattr(numerics, "_BAND_CELLS", band)
+        seen = []
+
+        def weights(idx):
+            seen.append(np.stack(idx))
+            return idx
+
+        wavefront_fill((40, 40), weights, _index_weighted_paths, symmetric=True)
+        i, j = np.concatenate(seen, axis=1)
+        assert np.all(i >= j)
+        assert len(set(zip(i.tolist(), j.tolist()))) == i.size == 38 * 39 // 2
+
+    def test_stream_hands_over_the_lower_wedge(self):
+        table = wavefront_fill((30, 30), lambda idx: idx, _index_weighted_paths)
+
+        def each_plane(s, plane):
+            i = np.arange((s + 1) // 2, min(s - 2, 29) + 1)
+            assert np.array_equal(plane[i], table[i, s - i])
+
+        wavefront_fill((30, 30), lambda idx: idx, _index_weighted_paths, each_plane, True)
+
+    def test_recurrence_equals_its_full_fill(self):
+        # the two-colour cell is symmetric bit for bit, so its lower wedge
+        # mirrored is the full fill
+        full = wavefront_fill((301, 301), _recurrence_weights, _recurrence_cell)
+        assert np.array_equal(build_table(300).table.view(np.int64), full.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (3, 9), (6, 6, 6)])
+    def test_other_shapes_fill_every_cell(self, shape):
+        want = wavefront_fill(shape, lambda idx: idx, _index_weighted_paths)
+        got = wavefront_fill(shape, lambda idx: idx, _index_weighted_paths, symmetric=True)
+        assert np.array_equal(got, want)
+
+
 THRESHOLD_KINDS = {
     "uniform": ThresholdSequence.uniform,
     "erdos-szekeres": ThresholdSequence.erdos_szekeres,
@@ -178,7 +223,8 @@ class TestBands:
 
     def test_thresholds_read_once_per_band(self):
         # a band holds whole antidiagonals, so two consecutive bands hold
-        # more than a band's cells; each cell is read exactly once
+        # more than a band's cells; the square fills its lower wedge, and
+        # each of its cells is read exactly once
         thr = optimal_thresholds(build_table(300))
         reads = []
 
@@ -187,7 +233,7 @@ class TestBands:
             return thr.at(i, j)
 
         dp_min_weight(300, 300, ThresholdSequence(thr.size, thr.provenance, at))
-        cells = 299 * 299
+        cells = 299 * 300 // 2
         assert len(reads) <= 2 * math.ceil(cells / numerics._BAND_CELLS) + 1
         assert sum(reads) == cells
 

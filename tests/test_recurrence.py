@@ -186,7 +186,7 @@ class TestOptimalThresholds:
 class TestDiagonal:
     @pytest.mark.parametrize(
         "q, t",
-        [pytest.param(2, t, id=str(t)) for t in (2, 3, 4, 37, 500, 1000)]
+        [pytest.param(2, t, id=str(t)) for t in (2, 3, 4, 37, 500, 1000, 2000)]
         + [
             pytest.param(q, t, id=f"q{q}-{t}")
             for q, t in [(3, 2), (3, 3), (3, 30), (3, 60), (4, 12), (4, 30), (5, 10)]
