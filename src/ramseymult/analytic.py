@@ -13,7 +13,9 @@ the growth constant is C = (L * (1 - L))^(-1/2).
 Near the diagonal the continuum picture breaks down, so assembled
 threshold tables splice in a discrete patch sequence a_0 = 1/2,
 a_{i+1} = 1 - (1 - a_i) * a_{i-1} / a_i, seeded so the patch meets the
-ODE profile at offset w.
+ODE profile at offset w.  Beyond the patch they read t(x) from the
+solver's own dense output, so each profile value is the solve's to its
+tolerance.
 """
 
 from __future__ import annotations
@@ -202,49 +204,6 @@ def default_patch_width(t_max: int) -> int:
     return min(w, t_max - 1)
 
 
-def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point end slope, zeroed or capped at 3 * m0 so the
-    end interval keeps the shape of its secants (Moler's pchiptx)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip(xs: np.ndarray, ys: np.ndarray):
-    """Monotone piecewise-cubic Hermite interpolant of (xs, ys), as a
-    function of the query points.
-
-    An interior knot takes the Fritsch-Butland weighted harmonic mean of
-    its secants, or 0 beside a flat secant or a turn; needs at least three
-    increasing knots.  Each operation runs in the order of the usual
-    library PCHIP, so tests can hold the values to it bit for bit.
-    """
-    h = np.diff(xs)
-    m = np.diff(ys) / h
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    d = np.empty(len(xs))
-    d[1:-1] = np.where(flat, 0.0, inner)
-    d[0] = _edge_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    c2, c3 = (m - d[:-1]) / h - t, t / h  # coefficients of s^2 and s^3
-
-    def evaluate(q):
-        i = np.clip(np.searchsorted(xs, q, side="right") - 1, 0, len(h) - 1)
-        s = q - xs[i]
-        s2 = s * s
-        return ys[i] + d[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
-
-    return evaluate
-
-
 def assemble_patched_thresholds(
     epsilon: float,
     t_max: int,
@@ -254,9 +213,9 @@ def assemble_patched_thresholds(
     """Full threshold table: ODE profile far from the diagonal, patch near it.
 
     Cell (k, l) on the lower wedge takes the patch value a_{k-l} when
-    k - l <= w, and t_eps(l / k) otherwise, read off the monotone cubic
-    interpolant :func:`_pchip` of the trajectory.  The patch is seeded so
-    a_w equals the profile endpoint t_eps(1), making the two regions meet
+    k - l <= w, and t_eps(l / k) otherwise, the solver's own dense output
+    (:class:`Trajectory` called at l / k).  The patch is seeded so a_w
+    equals the profile endpoint t_eps(1), making the two regions meet
     continuously in the large-k limit.  Cells are computed when read.
     """
     from .lattice import ThresholdSequence
@@ -269,10 +228,9 @@ def assemble_patched_thresholds(
         raise ValueError(f"patch width {w} must satisfy 1 <= w < t_max")
     traj = solve_threshold_ode(epsilon, tol)
     patch = np.array(build_patch_sequence(find_seed(traj.final_value, w), w).values)
-    profile = _pchip(traj.xs, traj.ys)
 
     def at(i, j):
         near = patch[np.minimum(i - j, w)]
-        return np.where(i - j <= w, near, profile(j / i))
+        return np.where(i - j <= w, near, traj(j / i))
 
     return ThresholdSequence(t_max, "analytic-patched", at)

@@ -200,21 +200,40 @@ def wavefront_fill(
 
 
 class Trajectory:
-    """Accepted sample points of one adaptive ODE solve.
+    """Accepted steps of one adaptive ODE solve, and the solution between them.
 
     ``xs``/``ys`` are parallel arrays with xs strictly increasing; the
     first sample is the initial condition and the last lands exactly on
-    the requested endpoint.
+    the requested endpoint.  ``stages`` holds, per step, the six stages
+    k1, k3, k4, k5, k6, k7 of the Dormand-Prince step that reached the
+    next sample; calling the trajectory evaluates the step's 4th-order
+    continuous extension (Hairer, Norsett and Wanner, Solving ODEs I,
+    II.6, ``contd5``) at any x, and returns ``ys[k]`` at ``xs[k]``.
     """
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("xs", "ys", "_rows")
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        if len(xs) != len(ys) or len(xs) < 1:
-            raise ValueError("trajectory needs parallel, non-empty sample arrays")
-        if np.any(np.diff(xs) <= 0):
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, stages: np.ndarray) -> None:
+        if len(xs) != len(ys) or len(xs) < 2 or np.shape(stages) != (len(xs) - 1, 6):
+            raise ValueError("trajectory needs parallel samples and six stages a step")
+        h = np.diff(xs)
+        if np.any(h <= 0):
             raise ValueError("trajectory abscissae must be strictly increasing")
         self.xs, self.ys = xs, ys
+        k1, k3, k4, k5, k6, k7 = np.transpose(stages)
+        dy = np.diff(ys)
+        r3 = h * k1 - dy
+        r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
+        # per step: its start and width, then Hairer's five coefficients
+        self._rows = np.array([xs[:-1], h, ys[:-1], dy, r3, dy - h * k7 - r3, r5])
+
+    def __call__(self, x: float | np.ndarray) -> np.ndarray:
+        """The solution at ``x`` from the step that holds it (or the end step)."""
+        i = np.searchsorted(self.xs[1:-1], x, side="right")
+        x0, h, r1, r2, r3, r4, r5 = self._rows.take(i, axis=1)
+        theta = (x - x0) / h
+        u = 1 - theta
+        return r1 + theta * (r2 + u * (r3 + theta * (r4 + u * r5)))
 
     @property
     def final_value(self) -> float:
@@ -235,6 +254,9 @@ _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -
 _A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84  # _A72 = 0
 _E1, _E2, _E3, _E4 = 71 / 57600, 0.0, -71 / 16695, 71 / 1920
 _E5, _E6, _E7 = -17253 / 339200, 22 / 525, -1 / 40
+# dense output weights _Di of the last coefficient row (_D2 = 0)
+_D1, _D3, _D4 = -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072
+_D5, _D6, _D7 = 701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423
 
 _MAX_STEPS = 5_000_000
 
@@ -254,7 +276,9 @@ def integrate(
     forced below 32 units in the last place of max(|x|, (x1 - x0) * 2**-52),
     raises :class:`SingularField`; the second term keeps the refused step a
     normal float near x = 0.  A stage that raises :class:`SingularField`
-    inside a step retries it at a quarter of the step.
+    inside a step retries it at a quarter of the step.  The returned
+    :class:`Trajectory` keeps the stages of each accepted step, so it
+    also evaluates the solution between its samples.
     """
     if not (x0 < x1):
         raise ValueError("integration interval must satisfy x0 < x1")
@@ -267,8 +291,7 @@ def integrate(
             raise SingularField(f"field returned {v!r} at x={x!r}, y={y!r}")
         return v
 
-    xs = [x0]
-    ys = [y0]
+    xs, ys, stages = [x0], [y0], []
     x, y = x0, y0
     h = (x1 - x0) / 1000.0
     x_tiny = (x1 - x0) * 2.0**-52  # ulp(0.0) is 5e-324
@@ -319,6 +342,7 @@ def integrate(
             y = y_new
             xs.append(x)
             ys.append(y)
+            stages.append((k1, k3, k4, k5, k6, k7))
             k1 = k7  # FSAL
             rr = max(r, 1e-10)
             fac = 0.9 * rr ** -0.14 * err_prev ** 0.08
@@ -329,7 +353,7 @@ def integrate(
     else:
         raise SingularField("step budget exhausted; field is too stiff")
 
-    return Trajectory(np.asarray(xs), np.asarray(ys))
+    return Trajectory(np.asarray(xs), np.asarray(ys), np.asarray(stages))
 
 
 def bisect(

@@ -9,14 +9,11 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from ramseymult import analytic
 from ramseymult.analytic import (
     InvalidEpsilon,
     Overflow,
-    _edge_slope,
-    _pchip,
     assemble_patched_thresholds,
     build_patch_sequence,
     constant_from_limit,
@@ -27,7 +24,7 @@ from ramseymult.analytic import (
     threshold_field,
 )
 from ramseymult.lattice import OutOfRange, ThresholdSequence
-from ramseymult.numerics import NoBracket, SingularField
+from ramseymult.numerics import NoBracket, SingularField, integrate
 from ramseymult.recurrence import build_table, optimal_thresholds
 
 # Fixed-step RK4 endpoint for epsilon = 0.1 at h = 1e-6, regenerated by
@@ -102,6 +99,25 @@ class TestSolve:
         for eps in (0.0, -0.1, 1.5, 1e-13):  # below 1e-12, x = 0 is singular
             with pytest.raises(InvalidEpsilon):
                 solve_threshold_ode(eps)
+
+    # from the smallest ratio a table inside the cell budget reads, 1 / 4472,
+    # to the diagonal
+    PROFILE_XS = np.concatenate((np.geomspace(1 / 4472, 0.99, 12), [1.0]))
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-7, 1e-12])
+    def test_dense_output_is_the_solve_to_each_x(self, eps):
+        # bound 3e-12: about 10x the largest error measured on this grid
+        # (3.5e-13, eps = 1e-2)
+        traj = solve_threshold_ode(eps, 1e-10)
+        got = traj(self.PROFILE_XS)
+        for x, y in zip(self.PROFILE_XS, got):
+            assert abs(y - integrate(threshold_field, 0.0, eps, x, 1e-14).final_value) <= 3e-12, x
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-7, 1e-12])
+    def test_dense_output_returns_every_sample(self, eps):
+        traj = solve_threshold_ode(eps, 1e-10)
+        assert np.array_equal(traj(traj.xs).view(np.int64), traj.ys.view(np.int64))
+        assert traj(1.0) == traj.final_value
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +343,19 @@ class TestAssembledTable:
         assert all(b > a for a, b in zip(row, row[1:]))
         assert all(0.0 < v < 1.0 for v in row)
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-2])
+    def test_dense_profile_keeps_its_shape_at_t_2000(self, eps):
+        # the dense output is not shape-preserving by construction: every
+        # read must stay inside (0, 1), and the last row rise strictly
+        # across the profile region
+        t = 2000
+        thr = assemble_patched_thresholds(eps, t)
+        i, j, values = thr.wedge(1)
+        assert np.all((values > 0.0) & (values < 1.0))
+        row = values[(i == t) & (t - j > default_patch_width(t))]
+        assert len(row) == t - 1 - default_patch_width(t)
+        assert np.all(np.diff(row) > 0.0)
+
     def test_crossover_continuity(self):
         # where the patch hands over to the profile the two constructions
         # agree closely once k is large against w
@@ -334,8 +363,7 @@ class TestAssembledTable:
         k = 20 * w
         thr = assemble_patched_thresholds(1e-3, k, w=w)
         traj = solve_threshold_ode(1e-3, 1e-10)
-        profile = PchipInterpolator(traj.xs, traj.ys)
-        assert abs(thr.lookup(k, k - w) - float(profile(1 - w / k))) <= 0.05
+        assert abs(thr.lookup(k, k - w) - float(traj(1 - w / k))) <= 0.05
 
     def test_column_one_defined(self):
         thr = assemble_patched_thresholds(1e-3, 25)
@@ -354,44 +382,6 @@ class TestAssembledTable:
             assemble_patched_thresholds(1e-3, 10, w=0)
         with pytest.raises(InvalidEpsilon):
             assemble_patched_thresholds(0.0, 10)
-
-
-class TestPchip:
-    """The numpy interpolant against scipy's PchipInterpolator, bit for bit."""
-
-    @staticmethod
-    def assert_matches_scipy(xs, ys, q):
-        q = np.concatenate((q, xs))
-        assert np.array_equal(_pchip(xs, ys)(q), PchipInterpolator(xs, ys)(q))
-
-    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6])
-    def test_ode_profiles_on_every_wedge_point(self, eps):
-        traj = solve_threshold_ode(eps, 1e-10)
-        k, j = np.tril_indices(501)
-        wedge = j >= 1
-        q = np.concatenate((j[wedge] / k[wedge], [1.0]))
-        self.assert_matches_scipy(traj.xs, traj.ys, q)
-
-    @pytest.mark.parametrize(
-        "xs, ys",
-        [
-            ([0.0, 1.0, 2.5, 3.0, 4.0], [0.0, 1.0, 1.0, 2.0, 3.0]),  # flat secant
-            ([0.0, 0.5, 2.0, 2.2, 4.0], [0.0, 2.0, 1.0, 3.0, 2.5]),  # sign changes
-            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 6.0, 7.0]),  # both ends clip to 0
-            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -5.0, -4.0]),  # both ends clip to 3 m0
-            ([0.0, 0.3, 1.0], [0.2, 0.9, 0.95]),  # three knots
-        ],
-    )
-    def test_synthetic_branches(self, xs, ys):
-        xs, ys = np.array(xs), np.array(ys)
-        q = np.linspace(xs[0], xs[-1], 997)
-        self.assert_matches_scipy(xs, ys, q)
-
-    def test_end_slope_clips(self):
-        # equal spacing: d = (3 m0 - m1) / 2
-        assert _edge_slope(1.0, 1.0, 1.0, 5.0) == 0.0  # sign flips against m0
-        assert _edge_slope(1.0, 1.0, 1.0, -6.0) == 3.0  # overshoot past a turn
-        assert _edge_slope(1.0, 1.0, 1.0, 2.0) == 0.5  # kept
 
     def test_package_import_loads_no_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -24,7 +24,6 @@ from ramseymult.lattice import (
     ramsey_table,
 )
 from ramseymult.analytic import (
-    _pchip,
     assemble_patched_thresholds,
     build_patch_sequence,
     default_patch_width,
@@ -137,7 +136,7 @@ def optimal_square(table):
 
 def patched_square(epsilon, t_max, w=None):
     """The patched table as a square: patch values near the diagonal, the
-    interpolated ODE profile at l / k beyond it."""
+    ODE solve's dense output at l / k beyond it."""
     w = default_patch_width(t_max) if w is None else w
     traj = solve_threshold_ode(epsilon, 1e-10)
     patch = build_patch_sequence(find_seed(traj.final_value, w), w)
@@ -145,7 +144,7 @@ def patched_square(epsilon, t_max, w=None):
     k, j = np.tril_indices(t_max + 1)
     near, far = (k >= 2) & (j >= 1) & (k - j <= w), (j >= 1) & (k - j > w)
     lower[k[near], j[near]] = np.array(patch.values)[(k - j)[near]]
-    lower[k[far], j[far]] = _pchip(traj.xs, traj.ys)(j[far] / k[far])
+    lower[k[far], j[far]] = traj(j[far] / k[far])
     return lower
 
 

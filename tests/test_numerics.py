@@ -262,7 +262,7 @@ def tableau_integrate(field, x0, y0, x1, tol):
             raise SingularField(f"field returned {v!r} at x={x!r}, y={y!r}")
         return v
 
-    xs, ys = [x0], [y0]
+    xs, ys, stages = [x0], [y0], []
     x, y = x0, y0
     h = (x1 - x0) / 1000.0
     k1 = eval_field(x, y)
@@ -302,6 +302,7 @@ def tableau_integrate(field, x0, y0, x1, tol):
             y = y_new
             xs.append(x)
             ys.append(y)
+            stages.append(k[:1] + k[2:])  # the dense output weighs k2 by 0
             k1 = k[6]
             rr = max(r, 1e-10)
             fac = 0.9 * rr ** -0.14 * err_prev ** 0.08
@@ -311,7 +312,7 @@ def tableau_integrate(field, x0, y0, x1, tol):
             h *= max(0.2, 0.9 * r ** -0.2)
     else:
         raise SingularField("step budget exhausted; field is too stiff")
-    return Trajectory(np.asarray(xs), np.asarray(ys))
+    return Trajectory(np.asarray(xs), np.asarray(ys), np.asarray(stages))
 
 
 def _undershoot(x, y):
@@ -345,6 +346,9 @@ class TestUnrolledStep:
         got = integrate(field, x0, y0, x1, tol)
         assert np.array_equal(got.xs.view(np.int64), want.xs.view(np.int64))
         assert np.array_equal(got.ys.view(np.int64), want.ys.view(np.int64))
+        # the dense output, at the quarter points of every step
+        q = (got.xs[:-1, None] + np.diff(got.xs)[:, None] * [0.25, 0.5, 0.75]).ravel()
+        assert np.array_equal(got(q).view(np.int64), want(q).view(np.int64))
 
     def test_interior_raise_is_retried(self):
         raised = []
@@ -394,6 +398,9 @@ class TestIntegrate:
         tol = 1e-8
         traj = integrate(lambda x, y: -y, 0.0, 1.0, 1.0, tol)
         assert abs(traj.ys[-1] - math.exp(-1.0)) <= 10 * tol
+        # and between the samples, from the dense output
+        q = np.linspace(0.0, 1.0, 1001)
+        assert np.max(np.abs(traj(q) - np.exp(-q))) <= 10 * tol
 
     def test_error_tracks_tolerance(self):
         # halving tol should roughly halve the achieved error; allow a
@@ -435,10 +442,15 @@ class TestIntegrate:
                 integrate(lambda x, y: 0.0, 0.0, 0.0, 1.0, tol)
 
     def test_trajectory_validates_shape(self):
+        step = np.zeros((1, 6))
         with pytest.raises(ValueError):
-            Trajectory(xs=np.array([0.0, 1.0]), ys=np.array([1.0]))
+            Trajectory(xs=np.array([0.0, 1.0]), ys=np.array([1.0]), stages=step)
         with pytest.raises(ValueError):
-            Trajectory(xs=np.array([0.0, 0.0]), ys=np.array([1.0, 1.0]))
+            Trajectory(xs=np.array([0.0, 0.0]), ys=np.array([1.0, 1.0]), stages=step)
+        with pytest.raises(ValueError):
+            Trajectory(xs=np.array([0.0, 1.0]), ys=np.array([1.0, 1.0]), stages=np.zeros((2, 6)))
+        with pytest.raises(ValueError):
+            Trajectory(xs=np.array([0.0]), ys=np.array([1.0]), stages=np.zeros((0, 6)))
 
 
 class TestBisect:
